@@ -46,10 +46,10 @@ def _fill(cache: ResultCache, n: int = N_ENTRIES) -> list:
         keys.append(key)
         batch.append((key, {"i": i}, {"i": i, "v": i * 3}))
         if len(batch) == 4096:
-            cache.put_many("scale", batch, batch=True)
+            cache.put_many("scale", batch)
             batch = []
     if batch:
-        cache.put_many("scale", batch, batch=True)
+        cache.put_many("scale", batch)
     return keys
 
 

@@ -1,9 +1,6 @@
 """Figure 10 — the seven algorithms on the three Section 8.3 workloads."""
 
-import time
-
 import conftest
-import pytest
 from conftest import at_paper_scale, one_shot
 
 from repro.analysis import format_table
@@ -77,70 +74,3 @@ def test_fig10_point_throughput(benchmark):
         rounds=5, iterations=1, warmup_rounds=1,
     )
     assert count == 21
-
-
-def _bandwidth_axis_points(group: int) -> list:
-    """A fig10 point-group the batch layer can fully vectorize: one
-    (workload, algorithm) pair crossed with ``group`` nearby link-speed
-    scalings (the ``sweep(bandwidth_scales=...)`` axis shape)."""
-    workload = fig10_workloads()[0]
-    return [
-        {
-            "workload": workload.name,
-            "n_a": workload.n_a,
-            "n_ab": workload.n_ab,
-            "n_b": workload.n_b,
-            "algorithm": "HoLM",
-            "p": 8,
-            "memory_mb": 512.0,
-            "q": 80,
-            "bandwidth_scale": 1.0 + 0.002 * i,
-        }
-        for i in range(group)
-    ]
-
-
-def test_fig10_batch_point_throughput(benchmark):
-    """Batched fig10 evaluation is >=5x the scalar fast path.
-
-    This is the experiment-level counterpart of bench_batch.py's
-    engine-level gate: the same 64-point bandwidth axis, but evaluated
-    through ``fig10._batch_points`` — platform rebuild, trace
-    summarisation and row formatting included — exactly what
-    ``run_sweep(..., batch=True)`` hands a backend.  Paper scale only
-    (see ``test_fig10_point_throughput``); fast engine only.
-    """
-    if conftest._engine not in (None, "fast"):
-        pytest.skip("batched evaluation is a fast-engine path")
-    points = _bandwidth_axis_points(64)
-
-    def scalar() -> list:
-        return [fig10._point(p) for p in points]
-
-    def best_of(fn, rounds: int = 3) -> float:
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    scalar_s = best_of(scalar)
-    batch_s = best_of(lambda: fig10._batch_points(points))
-    rows = benchmark.pedantic(
-        fig10._batch_points, args=(points,),
-        rounds=3, iterations=1, warmup_rounds=1,
-    )
-    assert rows == scalar()  # byte-identical tables, measured path
-
-    speedup = scalar_s / batch_s
-    benchmark.extra_info["scalar_points_per_s"] = len(points) / scalar_s
-    benchmark.extra_info["batch_points_per_s"] = len(points) / batch_s
-    benchmark.extra_info["speedup"] = speedup
-    print(
-        f"\nfig10 batch throughput: {len(points) / batch_s:,.0f} points/s "
-        f"vs {len(points) / scalar_s:,.0f} scalar ({speedup:.2f}x)"
-    )
-    assert speedup >= 5.0, (
-        f"fig10 batched throughput only {speedup:.2f}x scalar (gate 5x)"
-    )

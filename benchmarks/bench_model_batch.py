@@ -8,7 +8,7 @@ built for — one algorithm, one paper-size workload, a dense axis of
 nearby bandwidth scalings — and enforces the ISSUE's >=10x
 model-engine throughput gate both locally and in CI.
 
-Like ``bench_batch.py`` it deliberately ignores ``--scale``: at toy
+It deliberately ignores ``--scale``: at toy
 sizes the fixed per-group cost dominates and the ratio says nothing
 about the million-point sweeps the gate is about.  ``--engine des`` /
 ``--engine fast`` suite runs skip it — this path only exists for the

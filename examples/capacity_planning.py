@@ -11,15 +11,16 @@ only pay for full simulations on the shortlist.
 Three stages:
 
 1. **Grid query** — estimate every (memory, workers, algorithm) triple
-   with the model engine.  The default grid is a few thousand points
-   and runs in seconds; crank ``--memory-points``/``--worker-step`` up
-   and the same loop handles million-point grids in minutes (the
-   reported queries/second is the number to extrapolate with).
+   with the model engine, through one
+   :func:`repro.engine.run_model_batch` call.  The default grid is a
+   few thousand points and runs in seconds; crank
+   ``--memory-points``/``--worker-step`` up and the same call handles
+   million-point grids in minutes (the reported queries/second is the
+   number to extrapolate with).
 2. **Shortlist** — the cheapest configurations (GB·machines) whose
    *estimated* makespan meets the turnaround target.
-3. **Verify** — the shortlist is re-run at full fidelity through the
-   runner's model pre-screening (:func:`repro.runner.prescreen_sweep`
-   plus :func:`repro.runner.run_sweep`), confirming the estimates
+3. **Verify** — the best-scoring estimates are re-run at full fidelity
+   through :func:`repro.runner.run_sweep`, confirming the estimates
    within the model's validated error envelope (docs/engines.md).
 
 Run with::
@@ -34,10 +35,9 @@ import time
 from typing import Mapping
 
 from repro.analysis import format_table
-from repro.engine import BatchItem, run_scheduler
-from repro.experiments.batching import evaluate_batch
+from repro.engine import BatchItem, run_model_batch, run_scheduler
 from repro.platform import ut_cluster_platform
-from repro.runner import Sweep, prescreen_sweep, run_sweep
+from repro.runner import Sweep, run_sweep
 from repro.schedulers import SECTION8_SCHEDULERS, section8_scheduler
 from repro.workloads import Workload
 
@@ -87,14 +87,6 @@ def _point(params: Mapping) -> dict:
     return _row(params, trace)
 
 
-def _batch_points(points) -> list:
-    """Batched grid evaluation (the :data:`repro.runner.BatchableFn`
-    contract): whole point-groups go through the vectorized engine,
-    with per-point scalar fallback wherever configurations differ
-    structurally."""
-    return evaluate_batch(points, _item, _row)
-
-
 def build_grid(
     scale: int = 1, memory_points: int = 12, worker_step: int = 2
 ) -> tuple:
@@ -141,7 +133,13 @@ def main(
     #    closed-form recurrence runs vectorized across its points
     #    (bitwise-identical to the scalar loop it replaced).
     start = time.perf_counter()
-    estimates = _batch_points([{**p, "engine": "model"} for p in points])
+    model_points = [{**p, "engine": "model"} for p in points]
+    estimates = [
+        _row(params, estimate)
+        for params, estimate in zip(
+            model_points, run_model_batch([_item(p) for p in model_points])
+        )
+    ]
     elapsed = time.perf_counter() - start
     rate = len(points) / elapsed if elapsed > 0 else float("inf")
     print(
@@ -163,21 +161,20 @@ def main(
         title=f"Cheapest estimated-feasible configurations (model engine)",
     ))
 
-    # 3. Verify the shortlist at full fidelity via runner pre-screening:
-    #    score by estimated cost-with-feasibility, keep the best, simulate.
+    # 3. Verify the best estimates at full fidelity: score by estimated
+    #    cost-with-feasibility (ties by grid position), keep the best,
+    #    simulate them in grid order.
     def score(params: Mapping, row: Mapping) -> float:
         cost = params["p"] * params["memory_mb"] / 1024.0
         return cost if row["makespan_s"] <= target else float("inf")
 
-    screened = prescreen_sweep(
-        Sweep(
-            name="capacity", run_fn=_point, points=points,
-            batch_fn=_batch_points,
-        ),
-        keep=keep,
-        score=score,
+    ranked = sorted(
+        range(len(points)), key=lambda i: (score(points[i], estimates[i]), i)
     )
-    verified = run_sweep(screened.sweep).rows
+    shortlist = tuple(points[i] for i in sorted(ranked[:max(1, keep)]))
+    verified = run_sweep(
+        Sweep(name="capacity", run_fn=_point, points=shortlist)
+    ).rows
     for row in verified:
         row["meets_target"] = row["makespan_s"] <= target
     print()

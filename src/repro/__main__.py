@@ -205,13 +205,6 @@ def _cmd_sweep(argv: list[str]) -> int:
              "success clears the quarantine record)",
     )
     parser.add_argument(
-        "--batch", default=True, action=argparse.BooleanOptionalAction,
-        help="dispatch whole point-groups through each sweep's batchable "
-             "function where one is declared (vectorized engine with "
-             "per-point scalar fallback; results stay byte-identical); "
-             "--no-batch restores pure per-point dispatch",
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="suppress per-point progress lines"
     )
     try:
@@ -320,9 +313,7 @@ def _cmd_sweep(argv: list[str]) -> int:
             sweeps = []
             for swp in campaign.sweeps:
                 try:
-                    result = prescreen_sweep(
-                        swp, keep=args.prescreen, batch=args.batch
-                    )
+                    result = prescreen_sweep(swp, keep=args.prescreen)
                 except PrescreenUnsupported as exc:
                     print(
                         f"[{swp.name}] prescreen skipped: {exc}",
@@ -412,7 +403,6 @@ def _cmd_sweep(argv: list[str]) -> int:
                 on_error=on_error,
                 retry=retry_policy,
                 retry_quarantined=args.retry_quarantined,
-                batch=args.batch,
             )
             failed += result.errors
             quarantined += result.quarantined
@@ -428,11 +418,8 @@ def _cmd_sweep(argv: list[str]) -> int:
             summary = (
                 f"{name}: {result.hits} cached, {result.misses} computed"
             )
-            if result.batch_groups or result.shards:
-                summary += (
-                    f" [{result.batch_groups} groups, "
-                    f"{result.shards} shards]"
-                )
+            if result.shards:
+                summary += f" [{result.shards} shards]"
             if result.errors:
                 summary += f" ({result.errors} failed)"
             if result.quarantined:
@@ -494,7 +481,7 @@ def _cmd_cache(argv: list[str]) -> int:
     )
     parser.add_argument(
         "action", nargs="?", default="info",
-        choices=("info", "clear", "rebuild", "compact", "migrate"),
+        choices=("info", "clear", "rebuild", "compact"),
     )
     parser.add_argument("--cache-dir", default=None, metavar="DIR")
     try:
@@ -514,18 +501,6 @@ def _cmd_cache(argv: list[str]) -> int:
                 if child.is_dir():
                     total += len(cache.rebuild_manifest(child.name))
         print(f"rebuilt manifests for {total} entries in {cache.root}")
-        return 0
-    if args.action == "migrate":
-        moved = cache.migrate()
-        if moved:
-            for name, count in sorted(moved.items()):
-                print(f"  {name}: {count} entr"
-                      f"{'y' if count == 1 else 'ies'} moved into shards")
-        total = sum(moved.values())
-        print(
-            f"migrated {total} legacy flat entr"
-            f"{'y' if total == 1 else 'ies'} in {cache.root}"
-        )
         return 0
     if args.action == "compact":
         dropped = 0
@@ -551,15 +526,6 @@ def _cmd_cache(argv: list[str]) -> int:
             f"{name}: {count}" for name, count in stats.shards_per_sweep
         )
         print(f"shards    : {shards}")
-    if stats.batch_entries:
-        print(
-            f"batched   : {stats.batch_entries} entr"
-            f"{'y' if stats.batch_entries == 1 else 'ies'} "
-            "resolved via group dispatch (provenance only; keys are "
-            "identical to scalar runs)"
-        )
-        for name, count in stats.batch_per_sweep:
-            print(f"  {name}: {count} point(s)")
     if stats.quarantined:
         print(f"quarantined: {stats.quarantined} known-permanent failure(s)")
         for name, _, quarantined in stats.per_sweep:

@@ -31,7 +31,6 @@ background port traffic — and stay byte-identical under it
 (``run_scheduler(..., scenario=...)``; see ``docs/scenarios.md``).
 """
 
-from repro.engine.batch import BatchItem, BatchTrace, run_batch
 from repro.engine.chunks import Chunk, Phase, tile_chunks, toledo_chunks
 from repro.engine.engine import ENGINES, Engine, run_scheduler
 from repro.engine.fast import FastEngine, FastEngineUnsupported, run_fast
@@ -41,13 +40,12 @@ from repro.engine.model import (
     ModelEstimate,
     run_model,
 )
-from repro.engine.model_batch import run_model_batch
+from repro.engine.model_batch import BatchItem, run_model_batch
 from repro.engine.trace import CommInterval, ComputeInterval, Trace
 
 __all__ = [
     "ENGINES",
     "BatchItem",
-    "BatchTrace",
     "Chunk",
     "CommInterval",
     "ComputeInterval",
@@ -59,7 +57,6 @@ __all__ = [
     "ModelEstimate",
     "Phase",
     "Trace",
-    "run_batch",
     "run_fast",
     "run_model",
     "run_model_batch",

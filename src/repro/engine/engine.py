@@ -23,7 +23,11 @@ from typing import Generator, Iterable, Optional, Protocol, Sequence
 from repro.blocks.matrix import BlockMatrix
 from repro.blocks.shape import ProblemShape
 from repro.engine.chunks import Chunk, Phase
-from repro.engine.common import memory_exceeded, validate_block_data
+from repro.engine.common import (
+    bad_generation_gap,
+    memory_exceeded,
+    validate_block_data,
+)
 from repro.engine.fast import FastEngineUnsupported, run_fast
 from repro.engine.model import ModelEstimate, run_model
 from repro.engine.trace import CommInterval, ComputeInterval, Trace
@@ -233,7 +237,7 @@ class Engine:
         ``j − generation_gap`` has finished.
         """
         if generation_gap not in (1, 2):
-            raise ValueError(f"generation_gap must be 1 or 2, got {generation_gap}")
+            raise bad_generation_gap(generation_gap)
         self.alloc(widx, chunk.c_blocks)
         yield from self.send(widx, chunk.c_blocks, label="C-in")
         ends: list[float] = []

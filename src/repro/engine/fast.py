@@ -55,7 +55,13 @@ from typing import Optional, Sequence
 from repro.blocks.matrix import BlockMatrix
 from repro.blocks.shape import ProblemShape
 from repro.engine.chunks import Chunk
-from repro.engine.common import memory_exceeded, validate_block_data
+from repro.engine.common import (
+    AgentSpec,
+    Launchpad,
+    bad_generation_gap,
+    memory_exceeded,
+    validate_block_data,
+)
 from repro.engine.trace import CommInterval, ComputeInterval, Trace
 from repro.platform.model import Platform
 from repro.scenarios.model import Scenario
@@ -83,37 +89,6 @@ class FastEngineUnsupported(TypeError):
     """The scheduler drives raw kernel processes; use the DES engine."""
 
 
-class _AgentSpec:
-    """What ``static_agent``/``demand_agent`` return instead of a generator."""
-
-    __slots__ = ("widx", "chunks", "queue", "gap")
-
-    def __init__(self, widx, chunks, queue, gap):
-        self.widx = widx
-        self.chunks = chunks
-        self.queue = queue
-        self.gap = gap
-
-
-class _Launchpad:
-    """Stand-in for ``Engine.env`` accepting agent descriptors only."""
-
-    __slots__ = ("agents",)
-
-    def __init__(self):
-        self.agents: list[_AgentSpec] = []
-
-    def process(self, agent, name: str = "") -> _AgentSpec:
-        if not isinstance(agent, _AgentSpec):
-            raise FastEngineUnsupported(
-                "the fast engine only runs chunk agents "
-                "(static_agent/demand_agent); got a raw process "
-                f"{agent!r} — run with engine='des'"
-            )
-        self.agents.append(agent)
-        return agent
-
-
 class _Agent:
     """Runtime state of one worker agent."""
 
@@ -124,7 +99,7 @@ class _Agent:
         "pidx", "stage", "wait_kind", "start", "duration", "blocks",
     )
 
-    def __init__(self, spec: _AgentSpec, worker):
+    def __init__(self, spec: AgentSpec, worker):
         self.widx = spec.widx
         self.gap = spec.gap
         self.chunks = spec.chunks
@@ -178,7 +153,9 @@ class FastEngine:
         self.data = data
         self.check_memory = check_memory
         self.two_port = two_port
-        self.env = _Launchpad()
+        self.env = Launchpad(
+            FastEngineUnsupported, "the fast engine only runs"
+        )
         self.trace = Trace()
         self.compute_done = [0.0] * platform.p
         self.scenario = scenario
@@ -188,13 +165,13 @@ class FastEngine:
     # -- the agent factories schedulers call ------------------------------
     def static_agent(
         self, widx: int, chunks: Sequence[Chunk], generation_gap: int
-    ) -> _AgentSpec:
+    ) -> AgentSpec:
         """Descriptor for a worker processing a fixed chunk list."""
-        return _AgentSpec(widx, list(chunks), None, generation_gap)
+        return AgentSpec(widx, list(chunks), None, generation_gap)
 
-    def demand_agent(self, widx: int, queue, generation_gap: int) -> _AgentSpec:
+    def demand_agent(self, widx: int, queue, generation_gap: int) -> AgentSpec:
         """Descriptor for a worker draining a shared chunk queue."""
-        return _AgentSpec(widx, None, queue, generation_gap)
+        return AgentSpec(widx, None, queue, generation_gap)
 
     # -- the chronological scan ----------------------------------------------
     def run(self) -> Trace:
@@ -330,9 +307,7 @@ class FastEngine:
                 chunk = agent.chunks[agent.cursor]
                 agent.cursor += 1
             if agent.gap not in (1, 2):
-                raise ValueError(
-                    f"generation_gap must be 1 or 2, got {agent.gap}"
-                )
+                raise bad_generation_gap(agent.gap)
             agent.chunk = chunk
             agent.phases = chunk.phases
             agent.nph = len(chunk.phases)

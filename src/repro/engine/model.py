@@ -63,7 +63,12 @@ from typing import Optional, Sequence
 
 from repro.blocks.shape import ProblemShape
 from repro.engine.chunks import Chunk
-from repro.engine.common import memory_exceeded
+from repro.engine.common import (
+    AgentSpec,
+    Launchpad,
+    bad_generation_gap,
+    memory_exceeded,
+)
 from repro.platform.model import Platform
 from repro.scenarios.model import Scenario
 
@@ -191,39 +196,6 @@ class ModelEstimate:
 # ---------------------------------------------------------------------------
 # Launch capture: quacks like Engine during ``scheduler.launch``.
 # ---------------------------------------------------------------------------
-class _AgentSpec:
-    """What the model's agent factories return instead of a generator."""
-
-    __slots__ = ("widx", "chunks", "queue", "gap")
-
-    def __init__(self, widx, chunks, queue, gap):
-        if gap not in (1, 2):
-            raise ValueError(f"generation_gap must be 1 or 2, got {gap}")
-        self.widx = widx
-        self.chunks = chunks
-        self.queue = queue
-        self.gap = gap
-
-
-class _Launchpad:
-    """Stand-in for ``Engine.env`` accepting agent descriptors only."""
-
-    __slots__ = ("agents",)
-
-    def __init__(self):
-        self.agents: list[_AgentSpec] = []
-
-    def process(self, agent, name: str = "") -> _AgentSpec:
-        if not isinstance(agent, _AgentSpec):
-            raise ModelEngineUnsupported(
-                "the model engine only estimates chunk agents "
-                "(static_agent/demand_agent); got a raw process "
-                f"{agent!r} — run with engine='des'"
-            )
-        self.agents.append(agent)
-        return agent
-
-
 class ModelEngine:
     """Launch-time stand-in for :class:`~repro.engine.engine.Engine`.
 
@@ -237,15 +209,21 @@ class ModelEngine:
     def __init__(self, platform: Platform, shape: ProblemShape):
         self.platform = platform
         self.shape = shape
-        self.env = _Launchpad()
+        self.env = Launchpad(
+            ModelEngineUnsupported, "the model engine only estimates"
+        )
 
     def static_agent(
         self, widx: int, chunks: Sequence[Chunk], generation_gap: int
-    ) -> _AgentSpec:
-        return _AgentSpec(widx, list(chunks), None, generation_gap)
+    ) -> AgentSpec:
+        if generation_gap not in (1, 2):
+            raise bad_generation_gap(generation_gap)
+        return AgentSpec(widx, list(chunks), None, generation_gap)
 
-    def demand_agent(self, widx: int, queue, generation_gap: int) -> _AgentSpec:
-        return _AgentSpec(widx, None, queue, generation_gap)
+    def demand_agent(self, widx: int, queue, generation_gap: int) -> AgentSpec:
+        if generation_gap not in (1, 2):
+            raise bad_generation_gap(generation_gap)
+        return AgentSpec(widx, None, queue, generation_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +316,7 @@ class _Run:
     __slots__ = ("widx", "gap", "chunks", "cursor", "queue",
                  "stats", "chunk", "compute_start", "stats_key")
 
-    def __init__(self, spec: _AgentSpec):
+    def __init__(self, spec: AgentSpec):
         self.widx = spec.widx
         self.gap = spec.gap
         self.chunks = spec.chunks
@@ -360,7 +338,7 @@ class _Run:
 
 
 def _estimate(
-    agents: Sequence[_AgentSpec],
+    agents: Sequence[AgentSpec],
     platform: Platform,
     shape: ProblemShape,
     two_port: bool,

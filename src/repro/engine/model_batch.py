@@ -7,10 +7,8 @@ hundreds of neighbouring points (the same scheduler on rate-perturbed
 platforms) share the identical chunk streams and dispatch order.  For
 such a group the walk's control flow is a function of the *structure*,
 and only the clock arithmetic depends on ``c_i``/``w_i`` — which
-vectorizes.
-
-:func:`run_model_batch` applies :func:`repro.engine.batch.run_batch`'s
-discipline to the estimator:
+vectorizes.  :func:`run_model_batch` makes "estimate N points" one
+library call:
 
 1. **Group by structure — without launching.**  Schedulers that can
    prove their launch structure from the platform rates alone publish
@@ -21,8 +19,7 @@ discipline to the estimator:
    group *representative* is ever launched.  Schedulers that cannot
    (``plan_signatures() is None``) fall back to launching each point on
    a throwaway :class:`~repro.engine.model.ModelEngine` and folding the
-   agent descriptors into the same structural signature the fast batch
-   path uses (:func:`repro.engine.batch._signature`).
+   agent descriptors into a structural signature (:func:`_signature`).
 2. **One heap walk per group.**  The group's first point (the
    *representative*) drives a verbatim replay of ``model._estimate``'s
    stationary path; every time-valued scalar is shadowed by an ``(N,)``
@@ -34,28 +31,37 @@ discipline to the estimator:
    are group-invariant by the signature.
 3. **Scalar fallback per item.**  Diverged rows, sub-minimum groups,
    scenario points (a rate-step crossing changes the *shape* of the
-   estimate, not just its clocks) and schedulers the model engine
-   rejects all take the ordinary scalar ``run_scheduler`` path, so
-   every returned :class:`~repro.engine.model.ModelEstimate` is
-   float-identical to the scalar engine's — prescreen scores and cache
-   keys cannot shift.
+   estimate, not just its clocks), non-model items and schedulers the
+   model engine rejects all take the ordinary scalar ``run_scheduler``
+   path, so every returned :class:`~repro.engine.model.ModelEstimate`
+   is float-identical to the scalar engine's — prescreen scores and
+   cache keys cannot shift.
 
-The soundness argument is :mod:`repro.engine.batch`'s, specialised:
-the estimator's only control decisions are heap-pop order (verified
-per pop), queue pops (determined by pop order), and structural
-comparisons (group-invariant); the remaining ``max()`` selects are
-value selects computed with ``np.maximum``, which picks the identical
-bytes the scalar ``if``/``else`` does.
+Why this is sound
+-----------------
+The estimator is a deterministic function of (structure, rates), and
+numpy elementwise float64 arithmetic is IEEE-identical to Python float
+arithmetic.  Fix a row ``k`` of a group: while ``k`` has followed the
+representative's control path, every shadowed quantity of ``k``'s walk
+equals row ``k`` of the corresponding array.  The walk's only control
+decisions are heap-pop order (verified per pop, ties included, because
+a tie is broken by the scheduling counter and the counter is itself
+control-path determined), queue pops (determined by pop order), and
+structural comparisons (group-invariant); the remaining ``max()``
+selects are value selects computed with ``np.maximum``, which picks the
+identical bytes the scalar ``if``/``else`` does.  A single failed
+verification voids the row, never the result.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.batch import MIN_GROUP, BatchItem, _GroupAbort, _signature
+from repro.blocks.shape import ProblemShape
 from repro.engine.common import memory_exceeded
 from repro.engine.model import (
     _BULK,
@@ -67,8 +73,103 @@ from repro.engine.model import (
     _chunk_stats,
     _Run,
 )
+from repro.platform.model import Platform
+from repro.scenarios.model import Scenario
 
-__all__ = ["batch_model_items", "run_model_batch"]
+__all__ = ["MIN_GROUP", "BatchItem", "run_model_batch"]
+
+#: Smallest group worth vectorizing: below this the per-group setup
+#: (shadow arrays, verification ops) costs more than it amortizes.
+MIN_GROUP = 2
+
+
+@dataclass(frozen=True)
+class BatchItem:
+    """One point of a batch evaluation.
+
+    ``scheduler`` is a **factory** returning a fresh scheduler instance
+    per call (launch consumes scheduler-built queues, and fallback
+    paths re-launch), mirroring how the experiment modules construct
+    one scheduler per :func:`~repro.engine.engine.run_scheduler` call.
+
+    Only stationary ``engine="model"`` items vectorize; any other
+    ``engine``/``scenario`` simply takes the scalar path.
+    """
+
+    scheduler: Callable[[], Any]
+    platform: Platform
+    shape: ProblemShape
+    two_port: bool = False
+    check_memory: bool = True
+    engine: str = "fast"
+    scenario: Optional[Scenario] = None
+
+
+class _GroupAbort(Exception):
+    """The representative's control flow raised (memory cap, update-count
+    mismatch): the whole group re-runs scalar so each point raises — or
+    survives — authentically."""
+
+
+def _chunk_token(chunk, id_memo: Dict[int, int], content_ids: Dict[tuple, int]) -> int:
+    """Small interned token for a chunk's full structural content.
+
+    Tokens compare by *content equality* (the interning dict keys the
+    complete ``(row_range, col_range, phases)`` tuple), never by hash
+    alone, so two structurally different chunks can never collide into
+    one group.  The ``id()`` memo makes repeat lookups O(1): the
+    lru-cached tilings hand the same chunk objects to every point of a
+    sweep.
+    """
+    token = id_memo.get(id(chunk))
+    if token is None:
+        content = (chunk.row_range, chunk.col_range, chunk.phases)
+        token = content_ids.get(content)
+        if token is None:
+            token = content_ids[content] = len(content_ids)
+        id_memo[id(chunk)] = token
+    return token
+
+
+def _signature(engine: ModelEngine, item: BatchItem, id_memo, content_ids):
+    """Structural signature of one launched point.
+
+    Two points with equal signatures present the walk with identical
+    decision structure: same shape / port model / memory capacities and
+    agent count, and per agent the same worker index, generation gap
+    and exact chunk stream (chunk identity by content, queue sharing by
+    position).  Only the platform's ``c``/``w`` rates may differ.
+    """
+    queue_ids: Dict[int, tuple] = {}
+    agents = []
+    for spec in engine.env.agents:
+        if spec.queue is not None:
+            qsig = queue_ids.get(id(spec.queue))
+            if qsig is None:
+                qsig = (
+                    len(queue_ids),
+                    spec.queue._next,
+                    tuple(
+                        _chunk_token(c, id_memo, content_ids)
+                        for c in spec.queue._chunks
+                    ),
+                )
+                queue_ids[id(spec.queue)] = qsig
+            chunks_sig = None
+        else:
+            qsig = None
+            chunks_sig = tuple(
+                _chunk_token(c, id_memo, content_ids) for c in spec.chunks
+            )
+        agents.append((spec.widx, spec.gap, chunks_sig, qsig))
+    return (
+        item.shape,
+        item.two_port,
+        item.check_memory,
+        item.platform.p,
+        tuple(wk.m for wk in item.platform.workers),
+        tuple(agents),
+    )
 
 
 def _scan_model_group(
@@ -86,7 +187,7 @@ def _scan_model_group(
     statement (they *are* that walk for point 0); each is shadowed by
     an ``(N,)`` array holding the same quantity for every point.
     Returns one estimate per row plus the validity mask.  Raises
-    :class:`~repro.engine.batch._GroupAbort` when the representative's
+    :class:`_GroupAbort` when the representative's
     own flow raises (memory cap — structural, so every member re-runs
     scalar and raises authentically).
     """
@@ -132,7 +233,7 @@ def _scan_model_group(
     push = heappush
     while heap:
         now_r, _, stage, run, now_v = pop(heap)
-        # Dispatch-order lock (see repro.engine.batch): along the
+        # Dispatch-order lock (see the module docstring): along the
         # representative's pop sequence every row must advance strictly
         # where the rep does and non-decreasingly across rep ties (a rep
         # tie resolves by seq, which is control-path determined and
@@ -334,7 +435,7 @@ def _signature_groups(
     """Launch-everything fallback for ``plan_signatures() is None``.
 
     Each point's scheduler runs on a throwaway engine and the agent
-    descriptors fold into :func:`repro.engine.batch._signature`; the
+    descriptors fold into :func:`_signature`; the
     signature's structural fields subsume the plan token, so this path
     is sound for any scheduler at a per-point launch cost.
     """
@@ -364,22 +465,17 @@ def _signature_groups(
     return vectorized
 
 
-def batch_model_items(
+def run_model_batch(
     items: Sequence[BatchItem],
-    indices: Sequence[int],
-    results: List[Any],
-    scalar: Callable[[int], Any],
     min_group: int = MIN_GROUP,
-) -> int:
-    """Group the stationary model items of a batch and scan each group.
+    counters: Dict[str, int] | None = None,
+) -> List[Any]:
+    """Evaluate model-engine ``items`` in structure-sharing groups.
 
-    ``indices`` selects the ``engine="model"``, scenario-free items of
-    ``items``; each resolved slot of ``results`` receives either a
-    vectorized :class:`~repro.engine.model.ModelEstimate` or the
-    ``scalar(i)`` fallback.  Returns how many items the vectorized path
-    committed (the rest went scalar).  Called by
-    :func:`repro.engine.batch.run_batch`; use :func:`run_model_batch`
-    for a standalone item list.
+    Returns one result per item, in order.  Items that are not
+    stationary ``engine="model"`` points, or that diverge from their
+    group, take the scalar :func:`~repro.engine.engine.run_scheduler`
+    path — results are float-identical either way.
 
     Grouping is two-tier: a cheap pre-key (scheduler class, shape,
     port/memory flags, worker count) splits the batch without touching
@@ -388,7 +484,30 @@ def batch_model_items(
     refines each pre-group into structure-sharing runs with exactly one
     launch per group.  Schedulers that decline (``None``) take
     :func:`_signature_groups` instead.
+
+    ``counters``, when given, receives ``{"vectorized": V, "scalar":
+    S}`` so callers (the throughput gate) can assert the fast path
+    actually ran.
     """
+    from repro.engine.engine import run_scheduler
+
+    items = list(items)
+    results: List[Any] = [None] * len(items)
+
+    def scalar(i: int) -> Any:
+        item = items[i]
+        return run_scheduler(
+            item.scheduler(), item.platform, item.shape,
+            two_port=item.two_port, check_memory=item.check_memory,
+            engine=item.engine, scenario=item.scenario,
+        )
+
+    indices: List[int] = []
+    for i, item in enumerate(items):
+        if item.engine == "model" and item.scenario is None:
+            indices.append(i)
+        else:
+            results[i] = scalar(i)
     min_group = max(min_group, 2)
     pregroups: Dict[tuple, List[tuple]] = {}
     for i in indices:
@@ -440,49 +559,6 @@ def batch_model_items(
             vectorized += _scan_rows(
                 members, rows, shape, c_m, w_m, results, scalar
             )
-    return vectorized
-
-
-def run_model_batch(
-    items: Sequence[BatchItem],
-    min_group: int = MIN_GROUP,
-    counters: Dict[str, int] | None = None,
-) -> List[Any]:
-    """Evaluate model-engine ``items`` in structure-sharing groups.
-
-    The standalone entry point (benchmarks, tests, library callers
-    holding a pure model workload); :func:`repro.engine.batch.run_batch`
-    reaches the same code for the model items of a mixed batch.  Items
-    that are not stationary ``engine="model"`` points, or that diverge
-    from their group, take the scalar :func:`~repro.engine.engine.
-    run_scheduler` path — results are float-identical either way.
-
-    ``counters``, when given, receives ``{"vectorized": V, "scalar":
-    S}`` so callers (the throughput gate) can assert the fast path
-    actually ran.
-    """
-    from repro.engine.engine import run_scheduler
-
-    items = list(items)
-    results: List[Any] = [None] * len(items)
-
-    def scalar(i: int) -> Any:
-        item = items[i]
-        return run_scheduler(
-            item.scheduler(), item.platform, item.shape,
-            two_port=item.two_port, check_memory=item.check_memory,
-            engine=item.engine, scenario=item.scenario,
-        )
-
-    model_indices: List[int] = []
-    for i, item in enumerate(items):
-        if item.engine == "model" and item.scenario is None:
-            model_indices.append(i)
-        else:
-            results[i] = scalar(i)
-    vectorized = batch_model_items(
-        items, model_indices, results, scalar, min_group
-    )
     if counters is not None:
         counters["vectorized"] = vectorized
         counters["scalar"] = len(items) - vectorized

@@ -17,13 +17,11 @@ points are pure, cacheable, and fan out across processes.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.analysis.metrics import summarize_trace
 from repro.analysis.tables import format_table
-from repro.engine import BatchItem, run_scheduler
-from repro.experiments.batching import evaluate_batch
-from repro.platform.model import scaled_bandwidth
+from repro.engine import run_scheduler
 from repro.platform.named import ut_cluster_platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
 from repro.schedulers import SECTION8_SCHEDULERS, section8_scheduler
@@ -32,27 +30,22 @@ from repro.workloads import Workload, fig10_workloads
 __all__ = ["run", "main", "sweep", "campaign"]
 
 
-def _item(params: Mapping) -> BatchItem:
-    """Rebuild one point's engine inputs from its scalars."""
+def _point(params: Mapping) -> dict:
+    """Simulate one algorithm on one workload; returns the table row."""
     platform = ut_cluster_platform(
         p=params["p"], memory_mb=params["memory_mb"], q=params["q"]
     )
-    platform = scaled_bandwidth(platform, params.get("bandwidth_scale", 1.0))
     workload = Workload(
         params["workload"], params["n_a"], params["n_ab"], params["n_b"]
     )
-    return BatchItem(
-        scheduler=lambda: section8_scheduler(params["algorithm"]),
-        platform=platform,
-        shape=workload.shape(params["q"]),
+    trace = run_scheduler(
+        section8_scheduler(params["algorithm"]),
+        platform,
+        workload.shape(params["q"]),
         engine=params.get("engine", "fast"),
     )
-
-
-def _row(params: Mapping, trace) -> dict:
-    """Format one point's trace into its table row."""
     s = summarize_trace(trace)
-    row = {
+    return {
         "workload": params["workload"],
         "algorithm": section8_scheduler(params["algorithm"]).name,
         "makespan_s": s.makespan,
@@ -60,39 +53,13 @@ def _row(params: Mapping, trace) -> dict:
         "ccr": s.ccr,
         "port_util": s.port_utilisation,
     }
-    if "bandwidth_scale" in params:
-        row["bandwidth_scale"] = params["bandwidth_scale"]
-    return row
-
-
-def _point(params: Mapping) -> dict:
-    """Simulate one algorithm on one workload; returns the table row."""
-    item = _item(params)
-    trace = run_scheduler(
-        item.scheduler(), item.platform, item.shape, engine=item.engine
-    )
-    return _row(params, trace)
-
-
-def _batch_points(points: Sequence[Mapping]) -> list:
-    """Batched evaluation of a fig10 point-group (same rows as _point)."""
-    return evaluate_batch(points, _item, _row)
 
 
 def sweep(
     scale: int = 1, p: int = 8, memory_mb: float = 512.0, q: int = 80,
     engine: str = "fast", backend: str | None = None,
-    bandwidth_scales: Sequence[float] | None = None,
 ) -> Sweep:
-    """Declare the 21-point (workload × algorithm) sweep.
-
-    ``bandwidth_scales`` optionally crosses the grid with a link-speed
-    axis (each point's platform gets ``c × scale``).  Nearby scales
-    leave scheduler decisions unchanged, so the axis groups under the
-    batched engine — this is the sweep shape the throughput benchmarks
-    measure.  ``None`` (the default) keeps the original 21 points and
-    their cache keys.
-    """
+    """Declare the 21-point (workload × algorithm) sweep."""
     points = tuple(
         {
             "workload": workload.name,
@@ -103,20 +70,15 @@ def sweep(
             "p": p,
             "memory_mb": memory_mb,
             "q": q,
-            **(
-                {"bandwidth_scale": bandwidth} if bandwidth is not None else {}
-            ),
         }
         for workload in fig10_workloads(scale)
         for name in SECTION8_SCHEDULERS
-        for bandwidth in (bandwidth_scales or (None,))
     )
     return Sweep(
         name="fig10",
         run_fn=_point,
         points=stamp_points(points, engine=engine, backend=backend),
         title="Figure 10: algorithm makespans on the UT cluster (simulated)",
-        batch_fn=_batch_points,
     )
 
 

@@ -15,12 +15,12 @@ execution order — a requirement for parallel fan-out and caching.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.engine import BatchItem, run_batch, run_scheduler
+from repro.engine import run_scheduler
 from repro.platform.model import perturbed
 from repro.platform.named import ut_cluster_platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
@@ -30,25 +30,22 @@ from repro.workloads import FIG10_WORKLOADS, Workload
 __all__ = ["run", "main", "sweep", "campaign"]
 
 
-def _platforms(params: Mapping) -> list:
-    """The point's ``runs`` jittered platforms, in draw order.
-
-    Drawing them up front consumes the RNG stream exactly as the
-    original per-run loop did (scheduler construction never touches the
-    stream), so the scalar and batched paths see identical platforms.
-    """
+def _point(params: Mapping) -> dict:
+    """Repeat one algorithm ``runs`` times under platform jitter."""
     rng = np.random.default_rng((params["seed"], params["algo_index"]))
     base = ut_cluster_platform(p=8)
-    return [perturbed(base, rng, params["sigma"]) for _ in range(params["runs"])]
-
-
-def _shape(params: Mapping):
-    return Workload(
+    shape = Workload(
         params["workload"], params["n_a"], params["n_ab"], params["n_b"]
     ).shape(80)
-
-
-def _row(params: Mapping, times: Sequence[float]) -> dict:
+    times = []
+    for _ in range(params["runs"]):
+        platform = perturbed(base, rng, params["sigma"])
+        # Fresh scheduler instance per run (some keep per-run state).
+        scheduler = section8_scheduler(params["algorithm"])
+        trace = run_scheduler(
+            scheduler, platform, shape, engine=params.get("engine", "fast")
+        )
+        times.append(trace.makespan)
     lo, hi = min(times), max(times)
     return {
         "algorithm": params["algorithm"],
@@ -58,46 +55,6 @@ def _row(params: Mapping, times: Sequence[float]) -> dict:
         "max_s": hi,
         "spread_pct": 100.0 * (hi - lo) / lo,
     }
-
-
-def _point(params: Mapping) -> dict:
-    """Repeat one algorithm ``runs`` times under platform jitter."""
-    shape = _shape(params)
-    times = []
-    for platform in _platforms(params):
-        # Fresh scheduler instance per run (some keep per-run state).
-        scheduler = section8_scheduler(params["algorithm"])
-        trace = run_scheduler(
-            scheduler, platform, shape, engine=params.get("engine", "fast")
-        )
-        times.append(trace.makespan)
-    return _row(params, times)
-
-
-def _batch_points(points: Sequence[Mapping]) -> list:
-    """Batched fig11 evaluation: flatten every point's jittered runs
-    into one item stream so runs group across points as well as within
-    them (they share the decision structure whenever the jitter leaves
-    scheduler choices untouched)."""
-    items, spans = [], []
-    for params in points:
-        shape = _shape(params)
-        start = len(items)
-        for platform in _platforms(params):
-            items.append(
-                BatchItem(
-                    scheduler=lambda a=params["algorithm"]: section8_scheduler(a),
-                    platform=platform,
-                    shape=shape,
-                    engine=params.get("engine", "fast"),
-                )
-            )
-        spans.append((start, len(items)))
-    traces = run_batch(items)
-    return [
-        _row(params, [trace.makespan for trace in traces[lo:hi]])
-        for params, (lo, hi) in zip(points, spans)
-    ]
 
 
 def sweep(
@@ -125,7 +82,6 @@ def sweep(
         run_fn=_point,
         points=stamp_points(points, engine=engine, backend=backend),
         title="Figure 11: run-to-run variation (jittered platform)",
-        batch_fn=_batch_points,
     )
 
 

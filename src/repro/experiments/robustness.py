@@ -49,7 +49,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.analysis.metrics import summarize_trace
 from repro.analysis.tables import format_table
-from repro.engine import BatchItem, run_batch, run_scheduler
+from repro.engine import run_scheduler
 from repro.platform.named import ut_cluster_platform
 from repro.runner import Campaign, Sweep, cached_call, run_sweep, stamp_points
 from repro.scenarios import build_scenario, scenario_spec
@@ -114,8 +114,14 @@ def _baseline_makespan(
     )
 
 
-def _prepare(params: Mapping) -> tuple:
-    """One point's ``(BatchItem, baseline makespan)`` from its scalars."""
+def _point(params: Mapping) -> dict:
+    """Baseline + scenario simulation of one algorithm; one table row.
+
+    Makespans are *work* makespans (``Trace.work_makespan``): background
+    holds contend for the port but do not themselves count as work, so
+    the congestion family measures real delay, not the synthetic hold's
+    own end time.
+    """
     algorithm = params["algorithm"]
     p, memory_mb, q = params["p"], params["memory_mb"], params["q"]
     scale = params["scale"]
@@ -129,61 +135,19 @@ def _prepare(params: Mapping) -> tuple:
     scheduler, platform = _scheduler_and_platform(algorithm, p, memory_mb, q)
     scenario = build_scenario(platform, spec)
     shape = fig10_workloads(scale)[0].shape(q)
-    del scheduler  # the item carries a fresh-instance factory instead
-    item = BatchItem(
-        scheduler=lambda: _scheduler_and_platform(algorithm, p, memory_mb, q)[0],
-        platform=platform,
-        shape=shape,
-        engine=engine,
-        scenario=scenario,
+    trace = run_scheduler(
+        scheduler, platform, shape, engine=engine, scenario=scenario
     )
-    return item, base_makespan
-
-
-def _row(params: Mapping, base_makespan: float, trace) -> dict:
     makespan = trace.work_makespan
     return {
         "scenario": params["scenario_kind"],
         "severity": params["severity"],
-        "algorithm": params["algorithm"],
+        "algorithm": algorithm,
         "base_makespan_s": base_makespan,
         "makespan_s": makespan,
         "degradation": makespan / base_makespan,
         "workers": summarize_trace(trace).workers_used,
     }
-
-
-def _point(params: Mapping) -> dict:
-    """Baseline + scenario simulation of one algorithm; one table row.
-
-    Makespans are *work* makespans (``Trace.work_makespan``): background
-    holds contend for the port but do not themselves count as work, so
-    the congestion family measures real delay, not the synthetic hold's
-    own end time.
-    """
-    item, base_makespan = _prepare(params)
-    trace = run_scheduler(
-        item.scheduler(), item.platform, item.shape,
-        engine=item.engine, scenario=item.scenario,
-    )
-    return _row(params, base_makespan, trace)
-
-
-def _batch_points(points: Sequence[Mapping]) -> list:
-    """Batched robustness evaluation.
-
-    Scenario runs currently route through :func:`run_batch`'s scalar
-    fallback (non-stationary rates defeat structure sharing), so this
-    is about dispatch uniformity, not speed — the win stays the shared
-    persisted baselines.  If scenario batching lands in the engine, the
-    sweep picks it up here with no further changes.
-    """
-    prepared = [_prepare(params) for params in points]
-    traces = run_batch([item for item, _ in prepared])
-    return [
-        _row(params, base, trace)
-        for params, (_, base), trace in zip(points, prepared, traces)
-    ]
 
 
 def sweep(
@@ -218,7 +182,6 @@ def sweep(
         run_fn=_point,
         points=stamp_points(points, engine=engine, backend=backend),
         title="Robustness: makespan degradation under non-stationary platforms",
-        batch_fn=_batch_points,
     )
 
 

@@ -13,7 +13,7 @@ through the shared steady state, so the whole table is one evaluation.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.analysis.tables import format_table
 from repro.core.heterogeneous import (
@@ -56,14 +56,6 @@ def _point(params: Mapping) -> list[dict]:
     return rows
 
 
-def _batch_points(points: Sequence[Mapping]) -> list:
-    """Degenerate batch function: the feasibility analysis is a closed
-    form, not a chunk-engine run, so a "batch" is just the points in
-    order.  Declared anyway so the table1 sweep exercises the batched
-    dispatch path uniformly with the other experiments."""
-    return [_point(params) for params in points]
-
-
 def sweep(engine: str = "fast", backend: str | None = None) -> Sweep:
     """Declare the single Table 1 feasibility point.
 
@@ -77,7 +69,6 @@ def sweep(engine: str = "fast", backend: str | None = None) -> Sweep:
             ({"platform": "table1"},), engine=engine, backend=backend
         ),
         title="Table 1: bandwidth-centric steady state vs memory feasibility",
-        batch_fn=_batch_points,
     )
 
 

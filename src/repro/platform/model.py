@@ -179,7 +179,8 @@ def scaled_bandwidth(platform: Platform, factor: float) -> Platform:
     Scaling every worker uniformly preserves the relative bandwidth
     ranking, so scheduler decisions are usually unchanged for nearby
     factors — which is what makes a bandwidth axis an ideal batching
-    axis for the vectorized engine (see ``docs/engines.md``).
+    axis for :func:`repro.engine.run_model_batch` (see
+    ``docs/engines.md``).
     """
     if factor <= 0:
         raise ValueError(f"bandwidth factor must be positive, got {factor}")

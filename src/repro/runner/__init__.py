@@ -51,7 +51,6 @@ from repro.runner.prescreen import (
 )
 from repro.runner.sweep import (
     FAILED,
-    BatchableFn,
     Campaign,
     CampaignResult,
     CircuitOpenError,
@@ -69,7 +68,6 @@ from repro.runner.sweep import (
 
 __all__ = [
     "BACKENDS",
-    "BatchableFn",
     "CacheContext",
     "CacheStats",
     "Campaign",

@@ -90,9 +90,6 @@ class RemoteBackend:
     supports_context = True
     #: The chaos wrapper may inject connection drops / daemon kills.
     supports_connection_chaos = True
-    #: Group dispatch: batch items are plain mappings resolved by import
-    #: token daemon-side, exactly like per-point tasks.
-    supports_batches = True
 
     def __init__(
         self,

@@ -27,7 +27,6 @@ class SerialBackend:
     """
 
     name = "serial"
-    supports_batches = True
 
     def __init__(self, jobs: int = 1) -> None:
         self.jobs = 1  # by definition

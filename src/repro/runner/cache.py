@@ -17,14 +17,9 @@ and human-readable.  (Entries may contain ``NaN`` tokens — Python's
 JSON dialect — where an experiment reports a missing paper value, so
 strict-JSON consumers need ``parse_constant``.)
 
-**Legacy flat layouts stay readable.**  Sweeps written before sharding
-kept ``<sweep>/<key>.json`` files indexed by a single
-``<sweep>/MANIFEST.jsonl``: reads fall through to the flat location,
-index reads merge the legacy fold under the shard folds (the shard
-layer wins per key), and ``python -m repro cache migrate`` moves a
-flat sweep into shards wholesale — entry files via atomic renames,
-manifest records (including quarantines and batch stamps) re-homed to
-their shards — after which the legacy manifest is retired.
+Files a pre-sharding store left directly under ``<sweep>/`` are
+never read: their keys embed an older ``code_version()``, so no lookup
+can reach them, and ``python -m repro cache clear`` removes them.
 
 The manifests are the cache's index: ``cache info``
 (:meth:`ResultCache.stats`) and sweep resume
@@ -49,12 +44,12 @@ A later successful ``put`` of the same key clears its quarantine
 record (the fold is last-op-wins), which is exactly what a
 ``--retry-quarantined`` run does when the point finally computes.
 
-**Bulk I/O.**  :meth:`ResultCache.put_many` stores a resolved batch —
-one atomic entry write per point, then a *single* ``O_APPEND`` write
-and a *single* ``fsync`` per touched shard manifest, instead of one
-append per point; :meth:`ResultCache.get_many` is the bulk read.  A
-256-point vectorized batch therefore costs at most a handful of
-manifest syncs however it hashes.
+**Bulk I/O.**  :meth:`ResultCache.put_many` stores many results at
+once — one atomic entry write per point, then a *single* ``O_APPEND``
+write and a *single* ``fsync`` per touched shard manifest, instead of
+one append per point; :meth:`ResultCache.get_many` is the bulk read.
+A 256-entry call therefore costs at most a handful of manifest syncs
+however it hashes.
 
 Robustness rules:
 
@@ -65,15 +60,12 @@ Robustness rules:
   cache heals itself on the next run;
 * manifest appends are single ``O_APPEND`` writes, safe under
   concurrent writers;
-* a missing, torn, or corrupt manifest — or a pre-manifest legacy
-  sweep directory — is rebuilt from the entry files themselves
-  (:meth:`ResultCache.rebuild_manifest`), shard by shard: the entry
-  files are always the ground truth, the manifests only an index over
-  them.  The manifests being advisory is also what makes them
-  resume-safe (a stale listing is re-validated by :meth:`get` before
-  anything trusts it) and what makes ``cache migrate`` crash-safe
-  (a killed migration leaves every entry file in exactly one readable
-  location; re-running completes it);
+* a missing, torn, or corrupt manifest is rebuilt from the entry
+  files themselves (:meth:`ResultCache.rebuild_manifest`), shard by
+  shard: the entry files are always the ground truth, the manifests
+  only an index over them.  The manifests being advisory is also what
+  makes them resume-safe (a stale listing is re-validated by
+  :meth:`get` before anything trusts it);
 * a journal dominated by dead history (overwritten puts, ``del``
   records, cleared quarantines) is **compacted** down to its fold —
   explicitly via ``python -m repro cache compact``
@@ -105,8 +97,8 @@ _FORMAT = 1  # bump to invalidate every existing entry
 _MANIFEST = "MANIFEST.jsonl"
 
 #: A folded journal: ``(live {key: bytes}, quarantine {key: record},
-#: records-in-journal, batch-stamped live keys)``.
-_Fold = Tuple[Dict[str, int], Dict[str, dict], int, Set[str]]
+#: records-in-journal)``.
+_Fold = Tuple[Dict[str, int], Dict[str, dict], int]
 
 
 def _cache_disabled() -> bool:
@@ -142,7 +134,6 @@ def _fold_lines(text: str) -> _Fold | None:
     entry files."""
     live: Dict[str, int] = {}
     quar: Dict[str, dict] = {}
-    batch_keys: Set[str] = set()
     records = 0
     for line in text.splitlines():
         if not line.strip():
@@ -156,30 +147,22 @@ def _fold_lines(text: str) -> _Fold | None:
         if op == "put":
             live[key] = int(record.get("bytes", 0))
             quar.pop(key, None)  # a success clears the quarantine
-            if record.get("batch"):
-                batch_keys.add(key)
-            else:
-                batch_keys.discard(key)  # last put wins
         elif op == "del":
             live.pop(key, None)
-            batch_keys.discard(key)
         elif op == "quarantine":
             quar[key] = record
         else:
             return None
-    return live, quar, records, batch_keys
+    return live, quar, records
 
 
 def _fold_records(fold: _Fold) -> str:
-    """Serialise a fold back to minimal journal text (compaction,
-    rebuild, migration all converge here so the formats agree)."""
-    live, quar, _, batch_keys = fold
+    """Serialise a fold back to minimal journal text (compaction and
+    rebuild both converge here so the formats agree)."""
+    live, quar, _ = fold
     return "".join(
         json.dumps(
-            {"op": "put", "key": key, "bytes": size, "batch": True}
-            if key in batch_keys
-            else {"op": "put", "key": key, "bytes": size},
-            separators=(",", ":"),
+            {"op": "put", "key": key, "bytes": size}, separators=(",", ":")
         ) + "\n"
         for key, size in sorted(live.items())
     ) + "".join(
@@ -194,13 +177,8 @@ class CacheStats:
 
     ``per_sweep`` maps sweep name to ``(entries, quarantined)`` so the
     CLI can surface known-permanent failures per namespace without
-    another index read.  ``batch_entries`` counts live entries whose
-    last ``put`` came from the vectorized batch path (the ``"batch":
-    true`` manifest stamp — see :meth:`ResultCache.put`), with
-    ``batch_per_sweep`` the per-namespace breakdown; everything else
-    was computed by the scalar per-point path.  ``shards_per_sweep``
-    reports each namespace's shard-directory count (0 for a purely
-    legacy flat sweep) so fan-out is visible from ``cache info``.
+    another index read.  ``shards_per_sweep`` reports each namespace's
+    shard-directory count so fan-out is visible from ``cache info``.
     """
 
     entries: int
@@ -208,8 +186,6 @@ class CacheStats:
     sweeps: Tuple[str, ...]
     quarantined: int = 0
     per_sweep: Tuple[Tuple[str, int, int], ...] = ()
-    batch_entries: int = 0
-    batch_per_sweep: Tuple[Tuple[str, int], ...] = ()
     shards_per_sweep: Tuple[Tuple[str, int], ...] = ()
 
 
@@ -222,54 +198,14 @@ class ResultCache:
         # unchanged journal cost one stat (invalidated explicitly by
         # every write path as well, belt and braces).
         self._fold_memo: Dict[str, Tuple[Tuple[int, int], _Fold]] = {}
-        # sweep -> whether the flat legacy layer may hold entries; None
-        # until first probed.  Lets the hot put/get paths skip flat-file
-        # checks entirely for born-sharded sweeps.
-        self._flat_possible: Dict[str, bool] = {}
 
     def path_for(self, sweep: str, key: str) -> Path:
-        """Canonical (sharded) entry location for ``key`` in ``sweep``."""
+        """The entry location for ``key`` in ``sweep``."""
         return self.root / sweep / shard_prefix(key) / f"{key}.json"
-
-    def flat_path_for(self, sweep: str, key: str) -> Path:
-        """The pre-sharding flat location, still honoured by reads."""
-        return self.root / sweep / f"{key}.json"
-
-    def manifest_path(self, sweep: str) -> Path:
-        """The sweep's *legacy* (flat-layout) journal file."""
-        return self.root / sweep / _MANIFEST
 
     def shard_manifest_path(self, sweep: str, prefix: str) -> Path:
         """The journal of one shard directory."""
         return self.root / sweep / prefix / _MANIFEST
-
-    # -- layer probing ---------------------------------------------------
-
-    def _has_flat_layer(self, sweep: str) -> bool:
-        """Whether the sweep may hold flat-layout entries (memoized).
-
-        True when the legacy manifest exists or any flat ``*.json``
-        does.  A ``False`` verdict is sticky for this handle's lifetime
-        — new writes are always sharded, so the flat layer only ever
-        shrinks (``migrate``/``clear`` reset it explicitly).
-        """
-        cached = self._flat_possible.get(sweep)
-        if cached is not None:
-            return cached
-        target = self.root / sweep
-        present = False
-        try:
-            if self.manifest_path(sweep).exists():
-                present = True
-            else:
-                present = any(
-                    child.suffix == ".json"
-                    for child in target.iterdir()
-                )
-        except OSError:
-            present = False
-        self._flat_possible[sweep] = present
-        return present
 
     def _shard_dirs(self, sweep: str) -> List[Path]:
         """The sweep's shard directories (two-character children)."""
@@ -287,50 +223,34 @@ class ResultCache:
     def get(self, sweep: str, key: str) -> Tuple[Any, bool]:
         """Look up ``key``; returns ``(value, hit)``.
 
-        Reads the sharded location first, then the legacy flat one.  A
-        malformed entry (truncated write, manual tampering, format
+        A malformed entry (truncated write, manual tampering, format
         drift) is deleted and reported as a miss — never an exception.
         """
-        prefix = shard_prefix(key)
-        path = self.root / sweep / prefix / f"{key}.json"
-        flat = False
+        path = self.path_for(sweep, key)
         try:
             text = path.read_text()
         except FileNotFoundError:
-            if not self._has_flat_layer(sweep):
-                return None, False
-            path = self.root / sweep / f"{key}.json"
-            flat = True
-            try:
-                text = path.read_text()
-            except FileNotFoundError:
-                return None, False
-            except OSError:
-                return self._heal_entry(sweep, key, path, flat)
+            return None, False
         except OSError:
-            return self._heal_entry(sweep, key, path, flat)
+            return self._heal_entry(sweep, key, path)
         try:
             entry = json.loads(text)
             if entry["format"] != _FORMAT or entry["key"] != key:
                 raise ValueError("stale or mismatched cache entry")
             return entry["result"], True
         except (ValueError, KeyError, TypeError):
-            return self._heal_entry(sweep, key, path, flat)
+            return self._heal_entry(sweep, key, path)
 
     def _heal_entry(
-        self, sweep: str, key: str, path: Path, flat: bool
+        self, sweep: str, key: str, path: Path
     ) -> Tuple[Any, bool]:
-        """Delete a bad entry and journal the del in its own layer."""
+        """Delete a bad entry and journal the del in its shard."""
         try:
             path.unlink(missing_ok=True)
             # Record the heal — but never *create* a manifest out of a
-            # lone del record: an index-less directory must keep looking
+            # lone del record: an index-less shard must keep looking
             # index-less so the next read rebuilds it in full.
-            manifest = (
-                self.manifest_path(sweep)
-                if flat
-                else self.shard_manifest_path(sweep, shard_prefix(key))
-            )
+            manifest = self.shard_manifest_path(sweep, shard_prefix(key))
             if manifest.exists():
                 self._append_lines(
                     manifest,
@@ -342,8 +262,7 @@ class ResultCache:
         return None, False
 
     def _entry_blob(
-        self, sweep: str, key: str, params: Mapping[str, Any], value: Any,
-        batch: bool,
+        self, sweep: str, key: str, params: Mapping[str, Any], value: Any
     ) -> bytes:
         record: Dict[str, Any] = {
             "format": _FORMAT,
@@ -353,8 +272,6 @@ class ResultCache:
             "created": time.time(),
             "result": value,
         }
-        if batch:
-            record["batch"] = True
         return json.dumps(record, indent=None).encode("utf-8")
 
     def _write_entry(self, path: Path, data: bytes) -> None:
@@ -369,67 +286,26 @@ class ResultCache:
             Path(tmp).unlink(missing_ok=True)
             raise
 
-    def _retire_flat_duplicate(self, sweep: str, key: str) -> None:
-        """Drop a flat-layout copy superseded by a sharded write.
-
-        The shard layer wins every merged fold, so the flat file is
-        dead weight; a ``del`` record keeps the legacy journal's fold
-        truthful without a rebuild.
-        """
-        if not self._has_flat_layer(sweep):
-            return
-        flat = self.root / sweep / f"{key}.json"
-        try:
-            flat.unlink()
-        except OSError:
-            return  # absent (the common case) or unwritable
-        try:
-            manifest = self.manifest_path(sweep)
-            if manifest.exists():
-                self._append_lines(
-                    manifest,
-                    json.dumps({"op": "del", "key": key},
-                               separators=(",", ":")) + "\n",
-                )
-        except OSError:
-            pass
-
     def put(
         self,
         sweep: str,
         key: str,
         params: Mapping[str, Any],
         value: Any,
-        batch: bool = False,
     ) -> None:
-        """Store ``value`` atomically; raises ``TypeError`` if not JSON-able.
-
-        ``batch`` marks the value as computed by the vectorized batch
-        path (:mod:`repro.engine.batch` via a sweep's ``batch_fn``): the
-        entry payload and its manifest ``put`` record gain a ``"batch":
-        true`` stamp so ``cache info`` can report batch-vs-scalar
-        provenance.  The stamp is pure provenance — the key, lookup, and
-        the ``result`` payload are identical either way, so batch and
-        scalar runs stay interchangeable cache-wise.  (Like the manifest
-        itself the stamp is advisory: :meth:`rebuild_manifest` re-derives
-        the index from entry *stats* without opening files, so a rebuilt
-        journal reports every entry as scalar.)
-        """
-        data = self._entry_blob(sweep, key, params, value, batch)
+        """Store ``value`` atomically; raises ``TypeError`` if not JSON-able."""
+        data = self._entry_blob(sweep, key, params, value)
         prefix = shard_prefix(key)
-        path = self.root / sweep / prefix / f"{key}.json"
-        self._write_entry(path, data)
-        self._retire_flat_duplicate(sweep, key)
+        self._write_entry(self.path_for(sweep, key), data)
         try:
             if self._index_preexisting_shard(sweep, prefix, key):
                 return
-            put_record: Dict[str, Any] = {
-                "op": "put", "key": key, "bytes": len(data),
-                "created": time.time(),
-            }
-            if batch:
-                put_record["batch"] = True
-            self._append_manifest(sweep, put_record, prefix)
+            self._append_manifest(
+                sweep,
+                {"op": "put", "key": key, "bytes": len(data),
+                 "created": time.time()},
+                prefix,
+            )
         except OSError:
             pass  # entry files are the ground truth; the index can wait
 
@@ -437,7 +313,6 @@ class ResultCache:
         self,
         sweep: str,
         entries: Iterable[Tuple[str, Mapping[str, Any], Any]],
-        batch: bool = False,
     ) -> int:
         """Store ``(key, params, value)`` triples with bulk index I/O.
 
@@ -445,29 +320,25 @@ class ResultCache:
         the journal cost collapses: the put records are grouped by
         shard and each touched shard manifest receives **one**
         ``O_APPEND`` write followed by **one** ``fsync`` — a resolved
-        256-point batch costs a handful of syncs, not 256.  Returns the
+        256-entry call costs a handful of syncs, not 256.  Returns the
         number of entries stored.
         """
         by_shard: Dict[str, List[str]] = {}
         pending: Dict[str, set] = {}
         stored = 0
         for key, params, value in entries:
-            data = self._entry_blob(sweep, key, params, value, batch)
+            data = self._entry_blob(sweep, key, params, value)
             prefix = shard_prefix(key)
-            path = self.root / sweep / prefix / f"{key}.json"
-            self._write_entry(path, data)
-            self._retire_flat_duplicate(sweep, key)
-            record: Dict[str, Any] = {
+            self._write_entry(self.path_for(sweep, key), data)
+            record = {
                 "op": "put", "key": key, "bytes": len(data),
                 "created": time.time(),
             }
-            if batch:
-                record["batch"] = True
             mine = pending.setdefault(prefix, set())
             try:
-                # A rebuild may index this entry from its file (without
-                # the batch stamp); the queued record still appends and
-                # wins under last-op-fold, so queue unconditionally.
+                # A rebuild may index this entry from its file; the
+                # queued record repeats that put, which the fold
+                # absorbs, so queue unconditionally.
                 self._index_preexisting_shard(sweep, prefix, key, mine)
             except OSError:
                 pass
@@ -506,9 +377,8 @@ class ResultCache:
     ) -> bool:
         """Heal an index-less shard that already holds *other* entries.
 
-        First write into a shard directory whose manifest vanished (or
-        a crashed migration's half-moved shard): rebuild the shard's
-        journal from its files — which indexes the entry just written
+        First write into a shard directory whose manifest vanished:
+        rebuild the shard's journal from its files — which indexes the entry just written
         too, so the caller must skip its own append.  Returns True when
         that happened.  ``put_many`` passes the keys it has already
         written this call as ``ignore`` — its own not-yet-journaled
@@ -543,17 +413,12 @@ class ResultCache:
         self._fold_memo.pop(str(path), None)
 
     def _append_manifest(
-        self, sweep: str, record: Mapping[str, Any], prefix: str | None = None
+        self, sweep: str, record: Mapping[str, Any], prefix: str
     ) -> None:
-        """Append one journal record — to a shard's manifest when
-        ``prefix`` is given, to the legacy flat manifest otherwise."""
-        path = (
-            self.shard_manifest_path(sweep, prefix)
-            if prefix is not None
-            else self.manifest_path(sweep)
-        )
+        """Append one journal record to a shard's manifest."""
         self._append_lines(
-            path, json.dumps(record, separators=(",", ":")) + "\n"
+            self.shard_manifest_path(sweep, prefix),
+            json.dumps(record, separators=(",", ":")) + "\n",
         )
 
     def _fold_file(self, path: Path) -> _Fold | None:
@@ -585,107 +450,57 @@ class ResultCache:
             self._fold_memo[spath] = (sig, fold)
         return fold
 
-    def _fold_layer(
-        self, sweep: str, prefix: str | None, heal: bool, compact: bool
+    def _fold_shard(
+        self, sweep: str, prefix: str, heal: bool, compact: bool
     ) -> _Fold:
-        """One layer's fold — legacy flat (``prefix=None``) or a shard.
+        """One shard's fold.
 
-        A missing/torn journal is rebuilt from that layer's entry files
+        A missing/torn journal is rebuilt from the shard's entry files
         when ``heal``; ``compact`` additionally folds away journals
         dominated by dead history.  Always returns a (possibly empty)
         fold — on a read-only store the derived index is served without
         being persisted.
         """
-        path = (
-            self.shard_manifest_path(sweep, prefix)
-            if prefix is not None
-            else self.manifest_path(sweep)
-        )
+        path = self.shard_manifest_path(sweep, prefix)
         fold = self._fold_file(path)
         if fold is None:
             if not heal:
-                return {}, {}, 0, set()
-            if prefix is not None:
-                live = self._rebuild_shard(sweep, prefix)
-            else:
-                live = self._rebuild_flat(sweep)
+                return {}, {}, 0
+            live = self._rebuild_shard(sweep, prefix)
             fold = self._fold_file(path)
             if fold is None:
                 # Could not persist (read-only store): serve the
                 # derived index; quarantine lines, if any, are gone
                 # with the unreadable journal.
-                return live, {}, len(live), set()
+                return live, {}, len(live)
             return fold
         if compact and self._wants_compaction(fold):
-            self._compact_layer(sweep, prefix)
+            self._compact_shard(sweep, prefix)
             return self._fold_file(path) or fold
         return fold
 
     def _folded_sweep(
         self, sweep: str, heal: bool = True, compact: bool = False
     ) -> _Fold:
-        """The sweep's merged index: legacy fold under the shard folds.
+        """The sweep's index: the union of its shard folds.
 
-        The shard layer wins per key (a sharded rewrite retires the
-        flat copy), quarantines lose to a live entry in any layer, and
         ``records`` sums every journal line so callers can see dead
         weight.  Cost is O(shards-touched): one directory listing plus
         one (memoized) fold per journal present.
         """
-        target = self.root / sweep
-        if not target.is_dir():
-            return {}, {}, 0, set()
         live: Dict[str, int] = {}
         quar: Dict[str, dict] = {}
-        batch_keys: Set[str] = set()
         records = 0
-        if self._has_flat_layer(sweep):
-            flive, fquar, frecords, fbatch = self._fold_layer(
-                sweep, None, heal, compact
-            )
-            live.update(flive)
-            quar.update(fquar)
-            batch_keys |= fbatch
-            records += frecords
         for shard in self._shard_dirs(sweep):
-            slive, squar, srecords, sbatch = self._fold_layer(
+            slive, squar, srecords = self._fold_shard(
                 sweep, shard.name, heal, compact
             )
-            for key in slive:
-                batch_keys.discard(key)  # the shard layer's verdict wins
             live.update(slive)
             quar.update(squar)
-            batch_keys |= sbatch
             records += srecords
         for key in live:
             quar.pop(key, None)  # a live entry outranks any quarantine
-        return live, quar, records, batch_keys
-
-    def _rebuild_flat(self, sweep: str) -> Dict[str, int]:
-        """Re-derive the legacy flat journal from the flat entry files.
-
-        Keys are the entry filenames and sizes come from ``stat``, so
-        no entry is opened.  Quarantine records exist *only* in the
-        journal, so every parsable quarantine line of the old (possibly
-        torn) manifest is salvaged — a single corrupt line must not
-        amnesty a known-permanent failure.  The new manifest is written
-        atomically; on a read-only cache the derived index is returned
-        without being persisted.
-        """
-        target = self.root / sweep
-        live: Dict[str, int] = {}
-        if not target.is_dir():
-            return live
-        for path in target.glob("*.json"):
-            try:
-                live[path.stem] = path.stat().st_size
-            except OSError:
-                continue  # vanished mid-scan
-        self._write_rebuilt(
-            self.manifest_path(sweep), target, live
-        )
-        self._flat_possible.pop(sweep, None)
-        return live
+        return live, quar, records
 
     def _rebuild_shard(self, sweep: str, prefix: str) -> Dict[str, int]:
         """Re-derive one shard's journal from its entry files."""
@@ -724,7 +539,7 @@ class ResultCache:
                 quar.pop(key, None)
         for key in live:
             quar.pop(key, None)  # an entry file on disk outranks it
-        lines = _fold_records((live, quar, 0, set()))
+        lines = _fold_records((live, quar, 0))
         try:
             fd, tmp = tempfile.mkstemp(dir=target, suffix=".tmp")
         except OSError:
@@ -741,25 +556,13 @@ class ResultCache:
         self._fold_memo.pop(str(manifest), None)
 
     def rebuild_manifest(self, sweep: str) -> Dict[str, int]:
-        """Re-derive every journal of ``sweep`` from its entry files.
+        """Re-derive every shard journal of ``sweep`` from its entry files.
 
-        The self-healing path, now per layer: the legacy flat journal is
-        rebuilt whenever the flat layer exists, and each shard journal
-        from its own directory.  Returns the merged live index.  A
-        concurrent append racing a rebuild loses at most its own
-        record, which the next ``put`` of that key — or the next
-        rebuild — restores.
+        Returns the sweep's live index.  A concurrent append racing a
+        rebuild loses at most its own record, which the next ``put`` of
+        that key — or the next rebuild — restores.
         """
-        target = self.root / sweep
-        if not target.is_dir():
-            return {}
         live: Dict[str, int] = {}
-        if self._has_flat_layer(sweep) or self.manifest_path(sweep).exists():
-            live.update(self._rebuild_flat(sweep))
-        elif not self._shard_dirs(sweep):
-            # Entry-less, shard-less directory: persist an (empty)
-            # index so the heal is visible, matching the flat era.
-            live.update(self._rebuild_flat(sweep))
         for shard in self._shard_dirs(sweep):
             live.update(self._rebuild_shard(sweep, shard.name))
         return live
@@ -772,7 +575,7 @@ class ResultCache:
         outnumbers its live entries, so a churned sweep's index read
         stays O(shards-touched) no matter how long its history grew.
         """
-        live, _, _, _ = self._folded_sweep(sweep, heal=True, compact=True)
+        live, _, _ = self._folded_sweep(sweep, heal=True, compact=True)
         return live
 
     @staticmethod
@@ -780,24 +583,20 @@ class ResultCache:
         """Whether a folded journal is worth rewriting: more dead
         records than live ones, with a small floor so tiny journals
         never churn."""
-        live, quar, records, _ = fold
+        live, quar, records = fold
         dead = records - len(live) - len(quar)
         return dead > max(len(live) + len(quar), 4)
 
-    def _compact_layer(self, sweep: str, prefix: str | None) -> int:
+    def _compact_shard(self, sweep: str, prefix: str) -> int:
         """Rewrite one journal down to its fold; returns dead records
         dropped.  Crash-safe: temp file + atomic rename, so a crash at
         any instant leaves either the full history or the complete fold
         — never a torn hybrid.  Best-effort on read-only caches."""
-        path = (
-            self.shard_manifest_path(sweep, prefix)
-            if prefix is not None
-            else self.manifest_path(sweep)
-        )
+        path = self.shard_manifest_path(sweep, prefix)
         fold = self._fold_file(path)
         if fold is None:
             return 0
-        live, quar, records, _ = fold
+        live, quar, records = fold
         dead = records - len(live) - len(quar)
         if dead <= 0:
             return 0
@@ -823,132 +622,22 @@ class ResultCache:
         """Fold dead history away, journal by journal; returns the
         total number of dead records dropped.
 
-        Each layer (the legacy flat journal and every shard journal)
-        is rewritten independently and atomically, so a crash
-        mid-compaction affects at most the one journal being renamed —
-        and that one is either fully old or fully folded (the
+        Each shard journal is rewritten independently and atomically,
+        so a crash mid-compaction affects at most the one journal being
+        renamed — and that one is either fully old or fully folded (the
         torn-compaction recovery guarantee).  Missing or torn journals
-        are healed through :meth:`rebuild_manifest` instead (already
-        minimal).
+        are rebuilt from their entry files instead (already minimal;
+        they count no dead records).
         """
-        target = self.root / sweep
-        if not target.is_dir():
-            return 0
         dead = 0
-        rebuilt = False
-        if self._has_flat_layer(sweep):
-            if self._fold_file(self.manifest_path(sweep)) is None:
-                self._rebuild_flat(sweep)
-                rebuilt = True
-            else:
-                dead += self._compact_layer(sweep, None)
         for shard in self._shard_dirs(sweep):
             if self._fold_file(
                 self.shard_manifest_path(sweep, shard.name)
             ) is None:
                 self._rebuild_shard(sweep, shard.name)
-                rebuilt = True
             else:
-                dead += self._compact_layer(sweep, shard.name)
-        del rebuilt  # rebuilds count no dead records, matching the flat era
+                dead += self._compact_shard(sweep, shard.name)
         return dead
-
-    # -- migration ------------------------------------------------------
-
-    def migrate(self, sweep: str | None = None) -> Dict[str, int]:
-        """Move legacy flat sweeps into the sharded layout.
-
-        For each sweep (or just ``sweep``): every flat entry file is
-        renamed into its shard (atomic ``os.replace``), its journal
-        record — including the batch-provenance stamp — is re-homed to
-        the shard manifest, quarantine records follow their key's
-        shard, and the legacy manifest is removed once empty of
-        meaning.  Returns ``{sweep: entries-moved}`` (quarantine-only
-        re-homes count 0 but still retire the journal).
-
-        Crash-safe by the same advisory-index argument as everything
-        else: entry files move one atomic rename at a time, reads
-        consult both layouts, and re-running the migration finishes
-        whatever a crash left behind.  A sweep with no flat layer is a
-        no-op.
-        """
-        if sweep is None:
-            moved: Dict[str, int] = {}
-            if not self.root.is_dir():
-                return moved
-            for child in sorted(self.root.iterdir()):
-                if child.is_dir():
-                    result = self.migrate(child.name)
-                    moved.update(result)
-            return moved
-
-        target = self.root / sweep
-        if not target.is_dir() or not self._has_flat_layer(sweep):
-            return {}
-        # Heal first so the fold below is complete (pre-manifest legacy
-        # directories, torn journals).
-        if self._fold_file(self.manifest_path(sweep)) is None:
-            self._rebuild_flat(sweep)
-        flive, fquar, _, fbatch = self._fold_layer(
-            sweep, None, heal=True, compact=False
-        )
-        by_shard: Dict[str, List[str]] = {}
-        count = 0
-        for path in sorted(target.glob("*.json")):
-            key = path.stem
-            prefix = shard_prefix(key)
-            dest = target / prefix / f"{key}.json"
-            try:
-                if dest.exists():
-                    # A sharded rewrite already superseded this copy.
-                    path.unlink(missing_ok=True)
-                    continue
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    continue  # vanished mid-walk
-                os.replace(path, dest)
-            except OSError:
-                continue  # unwritable: leave it readable where it is
-            record: Dict[str, Any] = {
-                "op": "put", "key": key,
-                "bytes": flive.get(key, size),
-            }
-            if key in fbatch:
-                record["batch"] = True
-            by_shard.setdefault(prefix, []).append(
-                json.dumps(record, separators=(",", ":")) + "\n"
-            )
-            count += 1
-        for key, record in sorted(fquar.items()):
-            prefix = shard_prefix(key)
-            shard_live = self._fold_layer(
-                sweep, prefix, heal=True, compact=False
-            )[0]
-            if key in shard_live:
-                continue  # a sharded success already cleared it
-            by_shard.setdefault(prefix, []).append(
-                json.dumps(record, separators=(",", ":")) + "\n"
-            )
-        for prefix, lines in by_shard.items():
-            try:
-                shard_dir = target / prefix
-                shard_dir.mkdir(parents=True, exist_ok=True)
-                self._append_lines(
-                    self.shard_manifest_path(sweep, prefix),
-                    "".join(lines),
-                    fsync=True,
-                )
-            except OSError:
-                pass  # entry files are already in place — index heals later
-        try:
-            self.manifest_path(sweep).unlink(missing_ok=True)
-        except OSError:
-            pass
-        self._fold_memo.pop(str(self.manifest_path(sweep)), None)
-        self._flat_possible.pop(sweep, None)
-        return {sweep: count}
 
     # -- quarantine -----------------------------------------------------
 
@@ -972,8 +661,8 @@ class ResultCache:
             if not self.shard_manifest_path(sweep, prefix).exists() and any(
                 p.suffix == ".json" for p in shard_dir.iterdir()
             ):
-                # Index-less shard (crashed migration): index the
-                # entries first so the new journal is a complete fold.
+                # Index-less shard (lost journal): index the entries
+                # first so the new journal is a complete fold.
                 self._rebuild_shard(sweep, prefix)
             self._append_manifest(
                 sweep,
@@ -989,9 +678,9 @@ class ResultCache:
 
         Each record carries the offending ``params`` and the final
         ``error`` string.  Keys with a live entry (a later successful
-        put) are never listed — in any layer.
+        put) are never listed.
         """
-        _, quar, _, _ = self._folded_sweep(sweep, heal=True, compact=True)
+        _, quar, _ = self._folded_sweep(sweep, heal=True, compact=True)
         return quar
 
     def manifest_keys(self, sweep: str) -> Set[str]:
@@ -1007,7 +696,7 @@ class ResultCache:
     # -- aggregate views ------------------------------------------------
 
     def entries(self) -> Iterator[Path]:
-        """All entry files currently on disk, sharded and flat.
+        """All entry files currently on disk.
 
         A snapshot, not a lock: a concurrent sweep or :meth:`clear` may
         remove a listed file before the caller touches it, so consumers
@@ -1019,45 +708,38 @@ class ResultCache:
             return iter(())
         return (
             path
-            for pattern in ("*/*.json", "*/*/*.json")
-            for path in self.root.glob(pattern)
+            for path in self.root.glob("*/*/*.json")
         )
 
     def stats(self) -> CacheStats:
         """Entry count, total size, and the sweep namespaces present.
 
-        Reads one journal per layer present — never the entry files
+        Reads one journal per shard present — never the entry files
         themselves — so ``cache info`` costs O(shards), not
         O(entries); with warm fold memos it is O(shards) ``stat``
-        calls.  Layers without a readable journal (legacy caches, torn
-        journals, half-migrated shards) are healed on the way through.
+        calls.  Shards without a readable journal (lost or torn) are
+        healed on the way through.
         """
         count = 0
         size = 0
         bad = 0
-        batch_total = 0
         sweeps = []
         per_sweep = []
-        batch_per_sweep = []
         shards_per_sweep = []
         if self.root.is_dir():
             for child in sorted(self.root.iterdir()):
                 if not child.is_dir():
                     continue
-                live, quar, _, batch_keys = self._folded_sweep(
+                live, quar, _ = self._folded_sweep(
                     child.name, heal=True, compact=True
                 )
                 if not live and not quar:
                     continue
-                batch_live = sum(1 for key in batch_keys if key in live)
                 count += len(live)
                 size += sum(live.values())
                 bad += len(quar)
-                batch_total += batch_live
                 sweeps.append(child.name)
                 per_sweep.append((child.name, len(live), len(quar)))
-                if batch_live:
-                    batch_per_sweep.append((child.name, batch_live))
                 nshards = len(self._shard_dirs(child.name))
                 if nshards:
                     shards_per_sweep.append((child.name, nshards))
@@ -1067,8 +749,6 @@ class ResultCache:
             sweeps=tuple(sweeps),
             quarantined=bad,
             per_sweep=tuple(per_sweep),
-            batch_entries=batch_total,
-            batch_per_sweep=tuple(batch_per_sweep),
             shards_per_sweep=tuple(shards_per_sweep),
         )
 
@@ -1077,10 +757,10 @@ class ResultCache:
 
         Counting ground-truths against the entry files (not the index):
         ``clear`` is the maintenance path, and the manifests die with
-        their directories anyway.
+        their directories anyway.  Whole sweep directories go, so files
+        a pre-sharding store left beside the shards go with them.
         """
         self._fold_memo.clear()
-        self._flat_possible.clear()
         if sweep is not None:
             target = self.root / sweep
             removed = (

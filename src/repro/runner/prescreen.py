@@ -103,7 +103,6 @@ def prescreen_sweep(
     keep: float,
     score: Optional[Callable[[Mapping[str, Any], Any], float]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    batch: bool = True,
 ) -> PrescreenResult:
     """Narrow ``sweep`` to its ``keep`` best points via the model engine.
 
@@ -119,15 +118,6 @@ def prescreen_sweep(
             makespan).
         progress: optional ``(done, total)`` callback per screened
             point.
-        batch: evaluate the screen through the sweep's ``batch_fn``
-            when it declares one (default on).  The batch layer groups
-            the model-stamped points and runs each group's closed-form
-            recurrence vectorized (:mod:`repro.engine.model_batch`),
-            which is where the model tier's raw points/sec headroom
-            actually cashes out for large grids; results are
-            bitwise-identical to the scalar loop, so scores — and the
-            kept set — cannot shift.  Any batch-path failure falls back
-            to the scalar loop silently.
 
     Returns a :class:`PrescreenResult`; raises
     :class:`PrescreenUnsupported` when the sweep cannot be screened
@@ -148,22 +138,10 @@ def prescreen_sweep(
     score_fn = score or default_score
     model_points = stamp_points(sweep.points, engine="model")
 
-    values: Optional[List[Any]] = None
-    if batch and sweep.batch_fn is not None:
-        try:
-            batched = sweep.batch_fn([dict(p) for p in model_points])
-            if isinstance(batched, list) and len(batched) == total:
-                values = batched
-        except Exception:
-            values = None  # scalar fallback owns the error reporting
-
     scored: List[Tuple[float, int, ScoredPoint]] = []
     for idx, (params, model_params) in enumerate(zip(sweep.points, model_points)):
         try:
-            value = (
-                values[idx] if values is not None
-                else sweep.run_fn(model_params)
-            )
+            value = sweep.run_fn(model_params)
         except PrescreenUnsupported:
             raise
         except Exception as exc:

@@ -25,19 +25,16 @@ Design rules the experiment modules follow:
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runner.backends import CacheContext, ExecutionBackend, resolve_backend
-from repro.runner.backends.persistent import _token_for
 from repro.runner.cache import ResultCache
 from repro.runner.hashing import code_version, point_key
 
 __all__ = [
-    "BatchableFn",
     "Campaign",
     "CampaignResult",
     "CircuitOpenError",
@@ -82,14 +79,6 @@ def stamp_points(
 
 PointFn = Callable[[Mapping[str, Any]], Any]
 AggregateFn = Callable[[List[Any]], Any]
-#: The batched-evaluation contract: a top-level pure function mapping a
-#: *list* of point parameter mappings to the list of their results, in
-#: order — element ``i`` must be byte-identical to ``run_fn(points[i])``.
-#: Sweeps declare one beside their per-point ``run_fn`` (see
-#: :attr:`Sweep.batch_fn`); the runner dispatches whole point-groups
-#: through it and falls back to the scalar path per point whenever a
-#: group fails.
-BatchableFn = Callable[[List[Mapping[str, Any]]], List[Any]]
 
 
 @dataclass(frozen=True)
@@ -303,15 +292,6 @@ class Sweep:
         aggregate: combines the ordered point results into the
             experiment's rows; defaults to list concatenation.
         title: heading used when the CLI prints the aggregated table.
-        batch_fn: optional :data:`BatchableFn` — a top-level pure
-            function evaluating a whole list of points at once
-            (typically via :func:`repro.engine.run_batch`), returning
-            one result per point in order, each byte-identical to
-            ``run_fn`` on that point.  When present (and batching is
-            enabled), the runner dispatches cache-miss points in groups
-            through it; any group that errors falls back to the scalar
-            per-point path, so caching, retries, and quarantine stay
-            per-point either way.
     """
 
     name: str
@@ -319,7 +299,6 @@ class Sweep:
     points: Tuple[Mapping[str, Any], ...]
     aggregate: Optional[AggregateFn] = None
     title: Optional[str] = None
-    batch_fn: Optional[BatchableFn] = None
 
     def rows(self, values: List[Any]) -> Any:
         """Aggregated rows for point results ``values`` (in order)."""
@@ -359,10 +338,6 @@ class PointOutcome:
     *except* points the cache has quarantined as known-permanent
     failures: those resolve as ``status="quarantined"`` without being
     computed (pass ``retry_quarantined=True`` to opt back in).
-
-    ``batch`` is provenance: the value was computed by the sweep's
-    ``batch_fn`` as part of a dispatched point-group rather than by a
-    scalar ``run_fn`` call (the value itself is identical either way).
     """
 
     params: Mapping[str, Any]
@@ -372,18 +347,15 @@ class PointOutcome:
     seconds: float
     status: str = "ok"
     error: Optional[str] = None
-    batch: bool = False
 
 
 @dataclass
 class SweepResult:
     """Everything :func:`run_sweep` learned about one sweep.
 
-    ``batch_groups`` counts the point-groups the batched dispatch path
-    resolved (0 for scalar-only runs); ``shards`` counts the distinct
-    cache shard directories the run's fresh results landed in (0 when
-    running cache-less).  Both feed the CLI's ``[K groups, S shards]``
-    summary suffix.
+    ``shards`` counts the distinct cache shard directories the run's
+    fresh results landed in (0 when running cache-less); it feeds the
+    CLI's ``[S shards]`` summary suffix.
     """
 
     name: str
@@ -391,7 +363,6 @@ class SweepResult:
     rows: Any = None
     elapsed: float = 0.0
     title: Optional[str] = None
-    batch_groups: int = 0
     shards: int = 0
 
     @property
@@ -437,10 +408,6 @@ class CampaignResult:
     @property
     def quarantined(self) -> int:
         return sum(s.quarantined for s in self.sweeps)
-
-    @property
-    def batch_groups(self) -> int:
-        return sum(s.batch_groups for s in self.sweeps)
 
     @property
     def shards(self) -> int:
@@ -495,39 +462,6 @@ def _close(computed) -> None:
         close()
 
 
-#: Largest point-group one batch dispatch carries.  Matches the
-#: vectorized engine's sweet spot (per-event numpy overhead amortizes
-#: well before 64 points, while group trace matrices stay small) and
-#: bounds what one group failure forfeits to the scalar fallback.
-_MAX_BATCH = 64
-
-
-def _batch_groups(indices: Sequence[int], jobs: int) -> List[List[int]]:
-    """Slice point indices into contiguous declaration-order groups.
-
-    Contiguity matters: neighbouring sweep points usually share decision
-    structure (same algorithm, stepped rates), which is exactly what the
-    vectorized engine groups on.  Size targets one group per worker so
-    batch dispatch still fans out, capped at :data:`_MAX_BATCH`.
-    """
-    size = max(1, min(_MAX_BATCH, -(-len(indices) // max(1, jobs))))
-    return [list(indices[i : i + size]) for i in range(0, len(indices), size)]
-
-
-def _batch_entry(item: Mapping[str, Any]) -> List[Any]:
-    """Worker-side batch adapter: one dispatched point-group.
-
-    A top-level function so every backend can ship it by import token;
-    the *sweep's* batch function travels inside the item as its own
-    ``(module, qualname)`` token plus the group's point mappings —
-    exactly the purity rules per-point dispatch already imposes.
-    """
-    obj: Any = importlib.import_module(item["module"])
-    for part in item["qualname"].split("."):
-        obj = getattr(obj, part)
-    return obj([dict(p) for p in item["points"]])
-
-
 def run_sweep(
     sweep: Sweep,
     jobs: int = 1,
@@ -539,7 +473,6 @@ def run_sweep(
     on_error: str = "raise",
     retry: RetryPolicy | None = None,
     retry_quarantined: bool = False,
-    batch: bool = True,
 ) -> SweepResult:
     """Evaluate every point of ``sweep``, cheapest source first.
 
@@ -581,16 +514,6 @@ def run_sweep(
         retry_quarantined: on a ``resume`` run, re-attempt points the
             cache has quarantined as known-permanent failures instead
             of skipping them (a success clears the quarantine record).
-        batch: allow batched dispatch (default on).  Takes effect only
-            when the sweep declares a ``batch_fn``, the backend opted in
-            (``supports_batches``), and the batch function is shippable
-            by import token; cache-miss points then go out as whole
-            point-groups first, and any group that fails re-enters the
-            ordinary scalar path — per-point retries, quarantine, and
-            ``on_error`` semantics included.  ``--no-batch`` (or
-            ``batch=False``) restores pure per-point dispatch.  Cache
-            keys, point order, and aggregated rows are identical either
-            way; only the manifest's provenance stamps differ.
 
     Point results reach ``sweep.aggregate`` in declaration order no
     matter which points were cached or which backend ran the rest, so
@@ -735,67 +658,6 @@ def run_sweep(
             keys=tuple(keys[i] for i in indices),
         )
 
-    if (
-        batch
-        and missing
-        and sweep.batch_fn is not None
-        and getattr(exec_backend, "supports_batches", False)
-    ):
-        token = _token_for(sweep.batch_fn)
-        if token is not None:
-            # Batched dispatch: ship whole point-groups through the
-            # sweep's batch function first.  Each successful group
-            # resolves (and caches) its points here — the emit loop
-            # below still streams them in declaration order — while a
-            # failed group simply leaves its points in ``missing``, so
-            # the scalar path (with its per-point retries, quarantine,
-            # and error policy) picks them up untouched.
-            groups = _batch_groups(missing, jobs)
-            items = [
-                {
-                    "module": token[0],
-                    "qualname": token[1],
-                    "points": [dict(sweep.points[i]) for i in group],
-                }
-                for group in groups
-            ]
-            group_timeout = (
-                policy.timeout * max(len(g) for g in groups)
-                if policy.timeout is not None
-                else None
-            )
-            leftover: List[int] = []
-            dispatched = _map(
-                exec_backend, _batch_entry, items, group_timeout, 0
-            )
-            try:
-                for group, task in zip(groups, dispatched):
-                    values = task.value if task.error is None else None
-                    if not isinstance(values, list) or len(values) != len(group):
-                        leftover.extend(group)
-                        continue
-                    seconds = task.seconds / len(group)
-                    entries: List[Tuple[str, Mapping[str, Any], Any]] = []
-                    for idx, value in zip(group, values):
-                        params = sweep.points[idx]
-                        key = keys[idx] if cache else ""
-                        value = _normalize(value)
-                        if cache:
-                            entries.append((key, params, value))
-                            touched_shards.add(key[:2])
-                        resolved[idx] = PointOutcome(
-                            params, key, value, False, seconds, batch=True
-                        )
-                    if cache:
-                        # Bulk index I/O: the whole resolved group costs
-                        # one manifest append + one fsync per shard
-                        # touched, not one per point.
-                        cache.put_many(sweep.name, entries, batch=True)
-                    result.batch_groups += 1
-            finally:
-                _close(dispatched)
-            missing = leftover
-
     miss_points = [sweep.points[i] for i in missing]
     computed = _map(
         exec_backend, sweep.run_fn, miss_points, policy.timeout, 0,
@@ -880,7 +742,6 @@ def run_campaign(
     on_error: str = "raise",
     retry: RetryPolicy | None = None,
     retry_quarantined: bool = False,
-    batch: bool = True,
 ) -> CampaignResult:
     """Run every sweep of ``campaign`` in order; see :func:`run_sweep`.
 
@@ -899,7 +760,6 @@ def run_campaign(
                     sweep, jobs, cache, progress, code,
                     backend=exec_backend, resume=resume, on_error=on_error,
                     retry=retry, retry_quarantined=retry_quarantined,
-                    batch=batch,
                 )
             )
     finally:

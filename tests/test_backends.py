@@ -396,3 +396,70 @@ class TestStreamingProgress:
         )
         run_sweep(sweep, on_error="keep", progress=events.append)
         assert [e.status for e in events] == ["ok", "ok", "error", "ok"]
+
+
+@pytest.fixture
+def daemon():
+    """An in-process serve daemon for the remote backend (socket paths
+    have a short length limit, hence a short temp directory)."""
+    import shutil
+    import tempfile
+
+    from repro.service.daemon import ServeConfig, ServeDaemon
+
+    tmp = Path(tempfile.mkdtemp(prefix="repro-parity-", dir="/tmp"))
+    d = ServeDaemon(ServeConfig(
+        socket_path=str(tmp / "s.sock"),
+        cache_dir=str(tmp / "cache"),
+        jobs=2,
+        quiet=True,
+    ))
+    d.start()
+    yield d
+    d.stop()
+    shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _experiment_sweep(name):
+    if name == "fig10":
+        from repro.experiments import fig10
+
+        return fig10.sweep(scale=8)
+    if name == "fig11":
+        from repro.experiments import fig11
+
+        return fig11.sweep(runs=2, scale=16)
+    if name == "table1":
+        from repro.experiments import table1
+
+        return table1.sweep()
+    from repro.experiments import robustness
+
+    return robustness.sweep(scale=8, kinds=("drift",), severities=(0.5,))
+
+
+class TestExperimentBackendParity:
+    """Whole experiment sweeps: every backend's rows equal serial's."""
+
+    @pytest.mark.parametrize(
+        "experiment", ("fig10", "fig11", "table1", "robustness")
+    )
+    @pytest.mark.parametrize("backend", (*BACKEND_NAMES, "remote"))
+    def test_tables_byte_identical(
+        self, experiment, backend, daemon, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        reference = run_sweep(_experiment_sweep(experiment), backend="serial")
+        if backend == "remote":
+            from repro.runner import RemoteBackend
+
+            exec_backend = RemoteBackend(
+                jobs=2, socket_path=str(daemon.socket_path)
+            )
+        else:
+            exec_backend = create_backend(backend, jobs=2)
+        with exec_backend:
+            result = run_sweep(
+                _experiment_sweep(experiment), backend=exec_backend
+            )
+        assert json.dumps(result.rows) == json.dumps(reference.rows)

@@ -522,183 +522,3 @@ class TestFallbackDataIntegrity:
         a, b, c0 = make_product_instance(shape, seed=3)
         run_fast(Recorder(), platform, shape, data=(a, b, c0.copy()))
         assert seen["data"] is None
-
-
-# ---------------------------------------------------------------------------
-# Batched evaluation (repro.engine.batch): byte-identical to engine="fast"
-# ---------------------------------------------------------------------------
-
-from repro.engine import BatchItem, BatchTrace, run_batch  # noqa: E402
-from repro.platform import perturbed, scaled_bandwidth  # noqa: E402
-
-
-def _jittered_platforms(base, n, seed, sigma=0.01):
-    rng = np.random.default_rng(seed)
-    return [perturbed(base, rng, sigma) for _ in range(n)]
-
-
-def assert_batch_matches_fast(items, results=None, context=""):
-    """Every run_batch result equals the scalar fast run of its item."""
-    if results is None:
-        results = run_batch(items)
-    assert len(results) == len(items)
-    for i, (item, got) in enumerate(zip(items, results)):
-        want = run_scheduler(
-            item.scheduler(), item.platform, item.shape,
-            two_port=item.two_port, check_memory=item.check_memory,
-            engine="fast", scenario=item.scenario,
-        )
-        assert got.comms == want.comms, f"{context} item {i}: comms differ"
-        assert got.computes == want.computes, f"{context} item {i}: computes"
-        assert got.memory_peak == want.memory_peak, f"{context} item {i}"
-    return results
-
-
-class TestBatchedEngineParity:
-    """run_batch groups by decision structure and must stay byte-exact."""
-
-    def test_jittered_groups_all_schedulers(self):
-        """Each scheduler over a group of nearby jittered platforms:
-        most rows vectorize; all rows match the scalar fast engine."""
-        base = Platform.heterogeneous(
-            [0.4, 0.7, 0.5, 0.6], [0.3, 0.2, 0.4, 0.35], [21, 35, 30, 60]
-        )
-        shape = ProblemShape(r=6, s=6, t=4, q=2)
-        for k, cls in enumerate(ALL_SEVEN):
-            items = [
-                BatchItem(scheduler=cls, platform=plat, shape=shape)
-                for plat in _jittered_platforms(base, 6, seed=100 + k)
-            ]
-            results = assert_batch_matches_fast(items, context=cls.name)
-            assert any(isinstance(r, BatchTrace) for r in results), (
-                f"{cls.name}: nothing vectorized — grouping is broken"
-            )
-
-    def test_bandwidth_scaled_group_fully_vectorizes(self):
-        """Uniform nearby bandwidth scalings keep scheduler decisions
-        identical, so the whole group must ride the vectorized path."""
-        base = Platform.homogeneous(4, c=0.5, w=0.3, m=35)
-        shape = ProblemShape(r=6, s=6, t=4, q=2)
-        items = [
-            BatchItem(
-                scheduler=HoLM,
-                platform=scaled_bandwidth(base, 1.0 + 0.002 * i),
-                shape=shape,
-            )
-            for i in range(8)
-        ]
-        results = assert_batch_matches_fast(items, context="bandwidth")
-        assert all(isinstance(r, BatchTrace) for r in results)
-
-    def test_mixed_structure_group_falls_back_per_item(self):
-        """Items with different platforms/shapes/schedulers in one call:
-        grouping separates them and every result still matches."""
-        shape_a = ProblemShape(r=5, s=5, t=3, q=2)
-        shape_b = ProblemShape(r=4, s=6, t=4, q=2)
-        items = [
-            BatchItem(HoLM, Platform.homogeneous(3, c=1.0, w=0.5, m=21), shape_a),
-            BatchItem(BMM, Platform.homogeneous(2, c=0.7, w=0.4, m=35), shape_b),
-            BatchItem(HoLM, Platform.homogeneous(3, c=1.0, w=0.5, m=21), shape_a),
-            BatchItem(
-                ODDOML, Platform.heterogeneous([0.3, 0.6], [0.2, 0.3], [21, 30]),
-                shape_b,
-            ),
-        ]
-        assert_batch_matches_fast(items, context="mixed")
-
-    def test_single_item_group_returns_scalar_trace(self):
-        """Below min_group the scalar fast engine runs; the result is a
-        plain Trace, not a BatchTrace."""
-        items = [
-            BatchItem(
-                HoLM, Platform.homogeneous(2, c=1.0, w=0.5, m=21),
-                ProblemShape(r=4, s=4, t=3, q=2),
-            )
-        ]
-        (result,) = assert_batch_matches_fast(items, context="single")
-        assert not isinstance(result, BatchTrace)
-
-    def test_two_port_groups(self):
-        base = Platform.heterogeneous([0.4, 0.6, 0.5], [0.3, 0.2, 0.35], [21, 30, 35])
-        shape = ProblemShape(r=5, s=6, t=4, q=2)
-        items = [
-            BatchItem(ORROML, plat, shape, two_port=True)
-            for plat in _jittered_platforms(base, 5, seed=7)
-        ]
-        assert_batch_matches_fast(items, context="two_port")
-
-    def test_memory_gate_error_propagates_per_item(self):
-        """A memory-capped group aborts vectorization and re-runs scalar,
-        so each item raises (or survives) exactly like engine="fast"."""
-        shape = ProblemShape(r=4, s=4, t=2, q=2)
-
-        class Oversized(HoLM):
-            def launch(self, engine):
-                from repro.engine import tile_chunks
-
-                engine.env.process(
-                    engine.static_agent(0, tile_chunks(shape, 4), 2)
-                )
-
-            name = "Oversized"
-
-        items = [
-            BatchItem(Oversized, Platform.homogeneous(1, c=c, w=1.0, m=10), shape)
-            for c in (1.0, 1.001)
-        ]
-        with pytest.raises(RuntimeError, match="memory exceeded"):
-            run_batch(items)
-
-    def test_batch_trace_summarizes_like_trace(self):
-        """BatchTrace feeds summarize_trace / metrics identically."""
-        from repro.analysis.metrics import summarize_trace
-
-        base = Platform.homogeneous(3, c=0.5, w=0.3, m=35)
-        shape = ProblemShape(r=6, s=6, t=4, q=2)
-        items = [
-            BatchItem(ODDOML, scaled_bandwidth(base, 1.0 + 0.002 * i), shape)
-            for i in range(4)
-        ]
-        results = run_batch(items)
-        assert all(isinstance(r, BatchTrace) for r in results)
-        for item, got in zip(items, results):
-            want = run_scheduler(item.scheduler(), item.platform, item.shape)
-            assert summarize_trace(got) == summarize_trace(want)
-            assert got.to_trace().comms == want.comms
-
-
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-
-class TestBatchedParityProperty:
-    """Hypothesis: random point groups — batched == scalar fast.
-
-    ``sigma=0`` exercises identical replicas (maximal grouping and
-    maximal ties), small sigmas the vectorized same-order path, larger
-    sigmas the divergence detector and scalar fallback.
-    """
-
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(
-        seed=st.integers(0, 2**20),
-        n_points=st.integers(2, 5),
-        p=st.integers(1, 4),
-        sigma=st.sampled_from([0.0, 0.005, 0.05]),
-        scheduler_cls=st.sampled_from(ALL_SEVEN),
-        r=st.integers(1, 6),
-        s=st.integers(1, 6),
-        t=st.integers(1, 5),
-        two_port=st.booleans(),
-    )
-    def test_random_groups_match_scalar_fast(
-        self, seed, n_points, p, sigma, scheduler_cls, r, s, t, two_port
-    ):
-        base = random_platform(random.Random(seed), p)
-        shape = ProblemShape(r=r, s=s, t=t, q=2)
-        items = [
-            BatchItem(scheduler_cls, plat, shape, two_port=two_port)
-            for plat in _jittered_platforms(base, n_points, seed, sigma)
-        ]
-        assert_batch_matches_fast(
-            items, context=f"seed={seed} {scheduler_cls.name}"
-        )

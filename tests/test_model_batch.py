@@ -2,17 +2,12 @@
 
 The batched model engine (:mod:`repro.engine.model_batch`) groups sweep
 points by structural signature and replays the scalar estimator's
-3-event recurrence as numpy rows.  Its contract is stronger than the
-fast batch engine's byte-parity on traces: every
+3-event recurrence as numpy rows.  Its contract: every
 :class:`~repro.engine.model.ModelEstimate` field — makespan, port
 clocks, per-worker busy times, counted quantities, memory peaks — must
 be **float-bitwise identical** to scalar :func:`~repro.engine.run_model`
 on every point, because downstream consumers (the validated error
-envelope, prescreen scores, cache keys) tolerate zero drift.
-
-Also covered here: the sweep-runner interchangeability property — a
-cache warmed by the batched model path serves a scalar run entirely
-from cache and vice versa (same keys, same bytes).
+envelope, capacity-planning shortlists) tolerate zero drift.
 """
 
 from __future__ import annotations
@@ -23,11 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocks import ProblemShape
-from repro.engine import BatchItem, run_model, run_model_batch, run_scheduler
+from repro.engine import BatchItem, run_model, run_model_batch
 from repro.engine.model import ModelEngineUnsupported
 from repro.platform import Platform, perturbed, scaled_bandwidth
 from repro.platform.model import Worker
-from repro.runner import ResultCache, Sweep, run_sweep
 from repro.schedulers import SECTION8_SCHEDULERS, section8_scheduler
 ALGOS = tuple(SECTION8_SCHEDULERS)
 
@@ -204,104 +198,3 @@ class TestBitwiseEquality:
             for i in range(n)
         ]
         _assert_batch_matches_scalar(items)
-
-
-# ---------------------------------------------------------------------------
-# Sweep-runner interchangeability: batched-path keys == scalar-path keys
-# ---------------------------------------------------------------------------
-
-
-def _model_point(params):
-    """Pure model-engine point function (importable, cacheable)."""
-    plat = scaled_bandwidth(
-        Platform.homogeneous(params["p"], c=1.0, w=0.5, m=24),
-        params["factor"],
-    )
-    shape = ProblemShape(r=10, s=12, t=30)
-    trace = run_scheduler(
-        section8_scheduler(params["algorithm"]), plat, shape, engine="model"
-    )
-    return {"factor": params["factor"], "makespan": trace.makespan}
-
-
-def _model_batch_fn(points):
-    """Batched twin of :func:`_model_point` via the engine batch layer."""
-    from repro.experiments.batching import evaluate_batch
-
-    def item(params):
-        return BatchItem(
-            scheduler=(lambda: section8_scheduler(params["algorithm"])),
-            platform=scaled_bandwidth(
-                Platform.homogeneous(params["p"], c=1.0, w=0.5, m=24),
-                params["factor"],
-            ),
-            shape=ProblemShape(r=10, s=12, t=30),
-            engine=params.get("engine", "model"),
-        )
-
-    def row(params, trace):
-        return {"factor": params["factor"], "makespan": trace.makespan}
-
-    return evaluate_batch(points, item, row)
-
-
-def _model_sweep(n=12):
-    return Sweep(
-        name="modelgrid",
-        run_fn=_model_point,
-        points=tuple(
-            {"algorithm": "OBMM", "p": 8, "factor": 1.0 + 0.0002 * i,
-             "engine": "model"}
-            for i in range(n)
-        ),
-        batch_fn=_model_batch_fn,
-    )
-
-
-class TestCacheKeyInterchangeability:
-    def test_batched_cold_scalar_warm(self, tmp_path):
-        """A batch-resolved cache serves a scalar run entirely warm."""
-        cache = ResultCache(tmp_path)
-        cold = run_sweep(_model_sweep(), cache=cache, code="v", batch=True)
-        assert cold.misses == len(cold.outcomes)
-        assert all(o.batch for o in cold.outcomes)
-        warm = run_sweep(
-            _model_sweep(), cache=cache, code="v", batch=False, resume=True
-        )
-        assert warm.hits == len(warm.outcomes) and warm.misses == 0
-        assert warm.rows == cold.rows
-
-    def test_scalar_cold_batched_warm(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cold = run_sweep(_model_sweep(), cache=cache, code="v", batch=False)
-        assert not any(o.batch for o in cold.outcomes)
-        warm = run_sweep(
-            _model_sweep(), cache=cache, code="v", batch=True, resume=True
-        )
-        assert warm.hits == len(warm.outcomes) and warm.misses == 0
-        assert warm.rows == cold.rows
-
-    def test_batched_and_scalar_keys_identical(self, tmp_path):
-        a = run_sweep(
-            _model_sweep(), cache=ResultCache(tmp_path / "a"),
-            code="v", batch=True,
-        )
-        b = run_sweep(
-            _model_sweep(), cache=ResultCache(tmp_path / "b"),
-            code="v", batch=False,
-        )
-        assert [o.key for o in a.outcomes] == [o.key for o in b.outcomes]
-        assert a.rows == b.rows
-
-    def test_batch_groups_and_shards_reported(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = run_sweep(_model_sweep(), cache=cache, code="v", batch=True)
-        assert result.batch_groups >= 1
-        keys = {o.key for o in result.outcomes}
-        assert result.shards == len({k[:2] for k in keys})
-        scalar = run_sweep(
-            _model_sweep(), cache=ResultCache(tmp_path / "s"),
-            code="v", batch=False,
-        )
-        assert scalar.batch_groups == 0
-        assert scalar.shards == result.shards  # same keys either way

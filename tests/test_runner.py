@@ -432,10 +432,11 @@ class TestCodeVersionFreshness:
         assert _calls(counter) == 4  # invalidated by the edit
 
 
-def _seed_flat(cache, sweep, key, value):
-    """Plant a pre-sharding flat-layout entry (no journal record) —
-    the shape of a cache directory written before the sharded layout."""
-    path = cache.flat_path_for(sweep, key)
+def _seed_unindexed(cache, sweep, key, value):
+    """Plant an entry file with no journal record — the shape of a
+    cache directory written before manifests existed, or one whose
+    journal was lost."""
+    path = cache.path_for(sweep, key)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({
         "format": 1, "key": key, "sweep": sweep, "params": {},
@@ -445,13 +446,10 @@ def _seed_flat(cache, sweep, key, value):
 
 
 def _journal_lines(cache, sweep):
-    """Every journal line of a sweep, across the legacy and shard layers."""
+    """Every journal line of a sweep, shard by shard."""
     lines = []
-    paths = [cache.manifest_path(sweep)]
-    paths += sorted((cache.root / sweep).glob("*/MANIFEST.jsonl"))
-    for path in paths:
-        if path.exists():
-            lines.extend(path.read_text().splitlines())
+    for path in sorted((cache.root / sweep).glob("*/MANIFEST.jsonl")):
+        lines.extend(path.read_text().splitlines())
     return lines
 
 
@@ -489,35 +487,42 @@ class TestManifest:
         assert stats.bytes > 0
 
     def test_legacy_directory_is_rebuilt(self, tmp_path):
-        """A pre-manifest cache (flat entry files, no journal) is
-        indexed on first read — the entry files are the ground truth."""
+        """A pre-manifest cache (entry files, no journal) is indexed on
+        first read — the entry files are the ground truth."""
         cache = ResultCache(tmp_path)
-        _seed_flat(cache, "s", "k0", 0)
-        _seed_flat(cache, "s", "k1", 1)
+        _seed_unindexed(cache, "s", "k0", 0)
+        _seed_unindexed(cache, "s", "k1", 1)
         assert cache.stats().entries == 2
-        assert cache.manifest_path("s").exists()  # healed
+        assert cache.shard_manifest_path("s", "k0").exists()  # healed
+        assert cache.shard_manifest_path("s", "k1").exists()
 
     def test_put_into_legacy_directory_indexes_everything(self, tmp_path):
         cache = ResultCache(tmp_path)
-        _seed_flat(cache, "s", "k0", 0)
-        cache.put("s", "k1", {}, 1)  # sharded write next to flat legacy
-        assert sorted(cache.manifest("s")) == ["k0", "k1"]
+        _seed_unindexed(cache, "s", "k00", 0)
+        cache.put("s", "k01", {}, 1)  # same shard, no journal yet
+        assert sorted(cache.manifest("s")) == ["k00", "k01"]
         assert cache.stats().entries == 2
-        value, hit = cache.get("s", "k0")  # served from the flat layer
+        value, hit = cache.get("s", "k00")
         assert hit and value == 0
 
-    def test_sharded_rewrite_retires_flat_duplicate(self, tmp_path):
-        """A put of a key that also exists flat supersedes the flat copy
-        — one readable location per key, and the index agrees."""
+    def test_files_beside_the_shards_are_ignored_and_cleared(self, tmp_path):
+        """Entries a pre-sharding store left at ``<sweep>/<key>.json`` are
+        never served or indexed; ``clear`` removes them with the sweep."""
         cache = ResultCache(tmp_path)
-        _seed_flat(cache, "s", "k0", "old")
-        assert cache.manifest_keys("s") == {"k0"}  # indexes the flat copy
-        cache.put("s", "k0", {}, "new")
-        assert not cache.flat_path_for("s", "k0").exists()
-        value, hit = cache.get("s", "k0")
-        assert hit and value == "new"
+        cache.put("s", "k0", {}, "sharded")
+        leftover = tmp_path / "s" / "k1.json"
+        leftover.write_text(json.dumps({
+            "format": 1, "key": "k1", "sweep": "s", "params": {},
+            "created": 0.0, "result": "flat",
+        }))
+        (tmp_path / "s" / "MANIFEST.jsonl").write_text(
+            '{"op":"put","key":"k1","bytes":1}\n'
+        )
+        assert cache.get("s", "k1") == (None, False)
         assert cache.manifest_keys("s") == {"k0"}
         assert cache.stats().entries == 1
+        cache.clear()
+        assert not (tmp_path / "s").exists()
 
     def test_entries_shard_by_key_prefix(self, tmp_path):
         """Layout acceptance: entries land in ``<sweep>/<key[:2]>/`` with
@@ -536,7 +541,9 @@ class TestManifest:
         cache = ResultCache(tmp_path)
         for i in range(3):
             cache.put("s", f"k{i}", {"i": i}, i)
-        cache.manifest_path("s").write_text('{"op":"put","key":"k0"}\ntorn{')
+        cache.shard_manifest_path("s", "k0").write_text(
+            '{"op":"put","key":"k0"}\ntorn{'
+        )
         assert cache.stats().entries == 3  # rebuilt from entry files
 
     def test_healed_entry_records_a_del(self, tmp_path):
@@ -570,14 +577,14 @@ class TestManifest:
     ):
         """A legacy directory on a read-only mount: the rebuild cannot
         persist, but stats/manifest must still derive correct numbers
-        instead of crashing (the container runs as root, so this is
+        instead of crashing (root bypasses permission bits, so this is
         simulated by failing the temp-file creation)."""
         import repro.runner.cache as cache_mod
 
         cache = ResultCache(tmp_path)
-        _seed_flat(cache, "s", "k0", 0)  # legacy flat layer, no index
+        _seed_unindexed(cache, "s", "k0", 0)  # pre-manifest shard
         cache.put("s", "k1", {}, 1)
-        cache.shard_manifest_path("s", "k1").unlink()  # torn shard index
+        cache.shard_manifest_path("s", "k1").unlink()  # lost shard index
 
         def no_write(*a, **k):
             raise OSError("read-only file system")
@@ -586,7 +593,7 @@ class TestManifest:
         stats = cache.stats()
         assert stats.entries == 2 and stats.sweeps == ("s",)
         assert sorted(cache.manifest_keys("s")) == ["k0", "k1"]
-        assert not cache.manifest_path("s").exists()  # nothing persisted
+        assert not cache.shard_manifest_path("s", "k0").exists()
         assert not cache.shard_manifest_path("s", "k1").exists()
 
     def test_put_survives_unwritable_manifest(self, tmp_path, monkeypatch):
@@ -594,7 +601,7 @@ class TestManifest:
         must not fail the put, and the index self-heals later."""
         cache = ResultCache(tmp_path)
 
-        def no_append(self, sweep, record, prefix=None):
+        def no_append(self, sweep, record, prefix):
             raise OSError("append refused")
 
         monkeypatch.setattr(ResultCache, "_append_manifest", no_append)
@@ -764,7 +771,7 @@ class TestBulkIO:
             return original(self, path, lines, fsync)
 
         monkeypatch.setattr(ResultCache, "_append_lines", counting)
-        cache.put_many("s", self.ENTRIES, batch=True)
+        cache.put_many("s", self.ENTRIES)
         # 5 entries across 2 shards: exactly 2 journal writes, fsynced.
         assert sorted(appends) == [
             ("MANIFEST.jsonl", "ab", True),
@@ -773,11 +780,6 @@ class TestBulkIO:
         assert sorted(cache.manifest_keys("s")) == sorted(
             k for k, _, _ in self.ENTRIES
         )
-
-    def test_put_many_stamps_batch_provenance(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put_many("s", self.ENTRIES, batch=True)
-        assert cache.stats().batch_entries == len(self.ENTRIES)
 
     def test_get_many_returns_hits_only(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -812,114 +814,96 @@ class TestBulkIO:
         assert cache.stats().entries == first.entries + 1
 
 
-def _flatten_to_legacy(cache, sweep):
-    """Rewrite a sharded sweep directory into the pre-sharding flat
-    layout (entries at the top level, one legacy MANIFEST.jsonl) —
-    the shape ``cache migrate`` exists to consume."""
-    root = cache.root / sweep
-    lines = []
-    for manifest in sorted(root.glob("*/MANIFEST.jsonl")):
-        lines.append(manifest.read_text())
-        manifest.unlink()
-    for entry in sorted(root.glob("*/*.json")):
-        os.replace(entry, root / entry.name)
-    for shard in [c for c in root.iterdir() if c.is_dir()]:
-        shard.rmdir()
-    (root / "MANIFEST.jsonl").write_text("".join(lines))
+def _raw_process_point(params):
+    """A point whose scheduler registers a raw kernel process, which
+    only the DES can run."""
+    from repro.blocks import ProblemShape
+    from repro.engine import run_scheduler
+    from repro.platform import Platform
+    from repro.schedulers import HoLM
+
+    class RawProcess(HoLM):
+        def launch(self, engine):
+            def agent():
+                yield
+
+            engine.env.process(agent(), name="raw")
+
+    trace = run_scheduler(
+        RawProcess(), Platform.homogeneous(2, c=1.0, w=1.0, m=200),
+        ProblemShape(r=4, s=4, t=2, q=2), engine=params.get("engine", "fast"),
+    )
+    return {"makespan_s": trace.makespan}
 
 
-class TestMigrate:
-    """cache migrate: flat legacy sweeps move wholesale into shards."""
+class TestPrescreen:
+    """prescreen_sweep: model-rank every point, keep the best few."""
 
-    def _legacy(self, tmp_path, n=5):
-        cache = ResultCache(tmp_path)
-        for i in range(n):
-            cache.put("s", f"{i:02d}beef", {"i": i}, i)
-        _flatten_to_legacy(cache, "s")
-        return ResultCache(tmp_path)  # fresh handle: no stale memos
+    @staticmethod
+    def _model_scores(sweep):
+        return [
+            sweep.run_fn({**params, "engine": "model"})["makespan_s"]
+            for params in sweep.points
+        ]
 
-    def test_migrate_moves_entries_and_retires_manifest(self, tmp_path):
-        cache = self._legacy(tmp_path)
-        before = cache.manifest("s")
-        assert cache.migrate("s") == {"s": 5}
-        assert not list((tmp_path / "s").glob("*.json"))  # no flat entries
-        assert not cache.manifest_path("s").exists()  # legacy journal gone
-        fresh = ResultCache(tmp_path)
-        assert fresh.manifest("s") == before
-        for i in range(5):
-            value, hit = fresh.get("s", f"{i:02d}beef")
-            assert hit and value == i
-            assert fresh.path_for("s", f"{i:02d}beef").is_file()
+    @pytest.mark.parametrize("keep, kept", [(3, 3), (0.25, 6)])
+    def test_keeps_the_best_by_count_or_fraction(self, keep, kept):
+        from repro.runner import prescreen_sweep
 
-    def test_migrate_is_idempotent(self, tmp_path):
-        cache = self._legacy(tmp_path)
-        assert cache.migrate("s") == {"s": 5}
-        assert ResultCache(tmp_path).migrate("s") == {}  # nothing flat left
-        assert len(ResultCache(tmp_path).manifest("s")) == 5
-
-    def test_migrate_preserves_quarantine_and_batch_stamps(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("s", "aa0001", {"i": 1}, 1, batch=True)
-        cache.put("s", "bb0002", {"i": 2}, 2)
-        cache.quarantine("s", "cc0003", {"i": 3}, "permanent failure")
-        _flatten_to_legacy(cache, "s")
-        cache = ResultCache(tmp_path)
-        assert cache.migrate("s") == {"s": 2}  # quarantine re-homes, moves 0
-        fresh = ResultCache(tmp_path)
-        assert set(fresh.quarantined("s")) == {"cc0003"}
-        stats = fresh.stats()
-        assert stats.entries == 2 and stats.quarantined == 1
-        assert stats.batch_entries == 1  # provenance stamp survived
-
-    def test_migrate_tolerates_sharded_rewrite_of_same_key(self, tmp_path):
-        """A crashed migration followed by new writes: the sharded copy
-        wins, the stale flat duplicate is dropped, not resurrected."""
-        cache = self._legacy(tmp_path)
-        cache = ResultCache(tmp_path)
-        cache.put("s", "00beef", {"i": 0}, "newer")  # shards + retires flat
-        _seed_flat(cache, "s", "00beef", "stale")  # simulate the crash relic
-        ResultCache(tmp_path).migrate("s")
-        value, hit = ResultCache(tmp_path).get("s", "00beef")
-        assert hit and value == "newer"
-
-    def test_quarantine_then_migrate_then_resume(self, tmp_path):
-        """The ISSUE regression: a legacy flat sweep with quarantine
-        records is migrated, and a --resume run still skips the
-        quarantined point and recomputes nothing."""
-        from repro.runner import RetryPolicy
-
-        sweep = _counting_sweep(tmp_path)
-        bad = dict(sweep.points[2])
-        bad["boom"] = True
-        points = (*sweep.points[:2], bad, *sweep.points[3:])
-        sweep = Sweep(name=sweep.name, run_fn=_flaky_point, points=points)
-        cache = ResultCache(tmp_path / "cache")
-        first = run_sweep(
-            sweep, cache=cache, code="v", on_error="keep",
-            retry=RetryPolicy(retries=1, backoff=0.0),
+        sweep = fig10.sweep(scale=8)
+        scores = self._model_scores(sweep)
+        best = sorted(range(len(scores)), key=lambda i: (scores[i], i))[:kept]
+        result = prescreen_sweep(sweep, keep=keep)
+        assert result.kept == kept
+        assert result.dropped == len(sweep.points) - kept
+        assert [sp.score for sp in result.scored] == sorted(scores)
+        assert result.sweep.points == tuple(
+            sweep.points[i] for i in sorted(best)
         )
-        assert first.errors == 1
-        assert len(cache.quarantined(sweep.name)) == 1
-        calls = _calls(tmp_path / "calls.txt")
 
-        _flatten_to_legacy(cache, sweep.name)
-        legacy = ResultCache(tmp_path / "cache")
-        assert len(legacy.quarantined(sweep.name)) == 1  # readable flat
-        assert legacy.migrate(sweep.name) == {sweep.name: 3}
+    def test_kept_points_are_the_original_mappings(self):
+        from repro.runner import prescreen_sweep
 
-        resumed = run_sweep(
-            sweep, cache=ResultCache(tmp_path / "cache"), code="v",
-            resume=True, on_error="keep",
+        sweep = fig10.sweep(scale=8)
+        keys = {point_key("fig10", p, "k") for p in sweep.points}
+        result = prescreen_sweep(sweep, keep=5)
+        for params in result.sweep.points:
+            assert any(params is original for original in sweep.points)
+            assert "engine" not in params or params["engine"] == "fast"
+            assert point_key("fig10", params, "k") in keys
+
+    def test_sweep_that_cannot_run_under_the_model_raises(self):
+        from repro.runner import PrescreenUnsupported, prescreen_sweep
+
+        sweep = Sweep(
+            name="raw", run_fn=_raw_process_point,
+            points=({"x": 0}, {"x": 1}),
         )
-        assert resumed.hits == 3 and resumed.quarantined == 1
-        assert resumed.misses == 0
-        assert _calls(tmp_path / "calls.txt") == calls  # nothing recomputed
+        with pytest.raises(PrescreenUnsupported, match="engine='model'"):
+            prescreen_sweep(sweep, keep=1)
+
+    def test_cli_prescreen_prints_the_kept_rows(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.__main__ import main as cli_main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["sweep", "fig10", "--scale", "8", "--prescreen", "3"]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        table = out.split("Figure 10:", 1)[1].split("\n\n", 1)[0]
+        lines = table.strip().splitlines()
+        assert lines[1].startswith("workload") and set(lines[2]) <= {"-", " "}
+        assert len(lines[3:]) == 3
+        assert "fig10: 0 cached, 3 computed" in out
 
 
-def _flaky_point(params):
-    """Counting point that fails permanently when stamped ``boom``."""
-    with open(params["counter"], "a") as fh:
-        fh.write("x")
-    if params.get("boom"):
-        raise RuntimeError("permanent failure")
-    return {"x": params["x"], "square": params["x"] ** 2}
+class TestSweepShards:
+    def test_shards_count_the_shard_directories_written(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        result = run_sweep(_counting_sweep(tmp_path, n=8), cache=cache, code="v")
+        assert result.shards == len({o.key[:2] for o in result.outcomes})
+        assert result.shards == len(cache._shard_dirs("counting"))
+        again = run_sweep(_counting_sweep(tmp_path, n=8), cache=cache, code="v")
+        assert again.shards == 0  # nothing fresh was written
+        assert run_sweep(_counting_sweep(tmp_path, n=8)).shards == 0
