@@ -1,18 +1,19 @@
-"""Cache at scale: 100k entries, sharded layout, O(shards) index reads.
+"""Cache at scale: 100k entries, one segment per shard, O(segments) reads.
 
 The sharded cache exists so that million-point sweeps don't drown in
-filesystem metadata: entry files fan out under ``<sweep>/<key[:2]>/``
-(256 shard directories at most), each shard keeps its own journal, and
-index reads fold only the shards a query touches.  This module fills a
-sweep with 100k entries through the bulk ``put_many`` path and asserts
-the acceptance surface:
+filesystem metadata: records land in one append-only segment per key
+prefix, ``<sweep>/<key[:2]>.jsonl`` (256 segments at most), and reads
+fold only the segments a query touches.  This module fills a sweep with
+100k entries through the bulk ``put_many`` path and asserts the
+acceptance surface:
 
-* the directory fan-out stays bounded (<= 256 shard dirs, ~400
-  entries/shard at 100k — no directory ever holds the whole sweep);
-* ``stats()`` (the ``cache info`` read path) answers from the shard
-  journals in a bounded wall-clock budget, without opening entry files;
-* a warm re-read answers from the fold memo — no journal re-reads;
-* resume semantics survive scale: deleting K entry files and re-running
+* the fan-out stays bounded (<= 256 segment files, ~400 records per
+  segment at 100k — no file or directory holds the whole sweep);
+* ``stats()`` (the ``cache info`` read path) folds the segments in a
+  bounded wall-clock budget;
+* a warm re-read answers from the fold memo — no segment re-reads;
+* ``get_many`` serves a resume wave from the same folds;
+* resume semantics survive scale: removing K put records and re-running
   recomputes exactly those K points, nothing else.
 
 The wall-clock budget is deliberately loose (CI runners are noisy);
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import time
 
-from repro.runner import ResultCache, Sweep, point_key, run_sweep
+from repro.runner import ResultCache, Sweep, jsonl_log, point_key, run_sweep
 
 #: Entry count for the scale smoke.  100k is the ISSUE's acceptance
 #: number: big enough that a flat directory or an O(entries) info read
@@ -32,7 +33,7 @@ from repro.runner import ResultCache, Sweep, point_key, run_sweep
 N_ENTRIES = 100_000
 
 #: Wall-clock budget for one cold ``stats()`` over the full store.
-#: Locally this reads ~256 shard journals in well under a second; the
+#: Locally this folds ~256 segments in well under a second; the
 #: budget allows a contended CI runner an order of magnitude of slack.
 INFO_BUDGET_S = 10.0
 
@@ -59,15 +60,17 @@ def test_cache_scale_100k(tmp_path, benchmark):
     keys = _fill(cache)
     fill_s = time.perf_counter() - t0
 
-    # Bounded fan-out: 2-hex-char shards cap the directory count at 256
-    # and spread 100k entries to ~400 per directory.
-    shard_dirs = [p for p in (tmp_path / "scale").iterdir() if p.is_dir()]
-    assert 0 < len(shard_dirs) <= 256
-    per_shard = [len(list(d.glob("*.json"))) for d in shard_dirs]
+    # Bounded fan-out: 2-hex-char shards cap the segment count at 256
+    # and spread 100k entries to ~400 records per segment; the sweep
+    # directory holds the segments and nothing else.
+    segments = list((tmp_path / "scale").iterdir())
+    assert 0 < len(segments) <= 256
+    assert all(p.name.endswith(".jsonl") and len(p.name) == 8 for p in segments)
+    per_shard = [len(jsonl_log.read(p)) for p in segments]
     assert sum(per_shard) == N_ENTRIES
-    assert max(per_shard) < 4 * (N_ENTRIES // len(shard_dirs))
+    assert max(per_shard) < 4 * (N_ENTRIES // len(segments))
 
-    # Cold info read: O(shards-touched) journal folds, no entry files.
+    # Cold info read: O(segments) folds.
     fresh = ResultCache(tmp_path)
     stats = benchmark.pedantic(
         fresh.stats, rounds=1, iterations=1, warmup_rounds=0
@@ -76,7 +79,7 @@ def test_cache_scale_100k(tmp_path, benchmark):
     fresh.stats()
     warm_s = time.perf_counter() - t0
     assert stats.entries == N_ENTRIES
-    assert dict(stats.shards_per_sweep)["scale"] == len(shard_dirs)
+    assert dict(stats.shards_per_sweep)["scale"] == len(segments)
     cold_s = benchmark.stats.stats.min
     assert cold_s < INFO_BUDGET_S, (
         f"cold stats() took {cold_s:.2f}s over {N_ENTRIES} entries "
@@ -92,15 +95,16 @@ def test_cache_scale_100k(tmp_path, benchmark):
     sample = keys[:: max(1, N_ENTRIES // 500)]
     hits = fresh.get_many("scale", sample)
     assert len(hits) == len(sample)
+    assert all(hits[key]["v"] == 3 * hits[key]["i"] for key in sample)
 
     benchmark.extra_info["fill_s"] = fill_s
     benchmark.extra_info["entries_per_s"] = N_ENTRIES / fill_s
-    benchmark.extra_info["shard_dirs"] = len(shard_dirs)
+    benchmark.extra_info["segments"] = len(segments)
     benchmark.extra_info["warm_stats_s"] = warm_s
     print(
         f"\ncache scale: {N_ENTRIES:,} entries in {fill_s:.1f}s "
         f"({N_ENTRIES / fill_s:,.0f} entries/s) across "
-        f"{len(shard_dirs)} shards; cold stats {cold_s * 1e3:.0f} ms, "
+        f"{len(segments)} segments; cold stats {cold_s * 1e3:.0f} ms, "
         f"warm {warm_s * 1e6:.0f} us"
     )
 
@@ -110,7 +114,7 @@ def _cheap_point(params: dict) -> dict:
 
 
 def test_resume_recomputes_exactly_deleted(tmp_path):
-    """Resume at (reduced) scale: drop K entry files from a completed
+    """Resume at (reduced) scale: drop K put records from a completed
     sweep and a resumed run recomputes exactly those K points."""
     n, k = 2_000, 7
     sweep = Sweep(
@@ -124,7 +128,11 @@ def test_resume_recomputes_exactly_deleted(tmp_path):
 
     victims = [o.key for o in cold.outcomes[:: n // k]][:k]
     for key in victims:
-        cache.path_for(sweep.name, key).unlink()
+        segment = tmp_path / sweep.name / f"{key[:2]}.jsonl"
+        assert jsonl_log.rewrite(segment, [
+            line for line, record in jsonl_log.read(segment)
+            if record["key"] != key
+        ])
 
     resumed = run_sweep(
         sweep, cache=ResultCache(tmp_path), code="bench", resume=True

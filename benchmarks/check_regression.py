@@ -44,7 +44,7 @@ GATES = {
     "test_fig10_point_throughput": "min",
     "test_model_batch_point_throughput": "min",
     # sharded cache (bench_cache_scale.py): the single recorded round
-    # is the cold stats() fold over 100k entries / 256 shard journals.
+    # is the cold stats() fold over 100k entries / 256 segments.
     "test_cache_scale_100k": "min",
     # runner backends (bench_runner.py).  The warm-campaign, retry-
     # overhead and serve-budget gates time themselves in-test (no

@@ -17,9 +17,8 @@ Usage::
     python -m repro sweep fig10 --retries 2 --max-failures 5  # + breaker
     python -m repro sweep fig10 --chaos "fail=0.2,seed=7" --retries 2
     python -m repro sweep fig10 --resume --retry-quarantined
-    python -m repro cache info        # cache location, entries, size (O(1))
-    python -m repro cache rebuild     # re-derive manifests from entry files
-    python -m repro cache compact     # fold dead manifest history away
+    python -m repro cache info        # cache location, entries, size
+    python -m repro cache compact     # fold dead segment history away
     python -m repro cache clear       # drop every cached result
     python -m repro serve --jobs 4    # the long-lived sweep daemon
     python -m repro serve --status    # ask a running daemon for its state
@@ -30,7 +29,7 @@ Usage::
 ``--backend`` (``serial`` inline, ``process`` fresh pool per sweep,
 ``persistent`` warm workers shared by every sweep of the invocation)
 over ``--jobs`` workers, and results are memoized in a
-manifest-indexed content-addressed on-disk cache, so a repeated
+log-structured content-addressed on-disk cache, so a repeated
 invocation completes without re-running any simulation and a killed
 one picks up where it stopped (``--resume``).  Aggregated tables are
 identical across every backend and the plain serial path.
@@ -40,7 +39,7 @@ The fault-tolerance layer (``docs/runner.md``) rides on top:
 ``--timeout`` bounds each point's wall clock inside the worker,
 ``--max-failures`` trips a circuit breaker that aborts the sweep with
 a structured failure report, points that exhaust their retry budget
-are quarantined in the cache manifest (skipped by later ``--resume``
+are quarantined in the cache (skipped by later ``--resume``
 runs unless ``--retry-quarantined``), and ``--chaos`` wraps the
 backend in the deterministic fault injector to rehearse all of it.
 
@@ -82,8 +81,8 @@ def _print_experiment_list() -> None:
         "             [--retries N] [--timeout S] [--max-failures M]\n"
         "             [--chaos SPEC] [--retry-quarantined]\n"
         "             run NAME's campaign through the parallel cached runner\n"
-        "  cache [info|rebuild|compact|clear] [--cache-dir D]\n"
-        "             inspect, re-index, compact or empty the result cache\n"
+        "  cache [info|compact|clear] [--cache-dir D]\n"
+        "             inspect, compact or empty the result cache\n"
         "  serve [--socket P] [--jobs N] [--cache-dir D] [--lease S]\n"
         "        [--ping | --status | --stop [--no-drain]]\n"
         "             run (or query) the crash-safe sweep service daemon"
@@ -125,8 +124,8 @@ def _cmd_sweep(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--resume", action="store_true",
-        help="skip points already listed in the sweep's cache manifest "
-             "(one O(1) index read) and compute only the missing/failed "
+        help="skip points the sweep's cache already holds (one read "
+             "per cache segment) and compute only the missing/failed "
              "rest — finishing a previously killed run without re-doing "
              "its completed points; requires the cache",
     )
@@ -174,7 +173,7 @@ def _cmd_sweep(argv: list[str]) -> int:
         help="re-attempt each failed point up to N extra times with "
              "exponential, deterministically jittered backoff; points "
              "that fail every attempt are quarantined in the cache "
-             "manifest so later --resume runs skip them",
+             "so later --resume runs skip them",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
@@ -436,10 +435,10 @@ def _cmd_sweep(argv: list[str]) -> int:
         return 1
     except (KeyboardInterrupt, _Terminated) as exc:
         # Tear the workers down *now* — terminate, not close: close
-        # would first drain everything already queued.  Entry files are
-        # written atomically and manifest appends are whole lines, so
-        # the cache is consistent mid-kill and --resume completes the
-        # campaign from exactly the points that never resolved.
+        # would first drain everything already queued.  Each result is
+        # one whole-record append, so the cache is consistent mid-kill
+        # and --resume completes the campaign from exactly the points
+        # that never resolved.
         print(
             "sweep interrupted: terminating workers; rerun with --resume "
             "to finish",
@@ -481,7 +480,7 @@ def _cmd_cache(argv: list[str]) -> int:
     )
     parser.add_argument(
         "action", nargs="?", default="info",
-        choices=("info", "clear", "rebuild", "compact"),
+        choices=("info", "clear", "compact"),
     )
     parser.add_argument("--cache-dir", default=None, metavar="DIR")
     try:
@@ -494,21 +493,13 @@ def _cmd_cache(argv: list[str]) -> int:
         removed = cache.clear()
         print(f"removed {removed} cached results from {cache.root}")
         return 0
-    if args.action == "rebuild":
-        total = 0
-        if cache.root.is_dir():
-            for child in sorted(cache.root.iterdir()):
-                if child.is_dir():
-                    total += len(cache.rebuild_manifest(child.name))
-        print(f"rebuilt manifests for {total} entries in {cache.root}")
-        return 0
     if args.action == "compact":
         dropped = 0
         if cache.root.is_dir():
             for child in sorted(cache.root.iterdir()):
                 if child.is_dir():
                     dropped += cache.compact(child.name)
-        print(f"compacted manifests: {dropped} dead record(s) dropped")
+        print(f"compacted segments: {dropped} dead record(s) dropped")
         from repro.service.journal import ServiceJournal
 
         journal = ServiceJournal(cache.root)

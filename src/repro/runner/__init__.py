@@ -1,5 +1,5 @@
 """Unified sweep runner: declarative experiments, pluggable execution
-backends, a manifest-indexed result store.
+backends, a log-structured result store.
 
 The experiment modules declare their work as :class:`Sweep`\\ s (points +
 a pure per-point function) grouped into :class:`Campaign`\\ s;
@@ -7,8 +7,8 @@ a pure per-point function) grouped into :class:`Campaign`\\ s;
 interchangeable :class:`~repro.runner.backends.ExecutionBackend`
 (``serial`` inline, ``process`` fresh pool, ``persistent`` warm
 workers) with results memoized in a content-addressed on-disk
-:class:`ResultCache` whose per-sweep manifests make ``cache info`` and
-``--resume`` O(1) index reads.  ``python -m repro sweep <name>`` is the
+:class:`ResultCache` of append-only per-shard segments that are both
+its index and its data.  ``python -m repro sweep <name>`` is the
 CLI front-end; ``benchmarks/conftest.py`` reuses the same cache through
 :func:`cached_call`.  A :class:`RetryPolicy` adds the fault-tolerance
 layer — bounded retries with deterministic backoff, per-point

@@ -28,7 +28,12 @@ directly so the pool can *survive its own workers dying*:
   requeued to the survivors, so an external kill costs only the points
   of the forfeited batches.  A batch that kills its worker repeatedly
   (:data:`MAX_BATCH_REQUEUES` exceeded) comes back as errored results
-  instead of crash-looping the pool.
+  instead of crash-looping the pool.  Each worker sends its results
+  down a private pipe, written from its main thread with no lock: a
+  worker killed mid-send tears only its own channel (the parent reads
+  EOF and heals) and never blocks the survivors — a result queue
+  shared by all workers would stay locked forever by a worker killed
+  while writing.
 * **timeouts** — a per-point wall-clock ``timeout`` (see
   :meth:`PersistentBackend.map`) is enforced *inside* each worker via
   ``SIGALRM`` (:func:`repro.runner.backends.base.run_one`), so a hung
@@ -45,6 +50,7 @@ from __future__ import annotations
 import importlib
 import os
 import queue as queue_mod
+from multiprocessing.connection import wait as wait_readable
 from typing import (
     Any,
     Callable,
@@ -152,13 +158,14 @@ def _run_batch(
     return out
 
 
-def _worker_main(inq, outq, resolve_probe) -> None:
+def _worker_main(inq, results, resolve_probe) -> None:
     """Worker process loop: serve batches until the ``None`` sentinel.
 
     The blocking ``get`` is bounded so the worker can notice it has
     been orphaned: a parent that is SIGKILLed never sends the sentinel,
     and a worker blocked forever on a dead queue leaks one process per
-    crash.  Reparenting (``getppid`` changes) is the exit signal.
+    crash.  Reparenting (``getppid`` changes) or a closed ``results``
+    pipe is the exit signal.
     """
     _init_worker(resolve_probe)
     parent = os.getppid()
@@ -173,7 +180,10 @@ def _worker_main(inq, outq, resolve_probe) -> None:
         if task is None:
             break
         gen, batch_id, token, batch, options = task
-        outq.put((gen, batch_id, _run_batch(token, batch, options)))
+        try:
+            results.send((gen, batch_id, _run_batch(token, batch, options)))
+        except OSError:
+            break  # the parent closed its end: nobody is listening
 
 
 def _token_for(fn: PointFn) -> Optional[Token]:
@@ -208,22 +218,35 @@ class _Batch:
 
 
 class _Worker:
-    """One managed worker process plus its private task queue."""
+    """One managed worker process plus its private task queue and
+    result pipe."""
 
-    __slots__ = ("process", "inq", "in_flight")
+    __slots__ = ("process", "inq", "results", "in_flight", "broken")
 
-    def __init__(self, ctx, outq, resolve_probe):
+    def __init__(self, ctx, resolve_probe):
         self.inq = ctx.Queue()
         self.in_flight: List[_Batch] = []
+        #: Set when the result pipe hit EOF or a torn message.
+        self.broken = False
+        self.results, sender = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(self.inq, outq, resolve_probe),
+            args=(self.inq, sender, resolve_probe),
             daemon=True,
         )
         self.process.start()
+        # Only the worker may hold the write end, so its death is EOF.
+        sender.close()
 
     def alive(self) -> bool:
-        return self.process.is_alive()
+        return not self.broken and self.process.is_alive()
+
+    def discard(self) -> None:
+        """Reap the process and drop its channels."""
+        if self.process.is_alive():
+            self.process.kill()  # broken pipe, live process: no use
+        self.process.join()
+        self.results.close()
 
 
 @register
@@ -246,7 +269,6 @@ class PersistentBackend:
         self._resolve_probe = resolve_probe
         self._ctx = pool_context()
         self._workers: List[_Worker] = []
-        self._outq = None
         self._gen = 0  # map-call generation; stale results are discarded
         #: Workers respawned after unexpected deaths (observability/tests).
         self.respawns = 0
@@ -254,12 +276,8 @@ class PersistentBackend:
     # -- pool lifecycle -------------------------------------------------
 
     def _ensure_workers(self) -> None:
-        if self._outq is None:
-            self._outq = self._ctx.Queue()
         while len(self._workers) < self.jobs:
-            self._workers.append(
-                _Worker(self._ctx, self._outq, self._resolve_probe)
-            )
+            self._workers.append(_Worker(self._ctx, self._resolve_probe))
 
     def warm(self) -> None:
         """Spawn the pool now instead of lazily at the first ``map``.
@@ -310,10 +328,9 @@ class PersistentBackend:
         self._drop_queues()
 
     def _drop_queues(self) -> None:
+        for worker in self._workers:
+            worker.results.close()
         self._workers = []
-        if self._outq is not None:
-            self._outq.close()
-            self._outq = None
 
     def __enter__(self) -> "PersistentBackend":
         return self
@@ -354,11 +371,9 @@ class PersistentBackend:
         for idx, worker in enumerate(self._workers):
             if worker.alive():
                 continue
-            worker.process.join()  # reap
+            worker.discard()
             orphans, worker.in_flight = worker.in_flight, []
-            self._workers[idx] = _Worker(
-                self._ctx, self._outq, self._resolve_probe
-            )
+            self._workers[idx] = _Worker(self._ctx, self._resolve_probe)
             self.respawns += 1
             for batch in orphans:
                 if batch.id in done:
@@ -416,29 +431,37 @@ class PersistentBackend:
                 while pending and len(worker.in_flight) < 2:
                     self._dispatch(worker, pending.pop(0), token, options)
 
-        def reap(batch_id: int) -> None:
+        def receive() -> bool:
+            """Read every result pipe that is ready; ``False`` when a
+            worker's pipe broke or none spoke within the poll interval
+            (time to check liveness)."""
+            ready = wait_readable(
+                [worker.results for worker in self._workers], _POLL_S
+            )
+            healthy = bool(ready)
             for worker in self._workers:
-                for batch in worker.in_flight:
-                    if batch.id == batch_id:
-                        worker.in_flight.remove(batch)
-                        return
+                if worker.results not in ready:
+                    continue
+                try:
+                    rgen, batch_id, results = worker.results.recv()
+                except (EOFError, OSError):
+                    worker.broken = True  # died, maybe mid-message
+                    healthy = False
+                    continue
+                if rgen != gen or batch_id in done:
+                    continue  # stale generation or post-requeue duplicate
+                done[batch_id] = results
+                worker.in_flight = [
+                    b for b in worker.in_flight if b.id != batch_id
+                ]
+            return healthy
 
         try:
             fill_workers()
             while next_out < total_batches:
                 while next_out not in done:
-                    try:
-                        rgen, batch_id, results = self._outq.get(
-                            timeout=_POLL_S
-                        )
-                    except queue_mod.Empty:
+                    if not receive():
                         self._heal(pending, done)
-                        fill_workers()
-                        continue
-                    if rgen != gen or batch_id in done:
-                        continue  # stale generation or post-requeue duplicate
-                    done[batch_id] = results
-                    reap(batch_id)
                     fill_workers()
                 for value, seconds, error in done.pop(next_out):
                     delivered += 1  # before the yield: a close() while

@@ -88,7 +88,7 @@ class RetryPolicy:
     The default-constructed policy is **inert**: no retries, no
     timeout, no breaker — and, by design, byte-invisible (an inert
     policy makes :func:`run_sweep` issue exactly the same backend
-    calls, cache keys, and manifest records as a build without the
+    calls, cache keys, and cache records as a build without the
     retry layer at all).
 
     Attributes:
@@ -353,7 +353,7 @@ class PointOutcome:
 class SweepResult:
     """Everything :func:`run_sweep` learned about one sweep.
 
-    ``shards`` counts the distinct cache shard directories the run's
+    ``shards`` counts the distinct cache segments the run's
     fresh results landed in (0 when running cache-less); it feeds the
     CLI's ``[S shards]`` summary suffix.
     """
@@ -492,11 +492,11 @@ def run_sweep(
             campaign path: pass one instance to keep persistent workers
             warm across sweeps), or ``None``/``"auto"`` for the historic
             default (inline when ``jobs <= 1``, fresh pool otherwise).
-        resume: consult the sweep's cache manifest (one O(1) index
-            read) for which points already exist instead of probing
-            every entry file; points missing from the index — the tail
-            a killed run never wrote, or failed points, which are never
-            cached — are recomputed, everything else is loaded.
+        resume: fold the sweep's cache segments once for which points
+            already exist instead of looking every point up; points
+            missing from the store — the tail a killed run never
+            wrote, or failed points, which are never cached — are
+            recomputed, everything else is loaded.
             Requires ``cache``.
         on_error: ``"raise"`` (default) re-raises the first failing
             point as :class:`SweepPointError`; ``"keep"`` records the
@@ -519,7 +519,7 @@ def run_sweep(
     matter which points were cached or which backend ran the rest, so
     the aggregated rows are identical across all execution modes.
     Retries change neither: a point that succeeds on attempt ``k``
-    produces the same value, cache key, and manifest record as one
+    produces the same value, cache key, and cache record as one
     that succeeds on attempt 0, and results still stream in
     declaration order (a retried point simply resolves late, after a
     ``status="retry"`` progress event per failed attempt).
@@ -558,9 +558,8 @@ def run_sweep(
             )
             continue
         if cache and (known is None or keys[idx] in known):
-            # A manifest listing is a hint, not a promise: get() still
-            # validates the entry file and reports a stale index entry
-            # (deleted/corrupted file) as a miss to recompute.
+            # A listing read before this point's get() may be stale (a
+            # compaction or another writer since), so get() decides.
             value, hit = cache.get(sweep.name, keys[idx])
             if hit:
                 resolved[idx] = PointOutcome(params, keys[idx], value, True, 0.0)

@@ -1,8 +1,8 @@
 """The daemon's journaled request log.
 
 An append-only JSONL file in the cache directory (``<cache-root>/
-SERVICE.jsonl`` — a *file* in the root, so the per-sweep manifest
-machinery never mistakes it for a sweep namespace) recording every
+SERVICE.jsonl`` — a *file* in the root, so the cache never mistakes
+it for a sweep namespace) recording every
 request the daemon accepted and every batch it leased or completed::
 
     {"op": "request",  "token": t, "sweep": s, "total": N, "created": T}
@@ -12,10 +12,12 @@ request the daemon accepted and every batch it leased or completed::
     {"op": "abort",    "token": t, "reason": "..."}
 
 The fold is last-op-wins per token (``done``/``abort`` close a
-request) and per ``(token, batch)`` (``complete`` clears a ``lease``),
-with the same torn-line salvage rule as ``MANIFEST.jsonl``: an
-unparsable line (the append a ``kill -9`` tore in half) is skipped,
-never trusted, and costs at most its own record.
+request) and per ``(token, batch)`` (``complete`` clears a ``lease``).
+Appending, torn-line salvage and compaction follow the rules of
+:mod:`repro.runner.jsonl_log`, the same log primitive the result
+cache's segments use: an unparsable line (the append a ``kill -9``
+tore in half) is skipped, never trusted, and costs at most its own
+record — the records appended after it survive.
 
 What the journal buys after a crash: a restarted daemon folds it,
 reports every request that was still open — whose *leased but
@@ -27,21 +29,20 @@ already in the result cache before its ``complete`` record was
 written).  The journal then compacts itself (write-new → atomic
 rename) so dead history never accumulates across restarts.
 
-Appends are single ``O_APPEND`` writes of one line, safe under the
-daemon's scheduler/connection threads, and deliberately not fsynced:
-the crash model is process death (``kill -9``), which loses nothing
-already handed to the page cache.
+Appends are single ``O_APPEND`` writes, safe under the daemon's
+scheduler/connection threads, and deliberately not fsynced: the crash
+model is process death (``kill -9``), which loses nothing already
+handed to the page cache.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Tuple
+
+from repro.runner import jsonl_log
 
 __all__ = ["JOURNAL_NAME", "RequestState", "ServiceJournal"]
 
@@ -71,17 +72,11 @@ class ServiceJournal:
     # -- writes ---------------------------------------------------------
 
     def append(self, record: Mapping[str, Any]) -> None:
-        """One journal line, one atomic ``O_APPEND`` write; best-effort
-        (a read-only cache directory loses the record, never the
-        daemon)."""
-        line = json.dumps(record, separators=(",", ":")) + "\n"
+        """One journal record, one atomic ``O_APPEND`` write;
+        best-effort (a read-only cache directory loses the record,
+        never the daemon)."""
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, line.encode())
-            finally:
-                os.close(fd)
+            jsonl_log.append(self.path, [jsonl_log.encode(record)])
         except OSError:
             pass
 
@@ -111,18 +106,15 @@ class ServiceJournal:
     def fold(self) -> Dict[str, RequestState]:
         """Token → folded state; torn/unparsable lines are skipped."""
         try:
-            text = self.path.read_text()
+            records = jsonl_log.read(self.path)
         except OSError:
             return {}
         states: Dict[str, RequestState] = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
+        for _, record in records:
             try:
-                record = json.loads(line)
                 op, token = record["op"], record["token"]
-            except (ValueError, KeyError, TypeError):
-                continue  # salvage what parses, skip the torn line
+            except KeyError:
+                continue
             state = states.setdefault(token, RequestState(token=token))
             if op == "request":
                 state.sweep = record.get("sweep", "?")
@@ -164,47 +156,29 @@ class ServiceJournal:
         """Drop closed requests' history; returns records removed.
 
         Open requests keep their full record set (request + outstanding
-        leases); ``done``/``aborted`` requests vanish entirely.  Write-
-        new-then-atomic-rename, same crash-safety as manifest
-        compaction.
+        leases); ``done``/``aborted`` requests vanish entirely, and so
+        do torn lines.  Write-new-then-atomic-rename
+        (:func:`jsonl_log.rewrite`).
         """
-        states = self.fold()
         try:
-            before = sum(
-                1 for line in self.path.read_text().splitlines() if line.strip()
-            )
+            before = len(jsonl_log.read(self.path))
         except OSError:
             return 0
         lines = []
-        for token, state in states.items():
+        for token, state in self.fold().items():
             if state.status != "open":
                 continue
-            lines.append(json.dumps(
+            lines.append(jsonl_log.encode(
                 {"op": "request", "token": token, "sweep": state.sweep,
-                 "total": state.total, "created": time.time()},
-                separators=(",", ":"),
+                 "total": state.total, "created": time.time()}
             ))
             for batch, indices in sorted(state.leased.items()):
-                lines.append(json.dumps(
+                lines.append(jsonl_log.encode(
                     {"op": "lease", "token": token, "batch": batch,
-                     "indices": indices, "expires": 0.0},
-                    separators=(",", ":"),
+                     "indices": indices, "expires": 0.0}
                 ))
-        text = "".join(line + "\n" for line in lines)
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
-        except OSError:
+        if not jsonl_log.rewrite(self.path, lines):
             return 0
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, self.path)
-        except OSError:
-            Path(tmp).unlink(missing_ok=True)
-            return 0
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
         return before - len(lines)
 
     def summary(self) -> Dict[str, Any]:

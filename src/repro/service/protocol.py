@@ -4,7 +4,7 @@ One frame = a 4-byte big-endian unsigned length followed by that many
 bytes of UTF-8 JSON.  Both sides exchange whole frames only, so a torn
 read (peer died mid-frame) is always detectable as a :class:`FrameError`
 rather than a half-parsed message — the same never-trust-a-torn-line
-discipline the cache manifests follow on disk.
+discipline the cache segments follow on disk.
 
 The JSON dialect is Python's (``NaN`` tokens allowed), matching the
 cache entries the daemon writes; values round-trip byte-identically

@@ -46,6 +46,17 @@ class TestExitCodes:
         assert cli_main(["cache", "explode", "--cache-dir", str(tmp_path)]) == 2
 
 
+def _put_records(root, sweep):
+    """Every put record in ``sweep``'s segments."""
+    records = [
+        json.loads(line)
+        for segment in sorted((root / sweep).glob("*.jsonl"))
+        for line in segment.read_text().splitlines()
+        if line.strip()
+    ]
+    return [record for record in records if record["op"] == "put"]
+
+
 class TestBackendPlumbing:
     @pytest.mark.parametrize("backend", ["serial", "process", "persistent"])
     def test_backend_runs_and_stamps(self, backend, tmp_path, capsys):
@@ -53,23 +64,20 @@ class TestBackendPlumbing:
         assert cli_main(argv) == 0
         assert "maxreuse: 0 cached, 1 computed" in capsys.readouterr().out
         # The explicit backend is stamped into the cached entry's params.
-        [entry] = [
-            p for p in (tmp_path / "maxreuse").glob("*/*.json")
-        ]
-        params = json.loads(entry.read_text())["params"]
-        assert params["backend"] == backend
+        [record] = _put_records(tmp_path, "maxreuse")
+        assert record["params"]["backend"] == backend
 
     def test_backends_keep_separate_cache_namespaces(self, tmp_path, capsys):
         for backend in ("serial", "process"):
             assert cli_main(_sweep_argv(tmp_path, "--backend", backend)) == 0
         capsys.readouterr()
-        assert len(list((tmp_path / "maxreuse").glob("*/*.json"))) == 2
+        assert len(ResultCache(tmp_path).manifest_keys("maxreuse")) == 2
 
     def test_auto_backend_leaves_points_unstamped(self, tmp_path, capsys):
         assert cli_main(_sweep_argv(tmp_path)) == 0
         capsys.readouterr()
-        [entry] = list((tmp_path / "maxreuse").glob("*/*.json"))
-        assert "backend" not in json.loads(entry.read_text())["params"]
+        [record] = _put_records(tmp_path, "maxreuse")
+        assert "backend" not in record["params"]
 
     def test_warm_rerun_is_fully_cached(self, tmp_path, capsys):
         argv = _sweep_argv(tmp_path, "--backend", "persistent")
@@ -81,15 +89,19 @@ class TestBackendPlumbing:
 
 class TestResume:
     def test_resume_recomputes_only_missing(self, tmp_path, capsys):
-        """Simulate a killed run: drop one entry file (the manifest still
-        lists it) and ``--resume`` must recompute exactly that point."""
+        """Simulate a killed run: drop one point's put record and
+        ``--resume`` must recompute exactly that point."""
         argv = ["sweep", "bounds", "--cache-dir", str(tmp_path), "--quiet"]
         assert cli_main(argv) == 0
         cold = capsys.readouterr().out
         cache = ResultCache(tmp_path)
         keys = sorted(cache.manifest_keys("bounds"))
         assert len(keys) >= 2
-        cache.path_for("bounds", keys[0]).unlink()
+        segment = tmp_path / "bounds" / f"{keys[0][:2]}.jsonl"
+        segment.write_text("".join(
+            line + "\n" for line in segment.read_text().splitlines()
+            if keys[0] not in line
+        ))
 
         assert cli_main([*argv, "--resume"]) == 0
         resumed = capsys.readouterr().out
@@ -116,27 +128,18 @@ class TestCacheCommand:
         assert "entries   : 1" in out and "sweeps    : s" in out
 
     def test_info_never_opens_entry_files(self, tmp_path, capsys, monkeypatch):
-        """Acceptance: ``cache info`` is an index read, not a glob."""
+        """Acceptance: ``cache info`` folds the segments and never looks
+        a result up."""
         cache = ResultCache(tmp_path)
         for i in range(5):
             cache.put("s", f"k{i}", {"i": i}, i)
 
         def forbidden(self, *a, **k):
-            raise AssertionError("cache info touched the entry files")
+            raise AssertionError("cache info looked a result up")
 
-        monkeypatch.setattr(ResultCache, "entries", forbidden)
-        monkeypatch.setattr(ResultCache, "rebuild_manifest", forbidden)
+        monkeypatch.setattr(ResultCache, "get", forbidden)
         assert cli_main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
         assert "entries   : 5" in capsys.readouterr().out
-
-    def test_rebuild_restores_corrupt_manifest(self, tmp_path, capsys):
-        cache = ResultCache(tmp_path)
-        for i in range(3):
-            cache.put("s", f"k{i}", {"i": i}, i)
-        cache.shard_manifest_path("s", "k0").write_text("torn{garbage\n")
-        assert cli_main(["cache", "rebuild", "--cache-dir", str(tmp_path)]) == 0
-        assert "rebuilt manifests for 3 entries" in capsys.readouterr().out
-        assert cache.stats().entries == 3
 
     def test_clear(self, tmp_path, capsys):
         ResultCache(tmp_path).put("s", "k", {}, 1)
@@ -150,8 +153,8 @@ class TestCacheCommand:
             cache.put("s", "k", {}, 1)  # nine dead records
         assert cli_main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 0
         assert "9 dead record(s) dropped" in capsys.readouterr().out
-        shard = cache.shard_manifest_path("s", "k_")  # 1-char key pads
-        assert len(shard.read_text().splitlines()) == 1
+        segment = tmp_path / "s" / "k_.jsonl"  # 1-char key pads
+        assert len(segment.read_text().splitlines()) == 1
         value, hit = cache.get("s", "k")
         assert hit and value == 1
 
@@ -186,7 +189,7 @@ class TestCacheEnvExport:
         assert cli_main(argv) == 0
         capsys.readouterr()
         assert (tmp_path / "bench").is_dir()  # baselines under --cache-dir
-        assert not list(ResultCache(default_store).entries())
+        assert ResultCache(default_store).stats().entries == 0
         assert os.environ["REPRO_CACHE_DIR"] == default_store  # restored
 
     def test_enabled_cache_overrides_inherited_kill_switch(
@@ -214,8 +217,8 @@ class TestCacheEnvExport:
         ]
         assert cli_main(argv) == 0
         capsys.readouterr()
-        assert not list(tmp_path.rglob("*.json"))
-        assert not list(ResultCache(default_store).entries())
+        assert not list(tmp_path.rglob("*.jsonl"))
+        assert ResultCache(default_store).stats().entries == 0
         assert "REPRO_CACHE_DISABLE" not in os.environ  # restored
 
 
@@ -311,8 +314,8 @@ class TestFaultToleranceFlags:
             line for line in out.splitlines() if " in " not in line
         ]
         assert strip(chaos_out) == strip(clean_out)
-        assert sorted(ResultCache(clean_dir).manifest("bounds")) == sorted(
-            ResultCache(chaos_dir).manifest("bounds")
+        assert ResultCache(clean_dir).manifest_keys("bounds") == (
+            ResultCache(chaos_dir).manifest_keys("bounds")
         )
 
     def test_permanent_chaos_trips_breaker_then_resume_skips(

@@ -8,6 +8,7 @@ the persistent pool), the byte-invisibility of the inert policy, and
 crash recovery of a sweep whose worker is killed externally mid-run.
 """
 
+import contextlib
 import json
 import os
 import signal
@@ -44,6 +45,28 @@ def _slow_point(params):
     return {"x": params["x"]}
 
 
+def _bulky_point(params):
+    """A result far larger than a pipe buffer: sending it blocks until
+    the parent reads."""
+    return {"x": params["x"], "pad": "y" * 512_000}
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail (instead of hanging the suite) when the body overruns."""
+
+    def overrun(signum, frame):
+        raise AssertionError(f"still running after {seconds}s: deadlock?")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _sweep(n=8, name="ft", fn=_square_point, **extra):
     return Sweep(
         name=name, run_fn=fn, points=tuple({"x": x, **extra} for x in range(n))
@@ -51,12 +74,14 @@ def _sweep(n=8, name="ft", fn=_square_point, **extra):
 
 
 def _entry_shapes(cache, sweep):
-    """Every entry file minus its write timestamp, for byte-identity."""
+    """Every stored record minus its write timestamp, for byte-identity."""
     out = {}
-    for path in sorted((cache.root / sweep).glob("*.json")):
-        entry = json.loads(path.read_text())
-        entry.pop("created")
-        out[path.name] = entry
+    for path in sorted((cache.root / sweep).glob("*.jsonl")):
+        for line in path.read_text().splitlines():
+            if line.strip():
+                record = json.loads(line)
+                record.pop("created")
+                out[record["key"]] = record
     return out
 
 
@@ -175,8 +200,8 @@ class TestByteInvisibility:
             assert _entry_shapes(chaos_cache, "ft") == _entry_shapes(
                 clean_cache, "ft"
             )
-            assert sorted(chaos_cache.manifest("ft")) == sorted(
-                clean_cache.manifest("ft")
+            assert chaos_cache.manifest_keys("ft") == (
+                clean_cache.manifest_keys("ft")
             )
 
     def test_crash_injection_heals_persistent_pool(self, tmp_path):
@@ -313,8 +338,8 @@ class TestQuarantine:
             assert record["op"] == "quarantine"
             assert "ChaosFault" in record["error"]
             assert "x" in record["params"]
-        # quarantined keys are not in the live index and have no file
-        assert not set(quarantined) & set(cache.manifest("ft"))
+        # quarantined keys are not in the live index: no result to serve
+        assert not set(quarantined) & cache.manifest_keys("ft")
         stats = cache.stats()
         assert stats.quarantined == len(quarantined)
         assert stats.per_sweep == (("ft", stats.entries, stats.quarantined),)
@@ -360,21 +385,27 @@ class TestQuarantine:
         assert result.misses == first.errors
         assert cache.quarantined("ft") == {}
         assert cache.stats().quarantined == 0
-        assert len(cache.manifest("ft")) == 8
+        assert len(cache.manifest_keys("ft")) == 8
 
-    def test_quarantine_survives_manifest_rebuild(self, tmp_path):
+    def test_torn_line_beside_quarantine_keeps_it(self, tmp_path):
+        """A torn line next to a quarantine record must not amnesty the
+        point: the resume still skips it."""
         cache = ResultCache(tmp_path)
-        self._fail_permanently(cache)
+        first = self._fail_permanently(cache)
         before = cache.quarantined("ft")
         assert before
-        # tear every journal holding a quarantine: append garbage,
-        # forcing a per-shard rebuild
         for key in before:
-            path = cache.shard_manifest_path("ft", key[:2])
+            path = tmp_path / "ft" / f"{key[:2]}.jsonl"
             with open(path, "a") as handle:
-                handle.write("{torn-line\n")
-        assert cache.quarantined("ft") == before  # salvaged, not amnestied
-        assert cache.manifest("ft")  # live index rebuilt too
+                handle.write('{"op":"put","key":"' + key + '","resu')
+        fresh = ResultCache(tmp_path)
+        assert fresh.quarantined("ft") == before
+        assert len(fresh.manifest_keys("ft")) == 8 - first.errors
+        result = run_sweep(
+            _sweep(), cache=fresh, code="v", resume=True, on_error="keep",
+            retry=RetryPolicy(retries=1, backoff=0.001),
+        )
+        assert result.quarantined == first.errors and result.misses == 0
 
     def test_breaker_leaves_quarantine_records(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -392,7 +423,7 @@ class TestCrashRecovery:
         clean = run_sweep(sweep, code="v")
         killed = []
 
-        with create_backend("persistent", jobs=2) as backend:
+        with _time_limit(60), create_backend("persistent", jobs=2) as backend:
             def assassin(event):
                 if not killed and event.index >= 1:
                     victims = backend.worker_pids()
@@ -411,11 +442,10 @@ class TestCrashRecovery:
         assert [o.value for o in result.outcomes] == [
             o.value for o in clean.outcomes
         ]
-        # manifest integrity: parsable, no torn lines, no duplicates
-        # (one journal per shard directory touched)
+        # segment integrity: parsable, no torn lines, no duplicates
         lines = [
             line
-            for path in sorted((tmp_path / "ft").glob("*/MANIFEST.jsonl"))
+            for path in sorted((tmp_path / "ft").glob("*.jsonl"))
             for line in path.read_text().splitlines()
         ]
         records = [json.loads(line) for line in lines if line.strip()]
@@ -424,6 +454,34 @@ class TestCrashRecovery:
         # resume recomputes nothing
         again = run_sweep(sweep, cache=cache, code="v", resume=True)
         assert again.hits == 16 and again.misses == 0
+
+    def test_worker_killed_mid_send_does_not_stall_survivors(self):
+        """A worker killed while writing a result must cost only its own
+        batch.  The parent pauses in the progress callback, so both
+        workers block mid-way through sending a result bigger than a
+        pipe buffer (or wait to send it); then both are killed.  Over a
+        result channel shared under a lock, one of them dies holding
+        the lock and the respawned workers can never report."""
+        sweep = _sweep(8, fn=_bulky_point)
+        clean = run_sweep(sweep, code="v")
+        killed = []
+
+        with _time_limit(60), create_backend("persistent", jobs=2) as backend:
+            def assassin(event):
+                if not killed:
+                    time.sleep(0.3)
+                    for victim in backend.worker_pids():
+                        os.kill(victim, signal.SIGKILL)
+                        killed.append(victim)
+
+            result = run_sweep(
+                sweep, code="v", backend=backend, progress=assassin
+            )
+            assert len(killed) == 2 and backend.respawns >= 2
+        assert result.errors == 0
+        assert [o.value for o in result.outcomes] == [
+            o.value for o in clean.outcomes
+        ]
 
 
 class TestHypothesisConvergence:

@@ -40,6 +40,21 @@ def _calls(counter: Path) -> int:
     return len(counter.read_text()) if counter.exists() else 0
 
 
+def _segment(root: Path, sweep: str, key: str) -> Path:
+    """The append-only segment holding ``key``'s records."""
+    return Path(root) / sweep / f"{key[:2]}.jsonl"
+
+
+def _tear_record(root: Path, sweep: str, key: str) -> None:
+    """Cut ``key``'s put record in half in place, the shape a writer
+    killed mid-append leaves behind."""
+    path = _segment(root, sweep, key)
+    lines = path.read_text().split("\n")
+    [idx] = [i for i, line in enumerate(lines) if f'"key":"{key}"' in line]
+    lines[idx] = lines[idx][: len(lines[idx]) // 2]
+    path.write_text("\n".join(lines))
+
+
 def _counting_sweep(tmp_path: Path, n: int = 4, name: str = "counting") -> Sweep:
     tmp_path.mkdir(parents=True, exist_ok=True)
     counter = tmp_path / "calls.txt"
@@ -106,20 +121,20 @@ class TestResultCache:
         assert not hit
 
     def test_corrupted_entry_is_healed(self, tmp_path):
+        """A torn record is a miss, never an exception; the next put of
+        the key is served again."""
         cache = ResultCache(tmp_path)
         cache.put("s", "k1", {}, {"ok": True})
-        path = cache.path_for("s", "k1")
-        path.write_text("{truncated garbage")
-        _, hit = cache.get("s", "k1")
-        assert not hit
-        assert not path.exists()  # healed: bad entry removed
+        _tear_record(tmp_path, "s", "k1")
+        assert cache.get("s", "k1") == (None, False)
+        cache.put("s", "k1", {}, {"ok": True})
+        assert cache.get("s", "k1") == ({"ok": True}, True)
 
     def test_key_mismatch_is_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("s", "k1", {}, {"ok": True})
-        entry = json.loads(cache.path_for("s", "k1").read_text())
-        entry["key"] = "tampered"
-        cache.path_for("s", "k1").write_text(json.dumps(entry))
+        path = _segment(tmp_path, "s", "k1")
+        path.write_text(path.read_text().replace('"k1"', '"k1tampered"'))
         _, hit = cache.get("s", "k1")
         assert not hit
 
@@ -194,8 +209,7 @@ class TestRunSweep:
         sweep = _counting_sweep(tmp_path)
         cache = ResultCache(tmp_path / "cache")
         cold = run_sweep(sweep, cache=cache)
-        victim = cache.path_for(sweep.name, cold.outcomes[2].key)
-        victim.write_text("not json at all")
+        _tear_record(cache.root, sweep.name, cold.outcomes[2].key)
         healed = run_sweep(sweep, cache=cache)
         assert healed.hits == 3 and healed.misses == 1
         assert healed.rows == cold.rows
@@ -367,7 +381,7 @@ class TestSweepCLI:
         ]
         assert cli_main(argv) == 0
         assert "cache disabled" in capsys.readouterr().out
-        assert not list(tmp_path.rglob("*.json"))
+        assert not list(tmp_path.rglob("*.jsonl"))
 
     def test_cache_info_and_clear(self, tmp_path, capsys):
         from repro.__main__ import main as cli_main
@@ -432,139 +446,118 @@ class TestCodeVersionFreshness:
         assert _calls(counter) == 4  # invalidated by the edit
 
 
-def _seed_unindexed(cache, sweep, key, value):
-    """Plant an entry file with no journal record — the shape of a
-    cache directory written before manifests existed, or one whose
-    journal was lost."""
-    path = cache.path_for(sweep, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({
-        "format": 1, "key": key, "sweep": sweep, "params": {},
-        "created": 0.0, "result": value,
-    }))
-    return path
-
-
-def _journal_lines(cache, sweep):
-    """Every journal line of a sweep, shard by shard."""
-    lines = []
-    for path in sorted((cache.root / sweep).glob("*/MANIFEST.jsonl")):
-        lines.extend(path.read_text().splitlines())
-    return lines
+def _records(cache, sweep):
+    """Every record of a sweep, segment by segment."""
+    return [
+        json.loads(line)
+        for path in sorted((cache.root / sweep).glob("*.jsonl"))
+        for line in path.read_text().splitlines()
+        if line.strip()
+    ]
 
 
 class TestManifest:
-    """The per-sweep append-only journal that indexes the cache."""
+    """The per-shard append-only segments: the cache's index and its
+    data at once."""
 
     def test_put_appends_and_stats_fold(self, tmp_path):
         cache = ResultCache(tmp_path)
         for i in range(3):
             cache.put("s", f"k{i}", {"i": i}, i)
-        manifest = cache.manifest("s")
-        assert sorted(manifest) == ["k0", "k1", "k2"]
-        for key, size in manifest.items():
-            assert size == cache.path_for("s", key).stat().st_size
+        assert cache.manifest_keys("s") == {"k0", "k1", "k2"}
+        assert [r["op"] for r in _records(cache, "s")] == ["put"] * 3
         stats = cache.stats()
         assert stats.entries == 3
-        assert stats.bytes == sum(manifest.values())
+        assert stats.bytes == sum(
+            path.stat().st_size for path in (tmp_path / "s").iterdir()
+        )
         assert stats.sweeps == ("s",)
 
     def test_stats_is_an_index_read(self, tmp_path, monkeypatch):
-        """Acceptance: stats() never globs or stats entry files once the
-        manifests exist — O(sweeps), not O(entries)."""
+        """Acceptance: stats() reads each segment once and parses no
+        result — O(segments), not O(entries)."""
+        from repro.runner import jsonl_log
+
         cache = ResultCache(tmp_path)
-        cache.put("s1", "k1", {"a": 1}, [1])
-        cache.put("s2", "k2", {"a": 2}, [2])
+        cache.put("s1", "ka1", {"a": 1}, [1])
+        cache.put("s1", "ka2", {"a": 2}, [2])
+        cache.put("s2", "ka2", {"a": 2}, [2])
+        reads = []
+        original = jsonl_log.read
+
+        def counting(path):
+            reads.append(path)
+            return original(path)
 
         def forbidden(self, *a, **k):
-            raise AssertionError("stats() touched the entry files")
+            raise AssertionError("stats() looked up a result")
 
-        monkeypatch.setattr(ResultCache, "entries", forbidden)
-        monkeypatch.setattr(ResultCache, "rebuild_manifest", forbidden)
+        monkeypatch.setattr(jsonl_log, "read", counting)
+        monkeypatch.setattr(ResultCache, "get", forbidden)
         stats = cache.stats()
-        assert stats.entries == 2
+        assert stats.entries == 3
         assert stats.sweeps == ("s1", "s2")
         assert stats.bytes > 0
-
-    def test_legacy_directory_is_rebuilt(self, tmp_path):
-        """A pre-manifest cache (entry files, no journal) is indexed on
-        first read — the entry files are the ground truth."""
-        cache = ResultCache(tmp_path)
-        _seed_unindexed(cache, "s", "k0", 0)
-        _seed_unindexed(cache, "s", "k1", 1)
-        assert cache.stats().entries == 2
-        assert cache.shard_manifest_path("s", "k0").exists()  # healed
-        assert cache.shard_manifest_path("s", "k1").exists()
-
-    def test_put_into_legacy_directory_indexes_everything(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        _seed_unindexed(cache, "s", "k00", 0)
-        cache.put("s", "k01", {}, 1)  # same shard, no journal yet
-        assert sorted(cache.manifest("s")) == ["k00", "k01"]
-        assert cache.stats().entries == 2
-        value, hit = cache.get("s", "k00")
-        assert hit and value == 0
+        assert len(reads) == 2  # one per segment: s1/ka, s2/ka
 
     def test_files_beside_the_shards_are_ignored_and_cleared(self, tmp_path):
-        """Entries a pre-sharding store left at ``<sweep>/<key>.json`` are
-        never served or indexed; ``clear`` removes them with the sweep."""
+        """What older layouts left under ``<sweep>/`` — flat entries, a
+        sweep-level manifest, ``<key[:2]>/`` entry directories — is never
+        served or indexed; ``clear`` removes it with the sweep."""
         cache = ResultCache(tmp_path)
-        cache.put("s", "k0", {}, "sharded")
-        leftover = tmp_path / "s" / "k1.json"
-        leftover.write_text(json.dumps({
+        cache.put("s", "k0", {}, "segment")
+        entry = json.dumps({
             "format": 1, "key": "k1", "sweep": "s", "params": {},
-            "created": 0.0, "result": "flat",
-        }))
+            "created": 0.0, "result": "old",
+        })
+        (tmp_path / "s" / "k1.json").write_text(entry)
         (tmp_path / "s" / "MANIFEST.jsonl").write_text(
+            '{"op":"put","key":"k1","bytes":1}\n'
+        )
+        (tmp_path / "s" / "k1").mkdir()
+        (tmp_path / "s" / "k1" / "k1.json").write_text(entry)
+        (tmp_path / "s" / "k1" / "MANIFEST.jsonl").write_text(
             '{"op":"put","key":"k1","bytes":1}\n'
         )
         assert cache.get("s", "k1") == (None, False)
         assert cache.manifest_keys("s") == {"k0"}
-        assert cache.stats().entries == 1
+        stats = cache.stats()
+        assert stats.entries == 1 and dict(stats.shards_per_sweep) == {"s": 1}
         cache.clear()
         assert not (tmp_path / "s").exists()
 
     def test_entries_shard_by_key_prefix(self, tmp_path):
-        """Layout acceptance: entries land in ``<sweep>/<key[:2]>/`` with
-        a per-shard journal, bounding every directory's fan-out."""
+        """Layout acceptance: records land in ``<sweep>/<key[:2]>.jsonl``
+        and the sweep directory holds nothing else, bounding its
+        fan-out at 256 segments."""
         cache = ResultCache(tmp_path)
         cache.put("s", "abcd", {}, 1)
         cache.put("s", "abxy", {}, 2)
         cache.put("s", "cdef", {}, 3)
-        assert cache.path_for("s", "abcd") == tmp_path / "s" / "ab" / "abcd.json"
-        assert (tmp_path / "s" / "ab" / "MANIFEST.jsonl").exists()
-        assert (tmp_path / "s" / "cd" / "MANIFEST.jsonl").exists()
-        assert sorted(cache.manifest("s")) == ["abcd", "abxy", "cdef"]
+        cache.quarantine("s", "cdzz", {}, "permanent")
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+            "ab.jsonl", "cd.jsonl",
+        ]
+        assert cache.manifest_keys("s") == {"abcd", "abxy", "cdef"}
         assert dict(cache.stats().shards_per_sweep) == {"s": 2}
-
-    def test_corrupt_manifest_is_rebuilt(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for i in range(3):
-            cache.put("s", f"k{i}", {"i": i}, i)
-        cache.shard_manifest_path("s", "k0").write_text(
-            '{"op":"put","key":"k0"}\ntorn{'
-        )
-        assert cache.stats().entries == 3  # rebuilt from entry files
-
-    def test_healed_entry_records_a_del(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("s", "k0", {}, 0)
-        cache.put("s", "k1", {}, 1)
-        cache.path_for("s", "k0").write_text("not json")
-        _, hit = cache.get("s", "k0")  # heals: unlinks + journals the del
-        assert not hit
-        assert sorted(cache.manifest_keys("s")) == ["k1"]
-        assert cache.stats().entries == 1
 
     def test_manifest_keys_tolerate_missing_sweep(self, tmp_path):
         assert ResultCache(tmp_path).manifest_keys("nope") == set()
 
     def test_concurrent_writers_share_one_journal(self, tmp_path):
-        """Two cache handles appending to the same sweep must both land."""
+        """Two cache handles appending to the same segment must both
+        land, and each sees the other's write on its next read."""
         a, b = ResultCache(tmp_path), ResultCache(tmp_path)
-        a.put("s", "ka", {}, 1)
-        b.put("s", "kb", {}, 2)
-        assert sorted(a.manifest_keys("s")) == ["ka", "kb"]
+        a.put("s", "ab01", {}, 1)
+        assert b.manifest_keys("s") == {"ab01"}  # b's memo now holds it
+        b.put("s", "ab02", {}, 2)
+        a.put("s", "ab03", {}, 3)
+        for cache in (a, b):
+            assert cache.manifest_keys("s") == {"ab01", "ab02", "ab03"}
+            assert cache.get_many("s", ["ab01", "ab02", "ab03"]) == {
+                "ab01": 1, "ab02": 2, "ab03": 3,
+            }
+        assert len(list((tmp_path / "s").iterdir())) == 1
 
     def test_clear_counts_do_not_stat(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -575,41 +568,35 @@ class TestManifest:
     def test_readonly_cache_still_serves_index_reads(
         self, tmp_path, monkeypatch
     ):
-        """A legacy directory on a read-only mount: the rebuild cannot
-        persist, but stats/manifest must still derive correct numbers
-        instead of crashing (root bypasses permission bits, so this is
-        simulated by failing the temp-file creation)."""
-        import repro.runner.cache as cache_mod
+        """On a read-only mount every read still answers and no write
+        touches a segment (root bypasses permission bits, so this is
+        simulated by refusing every open-for-write and temp file)."""
+        from repro.runner import jsonl_log
 
         cache = ResultCache(tmp_path)
-        _seed_unindexed(cache, "s", "k0", 0)  # pre-manifest shard
+        cache.put("s", "k0", {}, 0)
+        cache.put("s", "k0", {}, 0)  # one dead record for compact
         cache.put("s", "k1", {}, 1)
-        cache.shard_manifest_path("s", "k1").unlink()  # lost shard index
+        before = {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()}
 
-        def no_write(*a, **k):
+        def refuse(*a, **k):
             raise OSError("read-only file system")
 
-        monkeypatch.setattr(cache_mod.tempfile, "mkstemp", no_write)
-        stats = cache.stats()
+        monkeypatch.setattr(jsonl_log.os, "open", refuse)
+        monkeypatch.setattr(jsonl_log.tempfile, "mkstemp", refuse)
+        fresh = ResultCache(tmp_path)
+        stats = fresh.stats()
         assert stats.entries == 2 and stats.sweeps == ("s",)
-        assert sorted(cache.manifest_keys("s")) == ["k0", "k1"]
-        assert not cache.shard_manifest_path("s", "k0").exists()
-        assert not cache.shard_manifest_path("s", "k1").exists()
-
-    def test_put_survives_unwritable_manifest(self, tmp_path, monkeypatch):
-        """Entry files are the ground truth: a failing journal append
-        must not fail the put, and the index self-heals later."""
-        cache = ResultCache(tmp_path)
-
-        def no_append(self, sweep, record, prefix):
-            raise OSError("append refused")
-
-        monkeypatch.setattr(ResultCache, "_append_manifest", no_append)
-        cache.put("s", "k0", {}, {"ok": True})
-        value, hit = cache.get("s", "k0")
-        assert hit and value == {"ok": True}
+        assert fresh.manifest_keys("s") == {"k0", "k1"}
+        assert fresh.get("s", "k1") == (1, True)
+        with pytest.raises(OSError):
+            fresh.put("s", "k2", {}, 2)
+        fresh.quarantine("s", "k3", {}, "boom")  # best-effort, no raise
+        assert fresh.compact("s") == 0
         monkeypatch.undo()
-        assert cache.stats().entries == 1  # rebuilt from the entry file
+        assert {
+            p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()
+        } == before
 
 
 class TestResume:
@@ -641,13 +628,12 @@ class TestResume:
         assert json.dumps(resumed.rows) == json.dumps(full.rows)
 
     def test_resume_validates_stale_manifest_listings(self, tmp_path):
-        """A listed key whose entry file vanished is recomputed, not
-        trusted — the manifest is an index, never the data."""
+        """A key whose put record was torn is recomputed, not trusted:
+        a record is served only if it parses intact."""
         sweep = _counting_sweep(tmp_path)
         cache = ResultCache(tmp_path / "cache")
         cold = run_sweep(sweep, cache=cache, code="v1")
-        victim = cache.path_for(sweep.name, cold.outcomes[1].key)
-        victim.unlink()  # manifest still lists it
+        _tear_record(cache.root, sweep.name, cold.outcomes[1].key)
         resumed = run_sweep(sweep, cache=cache, code="v1", resume=True)
         assert resumed.hits == 3 and resumed.misses == 1
         assert json.dumps(resumed.rows) == json.dumps(cold.rows)
@@ -658,7 +644,8 @@ class TestResume:
 
 
 class TestManifestCompaction:
-    """Folding dead journal history away, crash-safely (ISSUE 8)."""
+    """Folding dead segment history away, crash-safely, and only when
+    asked to."""
 
     @staticmethod
     def _churn(cache, n_keys=2, rewrites=12):
@@ -669,12 +656,12 @@ class TestManifestCompaction:
     def test_compact_drops_dead_records_only(self, tmp_path):
         cache = ResultCache(tmp_path)
         self._churn(cache)
-        lines_before = _journal_lines(cache, "s")
+        records_before = _records(cache, "s")
         dropped = cache.compact("s")
-        assert dropped == len(lines_before) - 2
-        lines = _journal_lines(cache, "s")
-        assert len(lines) == 2  # exactly the fold: one put per live key
-        assert sorted(cache.manifest("s")) == ["k0", "k1"]
+        assert dropped == len(records_before) - 2
+        records = _records(cache, "s")
+        assert len(records) == 2  # exactly the fold: one put per live key
+        assert cache.manifest_keys("s") == {"k0", "k1"}
         for i in range(2):
             value, hit = cache.get("s", f"k{i}")
             assert hit and value == i
@@ -682,9 +669,9 @@ class TestManifestCompaction:
     def test_compact_noop_when_nothing_dead(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("s", "k0", {}, 0)
-        before = _journal_lines(cache, "s")
+        before = _records(cache, "s")
         assert cache.compact("s") == 0
-        assert _journal_lines(cache, "s") == before
+        assert _records(cache, "s") == before
 
     def test_compaction_preserves_quarantine_records(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -693,44 +680,49 @@ class TestManifestCompaction:
         assert cache.compact("s") > 0
         assert "bad" in cache.quarantined("s")
 
-    def test_manifest_read_auto_compacts_churned_journal(self, tmp_path):
-        """Opportunistic compaction: a plain index read rewrites a
-        journal whose dead history outnumbers its live entries."""
+    def test_index_reads_never_compact(self, tmp_path):
+        """The log is the data, so only an explicit compact rewrites it:
+        a read racing another writer must never drop a result."""
         cache = ResultCache(tmp_path)
         self._churn(cache)
-        assert len(_journal_lines(cache, "s")) > 2
-        assert sorted(cache.manifest("s")) == ["k0", "k1"]  # triggers it
-        assert len(_journal_lines(cache, "s")) == 2
+        before = {p: p.read_bytes() for p in (tmp_path / "s").iterdir()}
+        assert cache.manifest_keys("s") == {"k0", "k1"}
+        cache.quarantined("s")
+        cache.stats()
+        cache.get_many("s", ["k0", "k1"])
+        assert {p: p.read_bytes() for p in (tmp_path / "s").iterdir()} == before
 
     def test_small_journals_never_churn(self, tmp_path):
-        """The floor: a handful of dead records is not worth a rewrite."""
+        """A read leaves a segment with a dead record as it is."""
         cache = ResultCache(tmp_path)
         cache.put("s", "k0", {}, 0)
         cache.put("s", "k0", {}, 0)  # one dead record
-        lines = _journal_lines(cache, "s")
-        cache.manifest("s")
-        assert _journal_lines(cache, "s") == lines
+        records = _records(cache, "s")
+        cache.manifest_keys("s")
+        assert _records(cache, "s") == records
 
     def test_torn_compaction_leaves_manifest_intact(
         self, tmp_path, monkeypatch
     ):
         """Crash between writing the compacted temp file and the rename:
-        the old journal must survive untouched and no temp debris leak
-        into the fold."""
-        import repro.runner.cache as cache_mod
+        the old segment must survive byte for byte and no temp debris
+        leak into the sweep directory."""
+        from repro.runner import jsonl_log
 
         cache = ResultCache(tmp_path)
         self._churn(cache)
-        before = _journal_lines(cache, "s")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()}
 
         def torn_replace(src, dst):
             raise OSError("simulated crash before rename")
 
-        monkeypatch.setattr(cache_mod.os, "replace", torn_replace)
+        monkeypatch.setattr(jsonl_log.os, "replace", torn_replace)
         assert cache.compact("s") == 0  # best-effort: reports nothing done
         monkeypatch.undo()
-        assert _journal_lines(cache, "s") == before
-        assert not list((tmp_path / "s").rglob("*.tmp"))
+        # Both segments byte for byte, and no temp file left beside them.
+        assert {
+            p.name: p.read_bytes() for p in (tmp_path / "s").iterdir()
+        } == before
         assert cache.compact("s") > 0  # the retry completes the fold
         assert sorted(cache.manifest_keys("s")) == ["k0", "k1"]
 
@@ -752,9 +744,7 @@ class TestBulkIO:
         for key, params, value in self.ENTRIES:
             scalar.put("s", key, params, value)
         assert bulk.put_many("s", self.ENTRIES) == len(self.ENTRIES)
-        # Entry sizes can differ by a byte (timestamp width), so compare
-        # the indexed key sets, not the byte column.
-        assert sorted(scalar.manifest("s")) == sorted(bulk.manifest("s"))
+        assert scalar.manifest_keys("s") == bulk.manifest_keys("s")
         for key, _, value in self.ENTRIES:
             got, hit = bulk.get("s", key)
             assert hit and got == value
@@ -762,21 +752,20 @@ class TestBulkIO:
     def test_put_many_one_append_one_fsync_per_shard(
         self, tmp_path, monkeypatch
     ):
+        from repro.runner import jsonl_log
+
         cache = ResultCache(tmp_path)
         appends = []
-        original = ResultCache._append_lines
+        original = jsonl_log.append
 
-        def counting(self, path, lines, fsync=False):
-            appends.append((path.name, path.parent.name, fsync))
-            return original(self, path, lines, fsync)
+        def counting(path, lines, fsync=False):
+            appends.append((path.name, fsync))
+            return original(path, lines, fsync)
 
-        monkeypatch.setattr(ResultCache, "_append_lines", counting)
+        monkeypatch.setattr(jsonl_log, "append", counting)
         cache.put_many("s", self.ENTRIES)
-        # 5 entries across 2 shards: exactly 2 journal writes, fsynced.
-        assert sorted(appends) == [
-            ("MANIFEST.jsonl", "ab", True),
-            ("MANIFEST.jsonl", "cd", True),
-        ]
+        # 5 entries across 2 segments: exactly 2 writes, each fsynced.
+        assert sorted(appends) == [("ab.jsonl", True), ("cd.jsonl", True)]
         assert sorted(cache.manifest_keys("s")) == sorted(
             k for k, _, _ in self.ENTRIES
         )
@@ -789,24 +778,20 @@ class TestBulkIO:
         assert hits == {k: v for k, _, v in self.ENTRIES}
 
     def test_stats_fold_is_memoized_on_snapshot(self, tmp_path, monkeypatch):
-        """Repeated index reads of an unchanged journal cost one stat,
-        not a re-read+re-fold (the code_version() trick)."""
-        import repro.runner.cache as cache_mod
+        """Repeated reads of an unchanged segment cost one stat, not a
+        re-read+re-fold (the code_version() trick)."""
+        from repro.runner import jsonl_log
 
         cache = ResultCache(tmp_path)
         cache.put_many("s", self.ENTRIES)
         first = cache.stats()
 
-        reads = []
-        original = Path.read_text
+        def forbidden(path):
+            raise AssertionError(f"re-read unchanged segment {path}")
 
-        def counting(self, *a, **k):
-            reads.append(self.name)
-            return original(self, *a, **k)
-
-        monkeypatch.setattr(cache_mod.Path, "read_text", counting)
-        assert cache.stats() == first
-        assert "MANIFEST.jsonl" not in reads  # folds served from memo
+        monkeypatch.setattr(jsonl_log, "read", forbidden)
+        assert cache.stats() == first  # folds served from memo
+        assert cache.get("s", "ab0001") == (1, True)
         monkeypatch.undo()
 
         # Any write invalidates: the next read refolds and sees it.
@@ -903,7 +888,7 @@ class TestSweepShards:
         cache = ResultCache(tmp_path)
         result = run_sweep(_counting_sweep(tmp_path, n=8), cache=cache, code="v")
         assert result.shards == len({o.key[:2] for o in result.outcomes})
-        assert result.shards == len(cache._shard_dirs("counting"))
+        assert result.shards == len(list((tmp_path / "counting").iterdir()))
         again = run_sweep(_counting_sweep(tmp_path, n=8), cache=cache, code="v")
         assert again.shards == 0  # nothing fresh was written
         assert run_sweep(_counting_sweep(tmp_path, n=8)).shards == 0

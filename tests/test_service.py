@@ -189,6 +189,18 @@ class TestJournal:
         states = j.fold()
         assert set(states) == {"t1"}  # the torn record costs itself only
 
+    def test_record_appended_after_torn_tail_survives(self, tmp_path):
+        """A kill -9 mid-append leaves a line without its newline; the
+        next append must not be glued onto it and lost with it."""
+        j = ServiceJournal(tmp_path)
+        j.request("t", "s", 4)
+        j.lease("t", 0, [0, 1], expires=99.0)
+        with open(j.path, "a") as fh:
+            fh.write('{"op":"lease","token":"t","batch":1,"ind')
+        j.complete("t", 0)
+        state = j.fold()["t"]
+        assert state.leased == {} and state.completed == 1
+
     def test_recover_closes_open_requests_and_compacts(self, tmp_path):
         j = ServiceJournal(tmp_path)
         j.request("t1", "s", 8)

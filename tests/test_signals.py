@@ -2,7 +2,7 @@
 
 SIGINT and SIGTERM of a ``python -m repro sweep`` subprocess must tear
 the worker pool down (no orphaned processes), exit with the
-conventional 130/143 code, leave the sweep's cache manifest
+conventional 130/143 code, leave the sweep's cache segments
 well-formed, and let ``--resume`` finish the campaign with results
 byte-identical to an uninterrupted run.
 """
@@ -16,6 +16,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from repro.runner import ResultCache
 
 REPO = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
@@ -35,22 +37,35 @@ def _sweep_cmd(cache_dir, *extra):
     ]
 
 
+def journal_records(root):
+    """Every record of the segments under ``root``; each line must
+    parse (call only once the writer has exited)."""
+    return [
+        json.loads(line)
+        for segment in sorted(Path(root).glob("*.jsonl"))
+        for line in segment.read_text().splitlines()
+        if line.strip()
+    ]
+
+
 def _entry_shapes(cache_dir):
-    """Every fig10 entry minus its write timestamp, for byte-identity."""
+    """Every fig10 put record minus its write timestamp, for
+    byte-identity."""
     out = {}
-    for path in sorted(Path(cache_dir, "fig10").glob("*/*.json")):
-        record = json.loads(path.read_text())
-        record.pop("created", None)
-        out[path.name] = record
+    for record in journal_records(Path(cache_dir, "fig10")):
+        if record["op"] == "put":
+            record.pop("created", None)
+            out[record["key"]] = record
     return out
 
 
 def _wait_for_entries(cache_dir, n, deadline_s=30.0):
-    """Block until ``n`` completed points have been cached."""
+    """Block until ``n`` completed points have been cached.  The sweep
+    is still writing, so an append in progress is not counted."""
     deadline = time.monotonic() + deadline_s
-    target = Path(cache_dir, "fig10")
+    cache = ResultCache(cache_dir)
     while time.monotonic() < deadline:
-        if len(list(target.glob("*/*.json"))) >= n:
+        if len(cache.manifest_keys("fig10")) >= n:
             return
         time.sleep(0.05)
     raise AssertionError(f"no {n} cache entries within {deadline_s}s")
@@ -106,22 +121,12 @@ class TestInterruptedSweep:
         assert "rerun with --resume" in err
         _assert_group_gone(proc.pid)
 
-        # The journals survived the interrupt well-formed: every line
-        # parses, no duplicate puts, and each put names a real entry
-        # (one manifest per shard directory touched).
-        def journal_records(root):
-            return [
-                json.loads(line)
-                for manifest in sorted(root.glob("*/MANIFEST.jsonl"))
-                for line in manifest.read_text().splitlines()
-                if line.strip()
-            ]
-
+        # The segments survived the interrupt well-formed: every line
+        # parses, no duplicate puts, and each put is served.
         records = journal_records(interrupted / "fig10")
         puts = [r["key"] for r in records if r["op"] == "put"]
         assert len(puts) == len(set(puts)) >= 2
-        for key in puts:
-            assert (interrupted / "fig10" / key[:2] / f"{key}.json").is_file()
+        assert ResultCache(interrupted).manifest_keys("fig10") == set(puts)
         done_before = len(puts)
 
         # --resume completes only the remainder, byte-identically.
