@@ -21,9 +21,9 @@ Usage::
     python benchmarks/check_regression.py append BENCH.json [--runner L]
         [--commit SHA] [--ledger PATH]
 
-Both subcommands silently skip gates absent from ``BENCH.json`` (the
-DES/fast suite runs skip the model batch benchmark, and bench_serve runs in
-a separate job), so any gate subset can be checked or appended.
+Both subcommands silently skip gates absent from ``BENCH.json``
+(bench_serve runs in a separate job), so any gate subset can be checked
+or appended.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from pathlib import Path
 #: (timing noise is strictly additive, so the min is the least-noise
 #: estimator of true cost).
 GATES = {
-    # engine tower (bench_fig10_sizes.py, bench_model_batch.py)
+    # engine tower (bench_fig10_sizes.py)
     "test_fig10_full_scale": "mean",
     "test_fig10_point_throughput": "min",
-    "test_model_batch_point_throughput": "min",
     # sharded cache (bench_cache_scale.py): the single recorded round
     # is the cold stats() fold over 100k entries / 256 segments.
     "test_cache_scale_100k": "min",

@@ -12,11 +12,11 @@ Three stages:
 
 1. **Grid query** — estimate every (memory, workers, algorithm) triple
    with the model engine, through one
-   :func:`repro.engine.run_model_batch` call.  The default grid is a
-   few thousand points and runs in seconds; crank
-   ``--memory-points``/``--worker-step`` up and the same call handles
-   million-point grids in minutes (the reported queries/second is the
-   number to extrapolate with).
+   :func:`repro.engine.run_model_batch` call (a loop of scalar
+   estimates).  The default grid is 672 points and takes well under a
+   second; crank ``--memory-points``/``--worker-step`` up for larger
+   grids (the reported queries/second is the number to extrapolate
+   with).
 2. **Shortlist** — the cheapest configurations (GB·machines) whose
    *estimated* makespan meets the turnaround target.
 3. **Verify** — the best-scoring estimates are re-run at full fidelity
@@ -128,10 +128,8 @@ def main(
     print(f"Design space: {len(points)} configurations "
           f"({memory_points} memory sizes x workers x {len(SECTION8_SCHEDULERS)} algorithms)\n")
 
-    # 1. Query the whole grid with the model engine — batched: the
-    #    grid is grouped by structural signature and each group's
-    #    closed-form recurrence runs vectorized across its points
-    #    (bitwise-identical to the scalar loop it replaced).
+    # 1. Query the whole grid with the model engine, one closed-form
+    #    estimate per configuration.
     start = time.perf_counter()
     model_points = [{**p, "engine": "model"} for p in points]
     estimates = [

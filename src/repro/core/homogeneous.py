@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.blocks.shape import ProblemShape
 from repro.core.layout import mu_overlap
 from repro.platform.model import Platform
@@ -32,7 +30,6 @@ __all__ = [
     "small_matrix_nu",
     "HomogeneousPlan",
     "plan_homogeneous",
-    "plan_homogeneous_batch",
     "startup_overhead_fraction",
 ]
 
@@ -114,38 +111,6 @@ def plan_homogeneous(platform: Platform, shape: ProblemShape) -> HomogeneousPlan
     return HomogeneousPlan(
         mu=nu, workers=q_workers, small_matrix=True, saturated=False
     )
-
-
-def plan_homogeneous_batch(
-    c: np.ndarray, w: np.ndarray, m: np.ndarray, p: int, shape: ProblemShape
-) -> list[tuple[int, int, bool]]:
-    """Vectorized :func:`plan_homogeneous` over a batch of platforms.
-
-    ``c``/``w``/``m`` hold each platform's conservative rates (slowest
-    link, slowest CPU, smallest memory) as ``(n,)`` arrays; every
-    platform has ``p`` workers.  Returns one ``(mu, workers,
-    small_matrix)`` triple per row, equal to the corresponding
-    :func:`plan_homogeneous` fields: the enrolment rule is the same
-    float64 expression evaluated element-wise, and the rare small-matrix
-    rows take the scalar ν search.
-    """
-    mu = np.empty(m.shape[0], dtype=np.int64)
-    for mem in np.unique(m):
-        mu[m == mem] = mu_overlap(int(mem))
-    p_opt = np.ceil(mu * w / (2.0 * c))
-    enrolled = np.minimum(float(p), p_opt).astype(np.int64)
-    large = enrolled * mu * mu <= shape.r * shape.s
-    plans: list[tuple[int, int, bool]] = []
-    mu_l, en_l, large_l = mu.tolist(), enrolled.tolist(), large.tolist()
-    for row, big in enumerate(large_l):
-        if big:
-            plans.append((mu_l[row], en_l[row], False))
-        else:
-            nu, q = small_matrix_nu(
-                shape.r, shape.s, float(c[row]), float(w[row]), mu_l[row], p
-            )
-            plans.append((nu, q, True))
-    return plans
 
 
 def startup_overhead_fraction(mu: int, t: int, c: float, w: float) -> float:

@@ -327,15 +327,6 @@ class _Run:
         self.compute_start = 0.0
         self.stats_key = "_model_stats2" if spec.gap == 2 else "_model_stats1"
 
-    def next_chunk(self) -> Optional[Chunk]:
-        if self.queue is not None:
-            return self.queue.pop()
-        if self.cursor < len(self.chunks):
-            chunk = self.chunks[self.cursor]
-            self.cursor += 1
-            return chunk
-        return None
-
 
 def _estimate(
     agents: Sequence[AgentSpec],
@@ -361,7 +352,8 @@ def _estimate(
         w_tls = [((0.0,), (wk.w,)) for wk in platform.workers]
     # Constant-rate scalars (the overwhelmingly common case): hoisting
     # them past the _advance call shaves ~30 % off stationary estimates,
-    # which the 100x throughput gate spends directly.
+    # which the model-vs-fast >100x gate (check_engine_speedup.py) and
+    # every capacity-planning grid spend directly.
     c_flat = [vals[0] if len(times) == 1 else None for times, vals in c_tls]
     w_flat = [vals[0] if len(times) == 1 else None for times, vals in w_tls]
     background = list(scenario.background) if scenario is not None else []
@@ -418,9 +410,9 @@ def _estimate(
 
     # The loop below inlines ``commit``'s happy path (flat rate, no
     # pending background hold) at each call site: the three port
-    # commits per chunk dominate the per-point cost that the 100x
-    # throughput gate measures, and the call overhead alone is worth
-    # ~15 % of a stationary estimate.
+    # commits per chunk dominate the per-point cost that the
+    # model-vs-fast >100x gate measures, and the call overhead alone is
+    # worth ~15 % of a stationary estimate.
     n_bg = len(background)
     pop = heappop
     push = heappush

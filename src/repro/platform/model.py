@@ -178,9 +178,7 @@ def scaled_bandwidth(platform: Platform, factor: float) -> Platform:
     ``factor > 1`` means *slower* links (``c`` is seconds per block).
     Scaling every worker uniformly preserves the relative bandwidth
     ranking, so scheduler decisions are usually unchanged for nearby
-    factors — which is what makes a bandwidth axis an ideal batching
-    axis for :func:`repro.engine.run_model_batch` (see
-    ``docs/engines.md``).
+    factors.
     """
     if factor <= 0:
         raise ValueError(f"bandwidth factor must be positive, got {factor}")

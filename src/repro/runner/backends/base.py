@@ -25,6 +25,7 @@ the orchestrator.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import signal
 import time
@@ -231,6 +232,49 @@ def pool_context() -> multiprocessing.context.BaseContext:
     platform default elsewhere."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
+@contextlib.contextmanager
+def sigterm_held() -> Iterator[None]:
+    """Hold SIGTERM in the calling thread while it forks pool workers.
+
+    See :func:`default_worker_signals`: a worker is born with SIGTERM
+    blocked and unblocks it only after restoring the default action.
+    A SIGTERM aimed at the parent meanwhile stays pending and is
+    delivered when the block ends.
+    """
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
+def default_worker_signals() -> None:
+    """Signal rule for every worker a pool backend forks: SIGTERM kills.
+
+    A forked worker inherits its parent's handlers, and the CLI's
+    ``sweep`` installs a SIGTERM handler that *raises*.  Pools stop
+    their workers with SIGTERM (``Pool.terminate``).  A raising handler
+    can unwind a worker between acquiring and releasing the task
+    queue's shared lock, or run inside an after-fork hook that prints
+    and drops the exception, so the worker lives on; either way a
+    worker is left blocked forever and the parent's ``join`` with it.
+
+    So the parent forks with SIGTERM held (:func:`sigterm_held`), and
+    each worker restores the default action and then unblocks SIGTERM
+    before it runs a point; a SIGTERM that arrived in between kills it
+    right there.  The parent's handler stays in the parent.  SIGINT is
+    left alone: the CLI installs no SIGINT handler, and a terminal's
+    Ctrl-C reaching the workers is the interrupt path it already
+    handles.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
 
 
 #: name -> backend class; classes take a single ``jobs`` constructor arg.

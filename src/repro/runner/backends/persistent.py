@@ -66,9 +66,11 @@ from typing import (
 from repro.runner.backends.base import (
     PointFn,
     TaskResult,
+    default_worker_signals,
     pool_context,
     register,
     run_one,
+    sigterm_held,
 )
 
 __all__ = ["MAX_BATCH_REQUEUES", "PersistentBackend"]
@@ -96,8 +98,9 @@ _RESOLVE_PROBE: Optional[Callable[[Token], None]] = None
 
 
 def _init_worker(resolve_probe: Optional[Callable[[Token], None]]) -> None:
-    """Worker start-up: begin with an empty function cache."""
+    """Worker start-up: default signals, an empty function cache."""
     global _RESOLVE_PROBE
+    default_worker_signals()
     _FN_CACHE.clear()
     _RESOLVE_PROBE = resolve_probe
 
@@ -234,7 +237,8 @@ class _Worker:
             args=(self.inq, sender, resolve_probe),
             daemon=True,
         )
-        self.process.start()
+        with sigterm_held():
+            self.process.start()
         # Only the worker may hold the write end, so its death is EOF.
         sender.close()
 

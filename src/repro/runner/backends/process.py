@@ -21,9 +21,11 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Tuple
 from repro.runner.backends.base import (
     PointFn,
     TaskResult,
+    default_worker_signals,
     pool_context,
     register,
     run_one,
+    sigterm_held,
 )
 
 __all__ = ["ProcessBackend", "parallel_map"]
@@ -41,6 +43,7 @@ def _install_fn(
 ) -> None:
     """Pool initializer: receive the point function once per worker."""
     global _WORKER_FN, _WORKER_TIMEOUT
+    default_worker_signals()
     _WORKER_FN = fn
     _WORKER_TIMEOUT = timeout
     if on_install is not None:
@@ -93,11 +96,13 @@ class ProcessBackend:
             for params in items:
                 yield run_one(fn, params)
             return
-        with pool_context().Pool(
-            processes=workers,
-            initializer=_install_fn,
-            initargs=(fn, self._initializer_probe, timeout),
-        ) as pool:
+        with sigterm_held():
+            pool = pool_context().Pool(
+                processes=workers,
+                initializer=_install_fn,
+                initargs=(fn, self._initializer_probe, timeout),
+            )
+        with pool:
             for value, seconds, error in pool.imap(
                 _run_installed, list(items), chunksize=1
             ):
@@ -131,9 +136,11 @@ def parallel_map(
             value = fn(params)
             yield value, time.perf_counter() - start
         return
-    with pool_context().Pool(
-        processes=min(jobs, len(items)),
-        initializer=_install_fn,
-        initargs=(fn,),
-    ) as pool:
+    with sigterm_held():
+        pool = pool_context().Pool(
+            processes=min(jobs, len(items)),
+            initializer=_install_fn,
+            initargs=(fn,),
+        )
+    with pool:
         yield from pool.imap(_run_installed_raw, list(items), chunksize=1)

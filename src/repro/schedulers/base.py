@@ -16,9 +16,7 @@ for overlap, 1 otherwise), plus ``build_chunks`` for tile geometry.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.blocks.shape import ProblemShape
 from repro.engine.chunks import Chunk
@@ -51,29 +49,6 @@ class ChunkScheduler(ABC):
     @abstractmethod
     def launch(self, engine: Engine) -> None:
         """Create the run's agents inside ``engine``."""
-
-    def plan_signatures(
-        self, shape: ProblemShape, c: np.ndarray, w: np.ndarray, m: np.ndarray
-    ) -> Optional[list[Hashable]]:
-        """Cheap structural tokens for batched model estimation.
-
-        ``c``/``w``/``m`` are ``(n, p)`` arrays of per-worker rates, one
-        row per platform of a sweep batch.  Returns one hashable token
-        per row under the contract *equal tokens ⇒* :meth:`launch`
-        *builds identical agent structure on those platforms* (same
-        chunk streams in the same order, same worker indices, same
-        generation gap) — or ``None`` when the scheduler cannot promise
-        that without actually launching.  ``None`` (the default) makes
-        the batch layer launch every point and group by the full
-        structural signature instead, which is always sound but pays a
-        per-point launch.
-
-        Implementations must derive tokens from the class and the
-        arguments alone, never from per-instance mutable state: the
-        batch layer asks a single instance to answer for every point
-        that shares its class.
-        """
-        return None
 
 
 class StaticChunkScheduler(ChunkScheduler):
@@ -112,26 +87,6 @@ class DemandChunkScheduler(ChunkScheduler):
         subclasses may restrict.
         """
         return range(platform.p)
-
-    def plan_signatures(
-        self, shape: ProblemShape, c: np.ndarray, w: np.ndarray, m: np.ndarray
-    ) -> Optional[list[Hashable]]:
-        # A demand run's launch structure is one shared chunk queue plus
-        # an agent per enrolled worker.  With the default
-        # enroll-everyone rule that depends only on the tile side, i.e.
-        # on the smallest memory; which worker drains which chunk is
-        # timing, and the batched scan's dispatch-order lock owns that.
-        if type(self).enrolled is not DemandChunkScheduler.enrolled:
-            return None
-        params: dict[int, tuple] = {}
-        tokens: list[Hashable] = []
-        for mem in m.min(axis=1).tolist():
-            tok = params.get(mem)
-            if tok is None:
-                tok = (self.name, self.chunk_param(int(mem)))
-                params[mem] = tok
-            tokens.append(tok)
-        return tokens
 
     def launch(self, engine: Engine) -> None:
         param = self.common_param(engine.platform)

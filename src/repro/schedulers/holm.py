@@ -13,12 +13,8 @@ all available workers.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
-
-import numpy as np
-
 from repro.blocks.shape import ProblemShape
-from repro.core.homogeneous import plan_homogeneous, plan_homogeneous_batch
+from repro.core.homogeneous import plan_homogeneous
 from repro.core.layout import mu_overlap
 from repro.engine.chunks import Chunk, tile_chunks
 from repro.engine.engine import Engine
@@ -58,18 +54,6 @@ class HoLM(StaticChunkScheduler):
         """Number of workers HoLM enrolls for this run."""
         return plan_homogeneous(platform, shape).workers
 
-    def plan_signatures(
-        self, shape: ProblemShape, c: np.ndarray, w: np.ndarray, m: np.ndarray
-    ) -> Optional[list[Hashable]]:
-        # Launch structure is fully determined by the Section 5 plan:
-        # ``common_param`` returns ``plan.mu`` and ``assign`` reads only
-        # ``plan.workers``, so (µ, P) pins the chunk stream and the
-        # panel deal for a given shape.
-        plans = plan_homogeneous_batch(
-            c.max(axis=1), w.max(axis=1), m.min(axis=1), c.shape[1], shape
-        )
-        return [(self.name, mu, workers) for mu, workers, _small in plans]
-
     def assign(
         self, platform: Platform, shape: ProblemShape, chunks: list[Chunk]
     ) -> dict[int, list[Chunk]]:
@@ -102,13 +86,3 @@ class ORROML(HoLM):
         self._param = plan.mu
         self._plan_workers = engine.platform.p  # enroll everyone
         StaticChunkScheduler.launch(self, engine)
-
-    def plan_signatures(
-        self, shape: ProblemShape, c: np.ndarray, w: np.ndarray, m: np.ndarray
-    ) -> Optional[list[Hashable]]:
-        # Same µ selection as HoLM, but everyone is enrolled: only the
-        # chunk side can differ between rows.
-        plans = plan_homogeneous_batch(
-            c.max(axis=1), w.max(axis=1), m.min(axis=1), c.shape[1], shape
-        )
-        return [(self.name, mu, c.shape[1]) for mu, _workers, _small in plans]

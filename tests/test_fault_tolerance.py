@@ -484,6 +484,36 @@ class TestCrashRecovery:
         ]
 
 
+class _Terminated(BaseException):
+    """What the CLI's ``sweep`` SIGTERM handler raises."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated()
+
+
+class TestWorkerSignals:
+    def test_raising_sigterm_handler_never_stalls_pool_teardown(self):
+        """``Pool.terminate`` SIGTERMs the workers of every finished
+        ``map``.  Forked under a parent whose SIGTERM handler raises,
+        a worker could unwind while holding the task queue's lock, or
+        drop the exception inside an after-fork hook and live on, and
+        the parent's join then waited forever.  Each short map below
+        tears its pool down while workers are still starting up or
+        waiting on that lock."""
+        items = [{"x": x} for x in range(4)]
+        expected = [_square_point(params) for params in items]
+        backend = create_backend("process", jobs=4)
+        previous = signal.signal(signal.SIGTERM, _raise_terminated)
+        try:
+            with _time_limit(60):
+                for _ in range(100):
+                    got = [r.value for r in backend.map(_square_point, items)]
+                    assert got == expected
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+
 class TestHypothesisConvergence:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(
