@@ -331,7 +331,9 @@ def _cmd_sweep(argv: list[str]) -> int:
 
     import os
 
-    from repro.runner import ChaosBackend, CircuitOpenError, SweepPointError, resolve_backend
+    from repro.runner import (
+        ChaosBackend, CircuitOpenError, SweepPointError, code_version, resolve_backend,
+    )
     from repro.runner.sweep import _error_summary
 
     # Point functions may consult the store themselves via cached_call
@@ -384,6 +386,10 @@ def _cmd_sweep(argv: list[str]) -> int:
     def _on_sigterm(signum, frame):  # noqa: ARG001
         raise _Terminated()
 
+    # One code version for the whole invocation, not one source re-scan
+    # per sweep: this process runs the modules it imported at start, so
+    # their version is the one that produces every result it stores.
+    code = code_version() if cache is not None else None
     try:
         prev_sigterm = signal_module.signal(
             signal_module.SIGTERM, _on_sigterm
@@ -397,6 +403,7 @@ def _cmd_sweep(argv: list[str]) -> int:
                 jobs=args.jobs,
                 cache=cache,
                 progress=progress,
+                code=code,
                 backend=exec_backend,
                 resume=args.resume,
                 on_error=on_error,

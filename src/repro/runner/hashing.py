@@ -69,6 +69,9 @@ def code_version(root: Path | str | None = None) -> str:
     so a long-lived session (REPL, Jupyter) that edits a module and
     re-runs a sweep gets a fresh key.  (A process-lifetime ``lru_cache``
     here once served stale results in exactly that workflow.)
+    ``python -m repro sweep`` calls this once per invocation and passes
+    the result down as ``code=``; direct ``run_sweep``/``run_campaign``
+    calls without ``code=`` still re-snapshot once per sweep.
     """
     global _code_cache
     if root is None:

@@ -485,7 +485,9 @@ def run_sweep(
         progress: callback streamed one event per point, in point
             order, as each point resolves (cached points immediately,
             computed points as the backend delivers them).
-        code: code-version override for the cache keys (tests only).
+        code: code version for the cache keys; ``None`` resolves
+            :func:`~repro.runner.hashing.code_version` once for this
+            sweep (the CLI passes one version for the whole invocation).
         backend: execution backend — a registry name (``"serial"``,
             ``"process"``, ``"persistent"``), an already-constructed
             :class:`~repro.runner.backends.ExecutionBackend` (the

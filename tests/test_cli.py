@@ -6,11 +6,18 @@ plumbing, and the human-readable output the CI smoke jobs grep for.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.__main__ as cli_module
 from repro.__main__ import main as cli_main
-from repro.runner import ResultCache
+from repro.runner import ResultCache, code_version, hashing, point_key
+from repro.runner import sweep as sweep_module
 
 
 def _sweep_argv(tmp_path, *extra):
@@ -366,3 +373,75 @@ class TestFaultToleranceFlags:
         err = capsys.readouterr().err
         assert "RETRYING" in err
         assert "FAILED" in err and "failed, 0 quarantined]" in err
+
+
+class TestStartupCost:
+    """A warm ``sweep`` is mostly start-up, so the CLI must not pay for
+    what it does not run: no eager scipy import, one code version per
+    invocation."""
+
+    def test_cli_import_loads_no_scipy(self):
+        src_dir = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        script = (
+            "import sys, repro.__main__;"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    @pytest.fixture
+    def counted_code_version(self, monkeypatch):
+        """Restrict ``sweep all`` to three cheap campaigns and count
+        every ``code_version`` call the runner and the CLI make."""
+        monkeypatch.setattr(
+            cli_module, "ALL_EXPERIMENTS",
+            {n: cli_module.ALL_EXPERIMENTS[n]
+             for n in ("bounds", "maxreuse", "table1")},
+        )
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return code_version(*args, **kwargs)
+
+        for module in (repro.runner, sweep_module, hashing):
+            monkeypatch.setattr(module, "code_version", counting)
+        return calls
+
+    def test_cached_invocation_resolves_code_version_once(
+        self, tmp_path, capsys, counted_code_version
+    ):
+        argv = ["sweep", "all", "--cache-dir", str(tmp_path), "--quiet"]
+        for summary in ("bounds: 0 cached, 8 computed",  # cold
+                        "bounds: 8 cached, 0 computed"):  # warm
+            counted_code_version.clear()
+            assert cli_main(argv) == 0
+            assert summary in capsys.readouterr().out
+            assert len(counted_code_version) == 1
+        # Key derivation is unchanged: every stored key is the one a
+        # library call against the same source tree would compute.
+        version = code_version()
+        for name in ("bounds", "maxreuse", "table1"):
+            records = _put_records(tmp_path, name)
+            assert records
+            for record in records:
+                assert record["key"] == point_key(
+                    name, record["params"], version
+                )
+
+    def test_no_cache_never_resolves_code_version(
+        self, tmp_path, capsys, counted_code_version
+    ):
+        argv = [
+            "sweep", "all", "--cache-dir", str(tmp_path), "--no-cache",
+            "--quiet",
+        ]
+        assert cli_main(argv) == 0
+        assert "table1: 0 cached, 1 computed" in capsys.readouterr().out
+        assert counted_code_version == []
