@@ -23,12 +23,11 @@ signature accepts them:
 * ``--scale K`` — divide matrix dimensions by ``K`` where supported
   (smoke runs).  Paper-claim assertions that only hold at publication
   scale are guarded by :func:`at_paper_scale`.
-* ``--backend {serial,process,persistent}`` — execution backend
-  forwarded to every experiment entry point that accepts it (stamped
-  into the sweep points, so each backend keeps its own cache entries).
-  Pair it with ``--jobs N``: without worker processes the pooled
-  backends deliberately degrade to inline execution, so a backend
-  comparison at ``--jobs 1`` measures three identical serial runs.
+
+The execution backend is not an experiment parameter: the benches run
+each experiment's points inline.  Backend comparisons live in
+``bench_runner.py``/``bench_serve.py`` and in ``python -m repro sweep
+--backend``.
 
 Run with::
 
@@ -46,8 +45,6 @@ from repro.runner import cached_call
 _use_cache = True
 _engine: str | None = None
 _scale: int | None = None
-_backend: str | None = None
-_jobs: int | None = None
 
 
 def pytest_addoption(parser):
@@ -73,32 +70,13 @@ def pytest_addoption(parser):
         help="divide matrix dimensions by K where supported; "
         "paper-claim assertions are skipped off paper scale",
     )
-    parser.addoption(
-        "--backend",
-        choices=("serial", "process", "persistent"),
-        default=None,
-        help="execution backend forwarded to every experiment that "
-        "accepts it (default: each experiment's own default, i.e. the "
-        "runner's auto choice); combine with --jobs for real fan-out",
-    )
-    parser.addoption(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes forwarded to every experiment entry "
-        "point that accepts them (default: each experiment's own "
-        "default, i.e. serial)",
-    )
 
 
 def pytest_configure(config):
-    global _use_cache, _engine, _scale, _backend, _jobs
+    global _use_cache, _engine, _scale
     _use_cache = not config.getoption("--repro-no-cache")
     _engine = config.getoption("--engine")
     _scale = config.getoption("--scale")
-    _backend = config.getoption("--backend")
-    _jobs = config.getoption("--jobs")
 
 
 def at_paper_scale() -> bool:
@@ -139,10 +117,6 @@ def one_shot(benchmark, fn, *args, **kwargs):
         kwargs["engine"] = _engine
     if _scale is not None and "scale" in accepted:
         kwargs["scale"] = _scale
-    if _backend is not None and "backend" in accepted:
-        kwargs["backend"] = _backend
-    if _jobs is not None and "jobs" in accepted:
-        kwargs["jobs"] = _jobs
     qualname = getattr(fn, "__qualname__", fn.__name__)
     # Closures/lambdas capture state invisible to the cache key (only the
     # qualname and call arguments are hashed) — never serve them stale.

@@ -287,14 +287,11 @@ def _cmd_sweep(argv: list[str]) -> int:
     # Build every campaign before running any: a bad knob combination
     # (e.g. --scenario stationary on robustness) must fail fast with
     # exit 2, not crash mid-run after earlier campaigns computed.
-    # An explicit --backend is stamped into the points (own cache
-    # namespace); 'auto' leaves points — and cache keys — untouched.
-    stamped_backend = None if args.backend == "auto" else args.backend
     try:
         campaigns = [
             campaign_for(
                 name, scale=args.scale, engine=args.engine,
-                scenario=args.scenario, backend=stamped_backend,
+                scenario=args.scenario,
             )
             for name in names
         ]
@@ -302,9 +299,26 @@ def _cmd_sweep(argv: list[str]) -> int:
         print(f"bad arguments: {exc}")
         return 2
 
-    if args.prescreen is not None:
-        from dataclasses import replace
+    from dataclasses import replace
 
+    # The one place the execution backend meets the points: an explicit
+    # --backend is stamped into every point (own cache namespace); 'auto'
+    # leaves points — and cache keys — untouched.
+    stamped_backend = None if args.backend == "auto" else args.backend
+    if stamped_backend is not None:
+        from repro.runner import stamp_points
+
+        campaigns = [
+            replace(campaign, sweeps=tuple(
+                replace(swp, points=stamp_points(
+                    swp.points, backend=stamped_backend
+                ))
+                for swp in campaign.sweeps
+            ))
+            for campaign in campaigns
+        ]
+
+    if args.prescreen is not None:
         from repro.runner import PrescreenUnsupported, prescreen_sweep
 
         screened = []

@@ -4,9 +4,12 @@ Every module exposes ``run(...) -> list[dict]`` returning the rows the
 paper's corresponding table/figure reports, a ``main()`` that prints
 them, and a ``campaign()`` declaring the same work as
 :class:`repro.runner.Campaign` sweeps for the parallel/cached runner
-(``python -m repro sweep <name>``).  The ``benchmarks/`` directory
-wraps these in pytest-benchmark targets; the CLI (``python -m repro``)
-runs them by name.
+(``python -m repro sweep <name>``).  Points carry platform, workload
+and algorithm parameters only; how they are dispatched is the runner's
+business (the CLI stamps an explicit ``--backend`` onto the built
+campaign).  The ``benchmarks/`` directory wraps these in
+pytest-benchmark targets; the CLI (``python -m repro``) runs them by
+name.
 
 | Module              | Reproduces                                             |
 |---------------------|--------------------------------------------------------|
@@ -66,7 +69,6 @@ def campaign_for(
     scale: int | None = None,
     engine: str | None = None,
     scenario: str | None = None,
-    backend: str | None = None,
 ):
     """The :class:`repro.runner.Campaign` for experiment ``name``.
 
@@ -77,10 +79,8 @@ def campaign_for(
     ``scenario`` (``"KIND[:SEVERITY]"``, see :mod:`repro.scenarios`)
     narrows scenario-aware campaigns (currently ``robustness``) to one
     family; campaigns that ignore it do so silently, like ``scale``.
-    ``backend`` stamps the execution backend into every point (see
-    :func:`repro.runner.stamp_points` — the point function ignores it,
-    but each backend gets its own cache namespace, which is what lets
-    the CI matrix compare freshly computed rows across backends).
+    The execution backend is not a campaign parameter: the CLI stamps
+    an explicit ``--backend`` onto the returned sweeps' points.
     Raises ``KeyError`` for unknown names.
     """
     import inspect
@@ -95,6 +95,4 @@ def campaign_for(
         kwargs["engine"] = engine
     if scenario is not None and "scenario" in accepted:
         kwargs["scenario"] = scenario
-    if backend is not None and "backend" in accepted:
-        kwargs["backend"] = backend
     return factory(**kwargs)

@@ -112,9 +112,7 @@ def _lookahead_point(params: Mapping) -> dict:
     return {"depth": params["depth"], "ratio": sel.ratio}
 
 
-def ports_sweep(
-    scale: int = 8, engine: str = "fast", backend: str | None = None
-) -> Sweep:
+def ports_sweep(scale: int = 8, engine: str = "fast") -> Sweep:
     """Declare the one-port/two-port pair."""
     return Sweep(
         name="ablation-ports",
@@ -122,7 +120,6 @@ def ports_sweep(
         points=stamp_points(
             tuple({"scale": scale, "two_port": tp} for tp in (False, True)),
             engine=engine,
-            backend=backend,
         ),
         aggregate=_ports_aggregate,
         title="Ablation: one-port vs two-port master",
@@ -132,37 +129,30 @@ def ports_sweep(
 def overlap_sweep(
     memories: tuple[int, ...] = (24, 60, 120, 360, 1200),
     engine: str = "fast",
-    backend: str | None = None,
 ) -> Sweep:
     """Declare one overlap-vs-flat point per memory size."""
     return Sweep(
         name="ablation-overlap",
         run_fn=_overlap_point,
-        points=stamp_points(
-            tuple({"m": m} for m in memories), engine=engine, backend=backend
-        ),
+        points=stamp_points(tuple({"m": m} for m in memories), engine=engine),
         title="Ablation: overlap vs no-overlap layout",
     )
 
 
 def startup_sweep(
     t_values: tuple[int, ...] = (10, 25, 50, 100), engine: str = "fast",
-    backend: str | None = None,
 ) -> Sweep:
     """Declare one start-up-overhead point per inner dimension ``t``."""
     return Sweep(
         name="ablation-startup",
         run_fn=_startup_point,
-        points=stamp_points(
-            tuple({"t": t} for t in t_values), engine=engine, backend=backend
-        ),
+        points=stamp_points(tuple({"t": t} for t in t_values), engine=engine),
         title="Ablation: start-up (C-tile I/O) overhead",
     )
 
 
 def lookahead_sweep(
     depths: tuple[int, ...] = (1, 2, 3), engine: str = "fast",
-    backend: str | None = None,
 ) -> Sweep:
     """Declare one selection-ratio point per lookahead depth.
 
@@ -172,16 +162,12 @@ def lookahead_sweep(
     return Sweep(
         name="ablation-lookahead",
         run_fn=_lookahead_point,
-        points=stamp_points(
-            tuple({"depth": d} for d in depths), engine=engine, backend=backend
-        ),
+        points=stamp_points(tuple({"depth": d} for d in depths), engine=engine),
         title="Ablation: lookahead depth (Table 2)",
     )
 
 
-def campaign(
-    scale: int = 8, engine: str = "fast", backend: str | None = None
-) -> Campaign:
+def campaign(scale: int = 8, engine: str = "fast") -> Campaign:
     """The four ablation sweeps, in the order ``main()`` prints them.
 
     ``scale`` reaches the one scale-parameterised sweep (ports); the
@@ -190,58 +176,39 @@ def campaign(
     return Campaign(
         "ablations",
         (
-            ports_sweep(scale=scale, engine=engine, backend=backend),
-            overlap_sweep(engine=engine, backend=backend),
-            startup_sweep(engine=engine, backend=backend),
-            lookahead_sweep(engine=engine, backend=backend),
+            ports_sweep(scale=scale, engine=engine),
+            overlap_sweep(engine=engine),
+            startup_sweep(engine=engine),
+            lookahead_sweep(engine=engine),
         ),
     )
 
 
-def run_ports(
-    scale: int = 8, engine: str = "fast",
-    jobs: int = 1, backend: str | None = None,
-) -> list[dict]:
+def run_ports(scale: int = 8, engine: str = "fast") -> list[dict]:
     """HoLM under one-port vs two-port masters."""
-    return run_sweep(
-        ports_sweep(scale=scale, engine=engine, backend=backend),
-        jobs=jobs, backend=backend,
-    ).rows
+    return run_sweep(ports_sweep(scale=scale, engine=engine)).rows
 
 
 def run_overlap(
     memories: tuple[int, ...] = (24, 60, 120, 360, 1200),
     engine: str = "fast",
-    jobs: int = 1,
-    backend: str | None = None,
 ) -> list[dict]:
     """ODDOML (overlap) vs DDOML (bigger µ, no overlap) across memory."""
-    return run_sweep(
-        overlap_sweep(memories=memories, engine=engine, backend=backend),
-        jobs=jobs, backend=backend,
-    ).rows
+    return run_sweep(overlap_sweep(memories=memories, engine=engine)).rows
 
 
 def run_startup(
     t_values: tuple[int, ...] = (10, 25, 50, 100), engine: str = "fast",
-    jobs: int = 1, backend: str | None = None,
 ) -> list[dict]:
     """Measured C-tile overhead vs the paper's bound ``µ/t + 2c/tw``."""
-    return run_sweep(
-        startup_sweep(t_values=t_values, engine=engine, backend=backend),
-        jobs=jobs, backend=backend,
-    ).rows
+    return run_sweep(startup_sweep(t_values=t_values, engine=engine)).rows
 
 
 def run_lookahead(
     depths: tuple[int, ...] = (1, 2, 3), engine: str = "fast",
-    jobs: int = 1, backend: str | None = None,
 ) -> list[dict]:
     """Selection ratio vs lookahead depth on the Table 2 platform."""
-    return run_sweep(
-        lookahead_sweep(depths=depths, engine=engine, backend=backend),
-        jobs=jobs, backend=backend,
-    ).rows
+    return run_sweep(lookahead_sweep(depths=depths, engine=engine)).rows
 
 
 def main() -> None:

@@ -71,33 +71,29 @@ def _point(params: Mapping) -> dict:
 
 def sweep(
     memories: tuple[int, ...] = DEFAULT_MEMORIES, t: int = 40,
-    engine: str = "fast", backend: str | None = None,
+    engine: str = "fast",
 ) -> Sweep:
     """Declare one point per memory size."""
     points = tuple({"m": m, "t": t} for m in memories)
     return Sweep(
         name="bounds",
         run_fn=_point,
-        points=stamp_points(points, engine=engine, backend=backend),
+        points=stamp_points(points, engine=engine),
         title="Section 4: CCR of maximum re-use vs lower bounds (blocks/update)",
     )
 
 
-def campaign(engine: str = "fast", backend: str | None = None) -> Campaign:
+def campaign(engine: str = "fast") -> Campaign:
     """The Section 4 bounds campaign (a single sweep)."""
-    return Campaign("bounds", (sweep(engine=engine, backend=backend),))
+    return Campaign("bounds", (sweep(engine=engine),))
 
 
 def run(
     memories: tuple[int, ...] = DEFAULT_MEMORIES, t: int = 40,
-    engine: str = "fast", jobs: int = 1, backend: str | None = None,
+    engine: str = "fast",
 ) -> list[dict]:
     """Tabulate bounds and achieved CCR for each memory size."""
-    return run_sweep(
-        sweep(memories=memories, t=t, engine=engine, backend=backend),
-        jobs=jobs,
-        backend=backend,
-    ).rows
+    return run_sweep(sweep(memories=memories, t=t, engine=engine)).rows
 
 
 def main() -> None:

@@ -50,10 +50,7 @@ def _point(params: Mapping) -> dict:
     return row
 
 
-def sweep(
-    brute_force: bool = True, engine: str = "fast",
-    backend: str | None = None,
-) -> Sweep:
+def sweep(brute_force: bool = True, engine: str = "fast") -> Sweep:
     """Declare one point per counterexample instance.
 
     ``engine`` is stamped for interface uniformity with the simulation
@@ -75,30 +72,23 @@ def sweep(
     return Sweep(
         name="fig04",
         run_fn=_point,
-        points=stamp_points(points, engine=engine, backend=backend),
+        points=stamp_points(points, engine=engine),
         title="Figure 4: Thrifty vs Min-min (makespans)",
     )
 
 
-def campaign(engine: str = "fast", backend: str | None = None) -> Campaign:
+def campaign(engine: str = "fast") -> Campaign:
     """The Figure 4 campaign (a single two-point sweep)."""
-    return Campaign("fig04", (sweep(engine=engine, backend=backend),))
+    return Campaign("fig04", (sweep(engine=engine),))
 
 
-def run(
-    brute_force: bool = True, engine: str = "fast",
-    jobs: int = 1, backend: str | None = None,
-) -> list[dict]:
+def run(brute_force: bool = True, engine: str = "fast") -> list[dict]:
     """Evaluate both heuristics on both instances.
 
     ``brute_force`` additionally reports the exhaustive optimum (slow
     for (b); disable for quick runs).
     """
-    return run_sweep(
-        sweep(brute_force=brute_force, engine=engine, backend=backend),
-        jobs=jobs,
-        backend=backend,
-    ).rows
+    return run_sweep(sweep(brute_force=brute_force, engine=engine)).rows
 
 
 def main() -> None:

@@ -57,7 +57,7 @@ def _point(params: Mapping) -> dict:
 
 def sweep(
     scale: int = 1, p: int = 8, memory_mb: float = 512.0, q: int = 80,
-    engine: str = "fast", backend: str | None = None,
+    engine: str = "fast",
 ) -> Sweep:
     """Declare the 21-point (workload × algorithm) sweep."""
     points = tuple(
@@ -77,39 +77,28 @@ def sweep(
     return Sweep(
         name="fig10",
         run_fn=_point,
-        points=stamp_points(points, engine=engine, backend=backend),
+        points=stamp_points(points, engine=engine),
         title="Figure 10: algorithm makespans on the UT cluster (simulated)",
     )
 
 
-def campaign(
-    scale: int = 1, engine: str = "fast", backend: str | None = None
-) -> Campaign:
+def campaign(scale: int = 1, engine: str = "fast") -> Campaign:
     """The Figure 10 campaign (a single sweep)."""
-    return Campaign(
-        "fig10", (sweep(scale=scale, engine=engine, backend=backend),)
-    )
+    return Campaign("fig10", (sweep(scale=scale, engine=engine),))
 
 
 def run(
     scale: int = 1, p: int = 8, memory_mb: float = 512.0, q: int = 80,
-    engine: str = "fast", jobs: int = 1, backend: str | None = None,
+    engine: str = "fast",
 ) -> list[dict]:
     """Simulate all algorithms × workloads; returns one row per pair.
 
     ``scale`` divides every matrix dimension (use 4 or 8 for quick
     runs — the ranking is scale-invariant in the port-bound regime);
-    ``engine`` selects the simulation backend (``"fast"``/``"des"``);
-    ``backend`` selects the execution backend for the points (stamped
-    into each point, executed via :func:`repro.runner.run_sweep`).
+    ``engine`` selects the simulation backend (``"fast"``/``"des"``).
     """
     return run_sweep(
-        sweep(
-            scale=scale, p=p, memory_mb=memory_mb, q=q, engine=engine,
-            backend=backend,
-        ),
-        jobs=jobs,
-        backend=backend,
+        sweep(scale=scale, p=p, memory_mb=memory_mb, q=q, engine=engine)
     ).rows
 
 

@@ -59,7 +59,7 @@ def _point(params: Mapping) -> dict:
 
 def sweep(
     runs: int = 5, sigma: float = 0.02, scale: int = 8, seed: int = 2007,
-    engine: str = "fast", backend: str | None = None,
+    engine: str = "fast",
 ) -> Sweep:
     """Declare one jittered-repeat point per Section 8 algorithm."""
     workload = FIG10_WORKLOADS[0].scaled(scale)
@@ -80,18 +80,14 @@ def sweep(
     return Sweep(
         name="fig11",
         run_fn=_point,
-        points=stamp_points(points, engine=engine, backend=backend),
+        points=stamp_points(points, engine=engine),
         title="Figure 11: run-to-run variation (jittered platform)",
     )
 
 
-def campaign(
-    scale: int = 8, engine: str = "fast", backend: str | None = None
-) -> Campaign:
+def campaign(scale: int = 8, engine: str = "fast") -> Campaign:
     """The Figure 11 campaign (a single sweep)."""
-    return Campaign(
-        "fig11", (sweep(scale=scale, engine=engine, backend=backend),)
-    )
+    return Campaign("fig11", (sweep(scale=scale, engine=engine),))
 
 
 def run(
@@ -100,8 +96,6 @@ def run(
     scale: int = 8,
     seed: int = 2007,
     engine: str = "fast",
-    jobs: int = 1,
-    backend: str | None = None,
 ) -> list[dict]:
     """Repeat each algorithm ``runs`` times under platform jitter.
 
@@ -109,12 +103,7 @@ def run(
     ``(max-min)/min`` — the paper's Figure 11 quantity.
     """
     return run_sweep(
-        sweep(
-            runs=runs, sigma=sigma, scale=scale, seed=seed, engine=engine,
-            backend=backend,
-        ),
-        jobs=jobs,
-        backend=backend,
+        sweep(runs=runs, sigma=sigma, scale=scale, seed=seed, engine=engine)
     ).rows
 
 

@@ -63,7 +63,7 @@ def _aggregate(values: list) -> list[dict]:
 
 def sweep(
     scale: int = 1, block_sizes: tuple[int, ...] = FIG12_BLOCK_SIZES,
-    engine: str = "fast", backend: str | None = None,
+    engine: str = "fast",
 ) -> Sweep:
     """Declare the (q × algorithm) sweep, q-major like the paper."""
     workload = FIG12_WORKLOAD.scaled(scale) if scale > 1 else FIG12_WORKLOAD
@@ -82,33 +82,24 @@ def sweep(
     return Sweep(
         name="fig12",
         run_fn=_point,
-        points=stamp_points(points, engine=engine, backend=backend),
+        points=stamp_points(points, engine=engine),
         aggregate=_aggregate,
         title="Figure 12: impact of block size q",
     )
 
 
-def campaign(
-    scale: int = 1, engine: str = "fast", backend: str | None = None
-) -> Campaign:
+def campaign(scale: int = 1, engine: str = "fast") -> Campaign:
     """The Figure 12 campaign (a single sweep)."""
-    return Campaign(
-        "fig12", (sweep(scale=scale, engine=engine, backend=backend),)
-    )
+    return Campaign("fig12", (sweep(scale=scale, engine=engine),))
 
 
 def run(
     scale: int = 1, block_sizes: tuple[int, ...] = FIG12_BLOCK_SIZES,
-    engine: str = "fast", jobs: int = 1, backend: str | None = None,
+    engine: str = "fast",
 ) -> list[dict]:
     """One row per (algorithm, q); columns are makespans."""
     return run_sweep(
-        sweep(
-            scale=scale, block_sizes=block_sizes, engine=engine,
-            backend=backend,
-        ),
-        jobs=jobs,
-        backend=backend,
+        sweep(scale=scale, block_sizes=block_sizes, engine=engine)
     ).rows
 
 

@@ -52,7 +52,6 @@ def sweep(
     memories_mb: tuple[float, ...] = FIG13_MEMORY_MB,
     q: int = 80,
     engine: str = "fast",
-    backend: str | None = None,
 ) -> Sweep:
     """Declare the (memory × algorithm) sweep, memory-major."""
     workload = FIG13_WORKLOAD.scaled(scale) if scale > 1 else FIG13_WORKLOAD
@@ -72,18 +71,14 @@ def sweep(
     return Sweep(
         name="fig13",
         run_fn=_point,
-        points=stamp_points(points, engine=engine, backend=backend),
+        points=stamp_points(points, engine=engine),
         title="Figure 13: impact of worker memory size",
     )
 
 
-def campaign(
-    scale: int = 1, engine: str = "fast", backend: str | None = None
-) -> Campaign:
+def campaign(scale: int = 1, engine: str = "fast") -> Campaign:
     """The Figure 13 campaign (a single sweep)."""
-    return Campaign(
-        "fig13", (sweep(scale=scale, engine=engine, backend=backend),)
-    )
+    return Campaign("fig13", (sweep(scale=scale, engine=engine),))
 
 
 def run(
@@ -91,17 +86,10 @@ def run(
     memories_mb: tuple[float, ...] = FIG13_MEMORY_MB,
     q: int = 80,
     engine: str = "fast",
-    jobs: int = 1,
-    backend: str | None = None,
 ) -> list[dict]:
     """One row per (memory, algorithm)."""
     return run_sweep(
-        sweep(
-            scale=scale, memories_mb=memories_mb, q=q, engine=engine,
-            backend=backend,
-        ),
-        jobs=jobs,
-        backend=backend,
+        sweep(scale=scale, memories_mb=memories_mb, q=q, engine=engine)
     ).rows
 
 

@@ -100,7 +100,6 @@ def sweep(
     shape: ProblemShape | None = None,
     seed: int = 42,
     engine: str = "fast",
-    backend: str | None = None,
 ) -> Sweep:
     """Declare the (degree × variant) sweep, degree-major."""
     shape = shape or ProblemShape(r=40, s=60, t=20, q=16)
@@ -121,14 +120,14 @@ def sweep(
     return Sweep(
         name="hetero",
         run_fn=_point,
-        points=stamp_points(points, engine=engine, backend=backend),
+        points=stamp_points(points, engine=engine),
         title="Heterogeneity-degree sweep (the study announced in Section 8)",
     )
 
 
-def campaign(engine: str = "fast", backend: str | None = None) -> Campaign:
+def campaign(engine: str = "fast") -> Campaign:
     """The heterogeneity campaign (a single sweep)."""
-    return Campaign("hetero", (sweep(engine=engine, backend=backend),))
+    return Campaign("hetero", (sweep(engine=engine),))
 
 
 def run(
@@ -136,14 +135,10 @@ def run(
     p: int = 4,
     shape: ProblemShape | None = None,
     engine: str = "fast",
-    jobs: int = 1,
-    backend: str | None = None,
 ) -> list[dict]:
     """Sweep the heterogeneity degree; one row per (degree, variant)."""
     return run_sweep(
-        sweep(degrees=degrees, p=p, shape=shape, engine=engine, backend=backend),
-        jobs=jobs,
-        backend=backend,
+        sweep(degrees=degrees, p=p, shape=shape, engine=engine)
     ).rows
 
 

@@ -112,22 +112,17 @@ def _simulation_point(params: Mapping) -> dict:
 
 def costs_sweep(
     mu: int = 8, r_values: tuple[int, ...] = (16, 32, 64, 128),
-    backend: str | None = None,
 ) -> Sweep:
     """Declare one cost-model point per ``r``."""
     return Sweep(
         name="lu-costs",
         run_fn=_costs_point,
-        points=stamp_points(
-            tuple({"r": r, "mu": mu} for r in r_values), backend=backend
-        ),
+        points=tuple({"r": r, "mu": mu} for r in r_values),
         title="Section 7.1: LU cost model (block units)",
     )
 
 
-def homogeneous_sweep(
-    r: int = 196, p: int = 8, backend: str | None = None
-) -> Sweep:
+def homogeneous_sweep(r: int = 196, p: int = 8) -> Sweep:
     """Declare one point per candidate pivot size µ."""
     platform = ut_cluster_platform(p=p)
     mu = mu_overlap(platform.workers[0].m)
@@ -137,28 +132,22 @@ def homogeneous_sweep(
     return Sweep(
         name="lu-homogeneous",
         run_fn=_homogeneous_point,
-        points=stamp_points(
-            tuple({"r": r, "p": p, "mu": c} for c in candidates),
-            backend=backend,
-        ),
+        points=tuple({"r": r, "p": p, "mu": c} for c in candidates),
         title="Section 7.2: homogeneous LU — workers and makespan estimates",
     )
 
 
-def policies_sweep(r: int = 36, backend: str | None = None) -> Sweep:
+def policies_sweep(r: int = 36) -> Sweep:
     """Declare the single pivot-search point (all workers coupled)."""
     return Sweep(
         name="lu-policies",
         run_fn=_policies_point,
-        points=stamp_points(({"r": r},), backend=backend),
+        points=({"r": r},),
         title="Section 7.3: heterogeneous chunk policies (Table 2 platform)",
     )
 
 
-def simulation_sweep(
-    r: int = 56, p: int = 8, engine: str = "fast",
-    backend: str | None = None,
-) -> Sweep:
+def simulation_sweep(r: int = 56, p: int = 8, engine: str = "fast") -> Sweep:
     """Declare one simulated-LU point per µ dividing ``r``.
 
     ``engine`` is stamped for interface uniformity; the LU study uses
@@ -175,64 +164,44 @@ def simulation_sweep(
                 if r % mu == 0
             ),
             engine=engine,
-            backend=backend,
         ),
         title="Section 7.2: simulated parallel LU on the UT cluster",
     )
 
 
-def campaign(engine: str = "fast", backend: str | None = None) -> Campaign:
+def campaign(engine: str = "fast") -> Campaign:
     """The four LU sweeps, in the order ``main()`` prints them."""
     return Campaign(
         "lu",
         (
-            costs_sweep(backend=backend),
-            homogeneous_sweep(backend=backend),
-            policies_sweep(backend=backend),
-            simulation_sweep(engine=engine, backend=backend),
+            costs_sweep(),
+            homogeneous_sweep(),
+            policies_sweep(),
+            simulation_sweep(engine=engine),
         ),
     )
 
 
 def run_costs(
     mu: int = 8, r_values: tuple[int, ...] = (16, 32, 64, 128),
-    jobs: int = 1, backend: str | None = None,
 ) -> list[dict]:
     """Exact totals vs closed forms for an ``r`` sweep."""
-    return run_sweep(
-        costs_sweep(mu=mu, r_values=r_values, backend=backend),
-        jobs=jobs, backend=backend,
-    ).rows
+    return run_sweep(costs_sweep(mu=mu, r_values=r_values)).rows
 
 
-def run_homogeneous(
-    r: int = 196, p: int = 8, jobs: int = 1, backend: str | None = None
-) -> list[dict]:
+def run_homogeneous(r: int = 196, p: int = 8) -> list[dict]:
     """Worker counts and makespan estimates on the UT cluster."""
-    return run_sweep(
-        homogeneous_sweep(r=r, p=p, backend=backend),
-        jobs=jobs, backend=backend,
-    ).rows
+    return run_sweep(homogeneous_sweep(r=r, p=p)).rows
 
 
-def run_hetero_policies(
-    r: int = 36, jobs: int = 1, backend: str | None = None
-) -> list[dict]:
+def run_hetero_policies(r: int = 36) -> list[dict]:
     """Chunk policies and the exhaustive pivot search on Table 2."""
-    return run_sweep(
-        policies_sweep(r=r, backend=backend), jobs=jobs, backend=backend
-    ).rows
+    return run_sweep(policies_sweep(r=r)).rows
 
 
-def run_simulation(
-    r: int = 56, p: int = 8, engine: str = "fast",
-    jobs: int = 1, backend: str | None = None,
-) -> list[dict]:
+def run_simulation(r: int = 56, p: int = 8, engine: str = "fast") -> list[dict]:
     """Engine-simulated parallel LU vs the closed-form estimate."""
-    return run_sweep(
-        simulation_sweep(r=r, p=p, engine=engine, backend=backend),
-        jobs=jobs, backend=backend,
-    ).rows
+    return run_sweep(simulation_sweep(r=r, p=p, engine=engine)).rows
 
 
 def main() -> None:

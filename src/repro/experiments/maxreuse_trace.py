@@ -49,33 +49,24 @@ def _point(params: Mapping) -> dict:
     }
 
 
-def sweep(
-    m: int = 21, t: int = 4, engine: str = "fast",
-    backend: str | None = None,
-) -> Sweep:
+def sweep(m: int = 21, t: int = 4, engine: str = "fast") -> Sweep:
     """Declare the single walk-through point."""
     return Sweep(
         name="maxreuse",
         run_fn=_point,
-        points=stamp_points(({"m": m, "t": t},), engine=engine, backend=backend),
+        points=stamp_points(({"m": m, "t": t},), engine=engine),
         title=f"Figures 5/6: maximum re-use layout on m={m} buffers",
     )
 
 
-def campaign(engine: str = "fast", backend: str | None = None) -> Campaign:
+def campaign(engine: str = "fast") -> Campaign:
     """The Figures 5/6 campaign (a single one-point sweep)."""
-    return Campaign("maxreuse", (sweep(engine=engine, backend=backend),))
+    return Campaign("maxreuse", (sweep(engine=engine),))
 
 
-def run(
-    m: int = 21, t: int = 4, engine: str = "fast",
-    jobs: int = 1, backend: str | None = None,
-) -> dict:
+def run(m: int = 21, t: int = 4, engine: str = "fast") -> dict:
     """Run the m-buffer walk-through; returns layout and trace stats."""
-    return run_sweep(
-        sweep(m=m, t=t, engine=engine, backend=backend),
-        jobs=jobs, backend=backend,
-    ).rows[0]
+    return run_sweep(sweep(m=m, t=t, engine=engine)).rows[0]
 
 
 def main() -> None:

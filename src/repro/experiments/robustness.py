@@ -159,7 +159,6 @@ def sweep(
     kinds: Sequence[str] = KINDS,
     severities: Sequence[float] = SEVERITIES,
     seed: int = 0,
-    backend: str | None = None,
 ) -> Sweep:
     """Declare the (kind × severity × algorithm) robustness sweep."""
     points = tuple(
@@ -180,14 +179,13 @@ def sweep(
     return Sweep(
         name="robustness",
         run_fn=_point,
-        points=stamp_points(points, engine=engine, backend=backend),
+        points=stamp_points(points, engine=engine),
         title="Robustness: makespan degradation under non-stationary platforms",
     )
 
 
 def campaign(
     scale: int = 1, engine: str = "fast", scenario: Optional[str] = None,
-    backend: str | None = None,
 ) -> Campaign:
     """The robustness campaign (a single sweep).
 
@@ -213,8 +211,7 @@ def campaign(
         "robustness",
         (
             sweep(
-                scale=scale, engine=engine, kinds=kinds,
-                severities=severities, backend=backend,
+                scale=scale, engine=engine, kinds=kinds, severities=severities
             ),
         ),
     )
@@ -229,8 +226,6 @@ def run(
     kinds: Sequence[str] = KINDS,
     severities: Sequence[float] = SEVERITIES,
     seed: int = 0,
-    jobs: int = 1,
-    backend: str | None = None,
 ) -> list[dict]:
     """Run the robustness sweep; one row per (kind, severity, algorithm).
 
@@ -241,10 +236,8 @@ def run(
     return run_sweep(
         sweep(
             scale=scale, p=p, memory_mb=memory_mb, q=q, engine=engine,
-            kinds=kinds, severities=severities, seed=seed, backend=backend,
-        ),
-        jobs=jobs,
-        backend=backend,
+            kinds=kinds, severities=severities, seed=seed,
+        )
     ).rows
 
 

@@ -56,7 +56,7 @@ def _point(params: Mapping) -> list[dict]:
     return rows
 
 
-def sweep(engine: str = "fast", backend: str | None = None) -> Sweep:
+def sweep(engine: str = "fast") -> Sweep:
     """Declare the single Table 1 feasibility point.
 
     ``engine`` is stamped for interface uniformity; the steady-state
@@ -65,25 +65,19 @@ def sweep(engine: str = "fast", backend: str | None = None) -> Sweep:
     return Sweep(
         name="table1",
         run_fn=_point,
-        points=stamp_points(
-            ({"platform": "table1"},), engine=engine, backend=backend
-        ),
+        points=stamp_points(({"platform": "table1"},), engine=engine),
         title="Table 1: bandwidth-centric steady state vs memory feasibility",
     )
 
 
-def campaign(engine: str = "fast", backend: str | None = None) -> Campaign:
+def campaign(engine: str = "fast") -> Campaign:
     """The Table 1 campaign (a single one-point sweep)."""
-    return Campaign("table1", (sweep(engine=engine, backend=backend),))
+    return Campaign("table1", (sweep(engine=engine),))
 
 
-def run(
-    engine: str = "fast", jobs: int = 1, backend: str | None = None
-) -> list[dict]:
+def run(engine: str = "fast") -> list[dict]:
     """Rows: one per worker of the Table 1 platform."""
-    return run_sweep(
-        sweep(engine=engine, backend=backend), jobs=jobs, backend=backend
-    ).rows
+    return run_sweep(sweep(engine=engine)).rows
 
 
 def main() -> None:

@@ -79,7 +79,7 @@ def _point(params: Mapping) -> dict:
 
 def sweep(
     steps: int = 2000, lookahead_depths: tuple[int, ...] = (2, 3),
-    engine: str = "fast", backend: str | None = None,
+    engine: str = "fast",
 ) -> Sweep:
     """Declare one point per selection variant, in the paper's order.
 
@@ -95,28 +95,23 @@ def sweep(
     return Sweep(
         name="table2",
         run_fn=_point,
-        points=stamp_points(tuple(points), engine=engine, backend=backend),
+        points=stamp_points(tuple(points), engine=engine),
         title="Table 2 platform: computation-per-communication ratios",
     )
 
 
-def campaign(engine: str = "fast", backend: str | None = None) -> Campaign:
+def campaign(engine: str = "fast") -> Campaign:
     """The Table 2 campaign (a single sweep)."""
-    return Campaign("table2", (sweep(engine=engine, backend=backend),))
+    return Campaign("table2", (sweep(engine=engine),))
 
 
 def run(
     steps: int = 2000, lookahead_depths: tuple[int, ...] = (2, 3),
-    engine: str = "fast", jobs: int = 1, backend: str | None = None,
+    engine: str = "fast",
 ) -> list[dict]:
     """Measure asymptotic ratios of every selection variant."""
     return run_sweep(
-        sweep(
-            steps=steps, lookahead_depths=lookahead_depths, engine=engine,
-            backend=backend,
-        ),
-        jobs=jobs,
-        backend=backend,
+        sweep(steps=steps, lookahead_depths=lookahead_depths, engine=engine)
     ).rows
 
 

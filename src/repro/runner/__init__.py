@@ -32,7 +32,6 @@ from repro.runner.backends import (
     SerialBackend,
     TaskResult,
     create_backend,
-    parallel_map,
     resolve_backend,
 )
 from repro.runner.cache import (
@@ -101,7 +100,6 @@ __all__ = [
     "create_backend",
     "default_cache_dir",
     "default_score",
-    "parallel_map",
     "point_key",
     "prescreen_sweep",
     "resolve_backend",

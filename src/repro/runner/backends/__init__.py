@@ -29,7 +29,7 @@ from repro.runner.backends.base import (
 )
 from repro.runner.backends.chaos import ChaosBackend, ChaosFault, ChaosSpec
 from repro.runner.backends.persistent import PersistentBackend
-from repro.runner.backends.process import ProcessBackend, parallel_map
+from repro.runner.backends.process import ProcessBackend
 from repro.runner.backends.remote import RemoteBackend
 from repro.runner.backends.serial import SerialBackend
 
@@ -47,6 +47,5 @@ __all__ = [
     "SerialBackend",
     "TaskResult",
     "create_backend",
-    "parallel_map",
     "resolve_backend",
 ]

@@ -299,11 +299,6 @@ class PersistentBackend:
             if w.process.pid is not None and w.alive()
         ]
 
-    @property
-    def _pool(self):
-        """Truthy while warm workers exist (kept for back-compat probes)."""
-        return tuple(self._workers) or None
-
     def close(self) -> None:
         """Shut the pool down; the next ``map`` would start a fresh one."""
         for worker in self._workers:

@@ -7,15 +7,10 @@ per task; for a top-level function the reference is small, but the
 initializer route means the per-task payload is exactly the params and
 nothing else, and it is the same mechanism the persistent backend's
 worker-side function cache builds on.
-
-:func:`parallel_map` keeps the historic helper API (yield
-``(value, seconds)``, propagate exceptions) for callers that want raw
-fan-out without the sweep orchestrator.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.runner.backends.base import (
@@ -28,7 +23,7 @@ from repro.runner.backends.base import (
     sigterm_held,
 )
 
-__all__ = ["ProcessBackend", "parallel_map"]
+__all__ = ["ProcessBackend"]
 
 #: The point function installed in this worker by the pool initializer.
 _WORKER_FN: Optional[PointFn] = None
@@ -38,8 +33,8 @@ _WORKER_TIMEOUT: Optional[float] = None
 
 def _install_fn(
     fn: PointFn,
-    on_install: Optional[Callable[[], None]] = None,
-    timeout: Optional[float] = None,
+    on_install: Optional[Callable[[], None]],
+    timeout: Optional[float],
 ) -> None:
     """Pool initializer: receive the point function once per worker."""
     global _WORKER_FN, _WORKER_TIMEOUT
@@ -56,13 +51,6 @@ def _run_installed(params: Mapping[str, Any]) -> Tuple[Any, float, Optional[str]
     pipe cheaply and unconditionally."""
     result = run_one(_WORKER_FN, params, timeout=_WORKER_TIMEOUT)
     return result.value, result.seconds, result.error
-
-
-def _run_installed_raw(params: Mapping[str, Any]) -> Tuple[Any, float]:
-    """Worker task for :func:`parallel_map`: exceptions propagate."""
-    start = time.perf_counter()
-    value = _WORKER_FN(params)
-    return value, time.perf_counter() - start
 
 
 @register
@@ -117,30 +105,3 @@ class ProcessBackend:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-def parallel_map(
-    fn: PointFn, items: Sequence[Mapping[str, Any]], jobs: int
-) -> Iterator[Tuple[Any, float]]:
-    """Yield ``(value, seconds)`` for each item, in input order.
-
-    ``jobs <= 1`` (or a single item) runs inline — no pool, so closures
-    and monkeypatched functions work in tests and callers pay zero
-    process overhead on the serial path.  The point function is sent
-    once per worker via the pool initializer; every task pickles only
-    its params.  Behaviour is byte-identical to the historic
-    ``runner.pool.parallel_map``, including exception propagation.
-    """
-    if jobs <= 1 or len(items) <= 1:
-        for params in items:
-            start = time.perf_counter()
-            value = fn(params)
-            yield value, time.perf_counter() - start
-        return
-    with sigterm_held():
-        pool = pool_context().Pool(
-            processes=min(jobs, len(items)),
-            initializer=_install_fn,
-            initargs=(fn,),
-        )
-    with pool:
-        yield from pool.imap(_run_installed_raw, list(items), chunksize=1)

@@ -57,10 +57,11 @@ def stamp_points(
 ) -> Tuple[Mapping[str, Any], ...]:
     """Stamp shared knob values into every point of a sweep.
 
-    The uniform way experiment declarations thread cross-cutting knobs
-    (the simulation ``engine``, the execution ``backend``) into their
-    points: the knob lands in each point mapping, so it reaches the pure
-    per-point function, participates in the cache key, and crosses
+    The uniform way cross-cutting knobs reach the points: experiment
+    declarations stamp the simulation ``engine``, and ``python -m repro
+    sweep`` stamps an explicit ``--backend`` once onto every built
+    campaign.  The knob lands in each point mapping, so it reaches the
+    pure per-point function, participates in the cache key, and crosses
     process boundaries like any other parameter.  ``None`` values are
     skipped (knob not applicable / leave the per-point default).
 

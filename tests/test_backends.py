@@ -23,7 +23,6 @@ from repro.runner import (
     Sweep,
     SweepPointError,
     create_backend,
-    parallel_map,
     resolve_backend,
     run_campaign,
     run_sweep,
@@ -230,7 +229,7 @@ class TestErrorIsolation:
         try:
             run_sweep(_sweep(n=8), backend=backend)
             workers = list(backend._workers)
-            assert workers and backend._pool is not None
+            assert workers and backend.worker_pids()
             run_sweep(_sweep(n=8), backend=backend)
             # same worker processes, still warm — no respawn happened
             assert list(backend._workers) == workers
@@ -251,7 +250,7 @@ class TestErrorIsolation:
         try:
             with pytest.raises(SweepPointError):
                 run_sweep(sweep, backend=backend)
-            assert backend._pool is None  # terminated, not drained
+            assert not backend.worker_pids()  # terminated, not drained
             # The backend is still usable afterwards.
             ok = run_sweep(_sweep(n=4), backend=backend)
             assert [o.value["x"] for o in ok.outcomes] == [0, 1, 2, 3]
@@ -336,31 +335,6 @@ class TestErrorIsolation:
             sweep, cache=cache, on_error="keep", code="v1", resume=True
         )
         assert again.hits == 4 and again.misses == 1
-
-
-class TestParallelMapCompat:
-    """The historic helper keeps its contract on the new machinery."""
-
-    def test_matches_serial(self):
-        points = tuple({"x": x} for x in range(6))
-        serial = [v for v, _ in parallel_map(_square_point, points, jobs=1)]
-        pooled = [v for v, _ in parallel_map(_square_point, points, jobs=3)]
-        assert pooled == serial
-
-    def test_exceptions_propagate(self):
-        points = tuple({"x": x} for x in range(5))
-        with pytest.raises(RuntimeError, match="boom at x=2"):
-            list(parallel_map(_flaky_point, points, jobs=2))
-
-    def test_inline_path_supports_closures(self):
-        calls = []
-
-        def fn(params):
-            calls.append(params["x"])
-            return params["x"]
-
-        assert [v for v, _ in parallel_map(fn, ({"x": 1},), jobs=4)] == [1]
-        assert calls == [1]
 
 
 class TestStreamingProgress:

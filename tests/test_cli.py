@@ -86,6 +86,23 @@ class TestBackendPlumbing:
         [record] = _put_records(tmp_path, "maxreuse")
         assert "backend" not in record["params"]
 
+    def test_backend_stamp_reaches_every_sweep_of_a_campaign(
+        self, tmp_path, capsys
+    ):
+        # lu is a 4-sweep campaign; the CLI stamps --backend onto each.
+        argv = ["sweep", "lu", "--backend", "serial",
+                "--cache-dir", str(tmp_path), "--quiet"]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        sweeps = sorted(d.name for d in tmp_path.glob("lu-*"))
+        assert sweeps == [
+            "lu-costs", "lu-homogeneous", "lu-policies", "lu-simulation"
+        ]
+        for sweep in sweeps:
+            records = _put_records(tmp_path, sweep)
+            assert records
+            assert all(r["params"]["backend"] == "serial" for r in records)
+
     def test_warm_rerun_is_fully_cached(self, tmp_path, capsys):
         argv = _sweep_argv(tmp_path, "--backend", "persistent")
         assert cli_main(argv) == 0
