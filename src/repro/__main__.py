@@ -231,6 +231,12 @@ def _cmd_sweep(argv: list[str]) -> int:
     if args.prescreen is not None and args.prescreen <= 0:
         print("bad arguments: --prescreen must be a positive count or fraction")
         return 2
+    if args.scale is not None and args.scale < 1:
+        print("bad arguments: --scale must be a positive integer")
+        return 2
+    if args.jobs < 1:
+        print("bad arguments: --jobs must be a positive integer")
+        return 2
     if args.retry_quarantined and not args.resume:
         print("bad arguments: --retry-quarantined only applies with --resume")
         return 2

@@ -7,8 +7,8 @@
 * :mod:`repro.analysis.metrics` — summary statistics over traces.
 """
 
-from repro.analysis.gantt import gantt_selection, gantt_trace
-from repro.analysis.metrics import TraceSummary, summarize_trace
+import importlib
+
 from repro.analysis.tables import format_table
 
 __all__ = [
@@ -18,3 +18,10 @@ __all__ = [
     "gantt_trace",
     "summarize_trace",
 ]
+
+def __getattr__(name: str):  # numpy/engine-backed names load on first use
+    module = {"TraceSummary": "metrics", "summarize_trace": "metrics",
+              "gantt_selection": "gantt", "gantt_trace": "gantt"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -18,9 +18,9 @@ This subpackage provides:
 * verification helpers in :mod:`repro.blocks.verify`.
 """
 
-from repro.blocks.matrix import BlockMatrix
+import importlib
+
 from repro.blocks.shape import ProblemShape
-from repro.blocks.verify import make_product_instance, max_block_error, verify_product
 
 __all__ = [
     "BlockMatrix",
@@ -29,3 +29,10 @@ __all__ = [
     "max_block_error",
     "verify_product",
 ]
+
+def __getattr__(name: str):  # numpy-backed names load on first use
+    module = {"BlockMatrix": "matrix", "make_product_instance": "verify",
+              "max_block_error": "verify", "verify_product": "verify"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

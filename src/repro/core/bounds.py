@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from typing import Literal
 
-import numpy as np
-
 from repro.core.layout import max_reuse_mu
 
 __all__ = [
@@ -156,6 +154,7 @@ def solve_k_bound(
         return math.sqrt(8.0 / 27.0), point
     if method != "numeric":
         raise ValueError(f"unknown method {method!r}")
+    import numpy as np
     from scipy.optimize import minimize
 
     def negative_k(x: np.ndarray) -> float:

@@ -9,7 +9,8 @@ and algorithm parameters only; how they are dispatched is the runner's
 business (the CLI stamps an explicit ``--backend`` onto the built
 campaign).  The ``benchmarks/`` directory wraps these in
 pytest-benchmark targets; the CLI (``python -m repro``) runs them by
-name.
+name.  Rule: modules import the simulation stack (numpy, engine,
+schedulers, scenarios, LU) only inside point functions.
 
 | Module              | Reproduces                                             |
 |---------------------|--------------------------------------------------------|

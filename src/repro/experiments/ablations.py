@@ -19,14 +19,10 @@ from typing import Mapping
 
 from repro.analysis.tables import format_table
 from repro.blocks.shape import ProblemShape
-from repro.core.heterogeneous import lookahead_selection
-from repro.core.homogeneous import startup_overhead_fraction
 from repro.core.layout import mu_overlap
-from repro.engine import run_scheduler
 from repro.platform.model import Platform
 from repro.platform.named import table2_platform, ut_cluster_platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
-from repro.schedulers import DDOML, HoLM, ODDOML
 
 __all__ = [
     "run_ports",
@@ -40,6 +36,8 @@ __all__ = [
 
 def _ports_point(params: Mapping) -> dict:
     """HoLM makespan under a one- or two-port master."""
+    from repro.engine import run_scheduler
+    from repro.schedulers import HoLM
     from repro.workloads import FIG10_WORKLOADS
 
     shape = FIG10_WORKLOADS[0].scaled(params["scale"]).shape(80)
@@ -67,6 +65,9 @@ def _ports_aggregate(values: list) -> list[dict]:
 
 def _overlap_point(params: Mapping) -> dict:
     """ODDOML vs DDOML at one memory size."""
+    from repro.engine import run_scheduler
+    from repro.schedulers import DDOML, ODDOML
+
     m = params["m"]
     shape = ProblemShape(r=24, s=36, t=12, q=16)
     platform = Platform.homogeneous(4, c=0.2, w=0.1, m=m)
@@ -84,6 +85,10 @@ def _overlap_point(params: Mapping) -> dict:
 
 def _startup_point(params: Mapping) -> dict:
     """Measured C-tile overhead vs the paper's bound for one ``t``."""
+    from repro.core.homogeneous import startup_overhead_fraction
+    from repro.engine import run_scheduler
+    from repro.schedulers import HoLM
+
     t = params["t"]
     c, w = 2.0, 4.5  # the paper's own example values
     m = 21  # µ = 3 under the overlap layout
@@ -105,6 +110,8 @@ def _startup_point(params: Mapping) -> dict:
 
 def _lookahead_point(params: Mapping) -> dict:
     """Selection ratio at one lookahead depth on the Table 2 platform."""
+    from repro.core.heterogeneous import lookahead_selection
+
     platform = table2_platform()
     sel = lookahead_selection(
         platform, 10**6, 10**7, 10**6, depth=params["depth"], max_steps=1200

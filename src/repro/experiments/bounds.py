@@ -18,18 +18,9 @@ from typing import Mapping
 
 from repro.analysis.tables import format_table
 from repro.blocks.shape import ProblemShape
-from repro.core.bounds import (
-    ccr_lower_bound_irony_toledo_tiskin,
-    ccr_lower_bound_loomis_whitney,
-    ccr_lower_bound_toledo_refined,
-    ccr_max_reuse,
-    ccr_max_reuse_asymptotic,
-)
 from repro.core.layout import max_reuse_mu
-from repro.engine import run_scheduler
 from repro.platform.model import Platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
-from repro.schedulers.maxreuse import MaxReuse
 
 __all__ = ["run", "simulated_ccr", "main", "sweep", "campaign", "DEFAULT_MEMORIES"]
 
@@ -44,6 +35,9 @@ def simulated_ccr(m: int, t: int = 40, engine: str = "fast") -> float:
     dimension ``t``, so the measured blocks-per-update matches the
     analytic ``2/t + 2/µ`` exactly.
     """
+    from repro.engine import run_scheduler
+    from repro.schedulers.maxreuse import MaxReuse
+
     mu = max_reuse_mu(m)
     shape = ProblemShape(r=mu, s=mu, t=t, q=4)
     platform = Platform.homogeneous(1, c=1.0, w=1.0, m=m)
@@ -53,6 +47,14 @@ def simulated_ccr(m: int, t: int = 40, engine: str = "fast") -> float:
 
 def _point(params: Mapping) -> dict:
     """Bounds and achieved CCR for one memory size."""
+    from repro.core.bounds import (
+        ccr_lower_bound_irony_toledo_tiskin,
+        ccr_lower_bound_loomis_whitney,
+        ccr_lower_bound_toledo_refined,
+        ccr_max_reuse,
+        ccr_max_reuse_asymptotic,
+    )
+
     m, t = params["m"], params["t"]
     lw = ccr_lower_bound_loomis_whitney(m)
     achieved = ccr_max_reuse_asymptotic(m)

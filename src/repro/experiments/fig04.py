@@ -16,7 +16,7 @@ from typing import Mapping
 
 from repro.analysis.tables import format_table
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
-from repro.simple import SimpleInstance, brute_force_best, min_min, thrifty
+from repro.simple import SimpleInstance
 
 __all__ = ["INSTANCE_A", "INSTANCE_B", "run", "main", "sweep", "campaign"]
 
@@ -28,6 +28,8 @@ INSTANCE_B = SimpleInstance(r=6, s=3, p=2, c=8.0, w=9.0)
 
 def _point(params: Mapping) -> dict:
     """Evaluate both heuristics (and maybe brute force) on one instance."""
+    from repro.simple import brute_force_best, min_min, thrifty
+
     inst = SimpleInstance(
         r=params["r"], s=params["s"], p=params["p"], c=params["c"], w=params["w"]
     )

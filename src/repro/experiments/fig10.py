@@ -19,19 +19,20 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.analysis.metrics import summarize_trace
 from repro.analysis.tables import format_table
-from repro.engine import run_scheduler
 from repro.platform.named import ut_cluster_platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
-from repro.schedulers import SECTION8_SCHEDULERS, section8_scheduler
-from repro.workloads import Workload, fig10_workloads
+from repro.workloads import SECTION8_ALGORITHMS, Workload, fig10_workloads
 
 __all__ = ["run", "main", "sweep", "campaign"]
 
 
 def _point(params: Mapping) -> dict:
     """Simulate one algorithm on one workload; returns the table row."""
+    from repro.analysis.metrics import summarize_trace
+    from repro.engine import run_scheduler
+    from repro.schedulers import section8_scheduler
+
     platform = ut_cluster_platform(
         p=params["p"], memory_mb=params["memory_mb"], q=params["q"]
     )
@@ -72,7 +73,7 @@ def sweep(
             "q": q,
         }
         for workload in fig10_workloads(scale)
-        for name in SECTION8_SCHEDULERS
+        for name in SECTION8_ALGORITHMS
     )
     return Sweep(
         name="fig10",

@@ -17,21 +17,22 @@ from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
-
 from repro.analysis.tables import format_table
-from repro.engine import run_scheduler
 from repro.platform.model import perturbed
 from repro.platform.named import ut_cluster_platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
-from repro.schedulers import SECTION8_SCHEDULERS, section8_scheduler
-from repro.workloads import FIG10_WORKLOADS, Workload
+from repro.workloads import FIG10_WORKLOADS, SECTION8_ALGORITHMS, Workload
 
 __all__ = ["run", "main", "sweep", "campaign"]
 
 
 def _point(params: Mapping) -> dict:
     """Repeat one algorithm ``runs`` times under platform jitter."""
+    import numpy as np
+
+    from repro.engine import run_scheduler
+    from repro.schedulers import section8_scheduler
+
     rng = np.random.default_rng((params["seed"], params["algo_index"]))
     base = ut_cluster_platform(p=8)
     shape = Workload(
@@ -75,7 +76,7 @@ def sweep(
             "n_ab": workload.n_ab,
             "n_b": workload.n_b,
         }
-        for index, name in enumerate(SECTION8_SCHEDULERS)
+        for index, name in enumerate(SECTION8_ALGORITHMS)
     )
     return Sweep(
         name="fig11",

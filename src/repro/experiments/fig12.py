@@ -21,11 +21,9 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.analysis.tables import format_table
-from repro.engine import run_scheduler
 from repro.platform.named import ut_cluster_platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
-from repro.schedulers import SECTION8_SCHEDULERS, section8_scheduler
-from repro.workloads import FIG12_BLOCK_SIZES, Workload
+from repro.workloads import FIG12_BLOCK_SIZES, SECTION8_ALGORITHMS, Workload
 
 __all__ = ["run", "main", "sweep", "campaign", "FIG12_WORKLOAD"]
 
@@ -35,6 +33,9 @@ FIG12_WORKLOAD = Workload("A 8000x8000, B 8000x64000", 8000, 8000, 64000)
 
 def _point(params: Mapping) -> dict:
     """Makespan of one algorithm at one block size."""
+    from repro.engine import run_scheduler
+    from repro.schedulers import section8_scheduler
+
     q = params["q"]
     platform = ut_cluster_platform(p=8, q=q)
     workload = Workload(
@@ -77,7 +78,7 @@ def sweep(
             "q": q,
         }
         for q in block_sizes
-        for name in SECTION8_SCHEDULERS
+        for name in SECTION8_ALGORITHMS
     )
     return Sweep(
         name="fig12",

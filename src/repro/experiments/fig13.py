@@ -13,19 +13,20 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.analysis.metrics import summarize_trace
 from repro.analysis.tables import format_table
-from repro.engine import run_scheduler
 from repro.platform.named import ut_cluster_platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
-from repro.schedulers import SECTION8_SCHEDULERS, section8_scheduler
-from repro.workloads import FIG13_MEMORY_MB, FIG13_WORKLOAD, Workload
+from repro.workloads import FIG13_MEMORY_MB, FIG13_WORKLOAD, SECTION8_ALGORITHMS, Workload
 
 __all__ = ["run", "main", "sweep", "campaign"]
 
 
 def _point(params: Mapping) -> dict:
     """Simulate one algorithm at one worker memory size."""
+    from repro.analysis.metrics import summarize_trace
+    from repro.engine import run_scheduler
+    from repro.schedulers import section8_scheduler
+
     platform = ut_cluster_platform(
         p=8, memory_mb=params["memory_mb"], q=params["q"]
     )
@@ -66,7 +67,7 @@ def sweep(
             "q": q,
         }
         for memory_mb in memories_mb
-        for name in SECTION8_SCHEDULERS
+        for name in SECTION8_ALGORITHMS
     )
     return Sweep(
         name="fig13",

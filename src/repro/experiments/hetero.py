@@ -22,20 +22,10 @@ from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
-
-from repro.analysis.metrics import summarize_trace
 from repro.analysis.tables import format_table
 from repro.blocks.shape import ProblemShape
-from repro.core.heterogeneous import (
-    bandwidth_centric_steady_state,
-    global_selection,
-    local_selection,
-)
-from repro.engine import run_scheduler
 from repro.platform.model import Platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
-from repro.schedulers.hetero import HeteroIncremental
 
 __all__ = ["heterogeneous_family", "run", "main", "sweep", "campaign"]
 
@@ -57,6 +47,8 @@ def heterogeneous_family(
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     span = np.log(1.0 + degree) if degree > 0 else 0.0
     c, w, m = [], [], []
@@ -69,6 +61,15 @@ def heterogeneous_family(
 
 def _point(params: Mapping) -> dict:
     """Bound, selection ratio and executed makespan for one (degree, variant)."""
+    from repro.analysis.metrics import summarize_trace
+    from repro.core.heterogeneous import (
+        bandwidth_centric_steady_state,
+        global_selection,
+        local_selection,
+    )
+    from repro.engine import run_scheduler
+    from repro.schedulers.hetero import HeteroIncremental
+
     degree, variant = params["degree"], params["variant"]
     platform = heterogeneous_family(params["p"], degree, seed=params["seed"])
     r, s, t = params["r"], params["s"], params["t"]

@@ -20,18 +20,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.analysis.tables import format_table
-from repro.core.heterogeneous import chunk_sizes
 from repro.core.layout import mu_overlap
-from repro.lu import (
-    best_pivot_size,
-    chunk_policy,
-    lu_communication_paper_closed_form,
-    lu_computation_closed_form,
-    lu_makespan_estimate,
-    lu_total_cost,
-    lu_worker_count,
-    simulate_parallel_lu,
-)
 from repro.platform.named import table2_platform, ut_cluster_platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
 
@@ -47,6 +36,12 @@ __all__ = [
 
 def _costs_point(params: Mapping) -> dict:
     """Exact totals vs closed forms for one ``r``."""
+    from repro.lu import (
+        lu_communication_paper_closed_form,
+        lu_computation_closed_form,
+        lu_total_cost,
+    )
+
     r, mu = params["r"], params["mu"]
     comm, comp = lu_total_cost(r, mu)
     return {
@@ -62,6 +57,8 @@ def _costs_point(params: Mapping) -> dict:
 
 def _homogeneous_point(params: Mapping) -> dict:
     """Worker count and makespan estimate for one candidate µ."""
+    from repro.lu import lu_makespan_estimate, lu_worker_count
+
     r, p, mu = params["r"], params["p"], params["mu"]
     platform = ut_cluster_platform(p=p)
     wk = platform.workers[0]
@@ -74,6 +71,9 @@ def _homogeneous_point(params: Mapping) -> dict:
 
 def _policies_point(params: Mapping) -> list[dict]:
     """Chunk policies + exhaustive pivot search (couples all workers)."""
+    from repro.core.heterogeneous import chunk_sizes
+    from repro.lu import best_pivot_size, chunk_policy
+
     r = params["r"]
     platform = table2_platform()
     best_mu, best_time = best_pivot_size(platform, r)
@@ -97,6 +97,8 @@ def _policies_point(params: Mapping) -> list[dict]:
 
 def _simulation_point(params: Mapping) -> dict:
     """Engine-simulated parallel LU for one µ."""
+    from repro.lu import lu_makespan_estimate, simulate_parallel_lu
+
     r, p, mu = params["r"], params["p"], params["mu"]
     platform = ut_cluster_platform(p=p)
     wk = platform.workers[0]

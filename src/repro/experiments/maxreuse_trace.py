@@ -16,16 +16,17 @@ from typing import Mapping
 from repro.analysis.tables import format_table
 from repro.blocks.shape import ProblemShape
 from repro.core.layout import MemoryLayout
-from repro.engine import run_scheduler
 from repro.platform.model import Platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
-from repro.schedulers.maxreuse import MaxReuse
 
 __all__ = ["run", "main", "sweep", "campaign"]
 
 
 def _point(params: Mapping) -> dict:
     """The m-buffer walk-through; returns layout and trace stats."""
+    from repro.engine import run_scheduler
+    from repro.schedulers.maxreuse import MaxReuse
+
     m, t = params["m"], params["t"]
     layout = MemoryLayout.max_reuse(m)
     mu = layout.mu

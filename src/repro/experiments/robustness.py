@@ -47,14 +47,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
-from repro.analysis.metrics import summarize_trace
 from repro.analysis.tables import format_table
-from repro.engine import run_scheduler
 from repro.platform.named import ut_cluster_platform
 from repro.runner import Campaign, Sweep, cached_call, run_sweep, stamp_points
-from repro.scenarios import build_scenario, scenario_spec
-from repro.schedulers import SECTION8_SCHEDULERS, MaxReuse, section8_scheduler
-from repro.workloads import fig10_workloads
+from repro.workloads import SECTION8_ALGORITHMS, fig10_workloads
 
 __all__ = ["ALGORITHMS", "KINDS", "SEVERITIES", "run", "main", "sweep", "campaign"]
 
@@ -66,7 +62,7 @@ KINDS = (
 #: The severity grid.
 SEVERITIES = (0.25, 0.5, 1.0)
 #: The seven Section-8 algorithms plus the MaxReuse reference.
-ALGORITHMS = tuple(SECTION8_SCHEDULERS) + ("MaxReuse",)
+ALGORITHMS = SECTION8_ALGORITHMS + ("MaxReuse",)
 
 
 def _scheduler_and_platform(algorithm: str, p: int, memory_mb: float, q: int):
@@ -76,6 +72,8 @@ def _scheduler_and_platform(algorithm: str, p: int, memory_mb: float, q: int):
     one-worker subset of the same cluster (scenario worker indices then
     refer to that subset's worker 1).
     """
+    from repro.schedulers import MaxReuse, section8_scheduler
+
     platform = ut_cluster_platform(p=p, memory_mb=memory_mb, q=q)
     if algorithm == "MaxReuse":
         return MaxReuse(), platform.subset((1,), name=f"{platform.name}[P1]")
@@ -86,6 +84,8 @@ def _stationary_makespan(
     algorithm: str, p: int, memory_mb: float, q: int, scale: int, engine: str
 ) -> float:
     """Simulate one algorithm's stationary baseline (uncached kernel)."""
+    from repro.engine import run_scheduler
+
     scheduler, platform = _scheduler_and_platform(algorithm, p, memory_mb, q)
     shape = fig10_workloads(scale)[0].shape(q)
     trace = run_scheduler(scheduler, platform, shape, engine=engine)
@@ -122,6 +122,10 @@ def _point(params: Mapping) -> dict:
     the congestion family measures real delay, not the synthetic hold's
     own end time.
     """
+    from repro.analysis.metrics import summarize_trace
+    from repro.engine import run_scheduler
+    from repro.scenarios import build_scenario, scenario_spec
+
     algorithm = params["algorithm"]
     p, memory_mb, q = params["p"], params["memory_mb"], params["q"]
     scale = params["scale"]

@@ -16,11 +16,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.analysis.tables import format_table
-from repro.core.heterogeneous import (
-    bandwidth_centric_steady_state,
-    chunk_sizes,
-    simulate_bandwidth_centric_feasibility,
-)
 from repro.platform.named import table1_platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
 
@@ -29,6 +24,12 @@ __all__ = ["run", "main", "sweep", "campaign"]
 
 def _point(params: Mapping) -> list[dict]:
     """Rows: one per worker of the Table 1 platform."""
+    from repro.core.heterogeneous import (
+        bandwidth_centric_steady_state,
+        chunk_sizes,
+        simulate_bandwidth_centric_feasibility,
+    )
+
     del params  # the Table 1 platform is fixed by the paper
     platform = table1_platform()
     mus = chunk_sizes(platform)
@@ -82,6 +83,8 @@ def run(engine: str = "fast") -> list[dict]:
 
 def main() -> None:
     """Print the Table 1 feasibility analysis."""
+    from repro.core.heterogeneous import bandwidth_centric_steady_state
+
     platform = table1_platform()
     steady = bandwidth_centric_steady_state(platform)
     print(

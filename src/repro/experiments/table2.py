@@ -19,14 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.analysis.gantt import gantt_selection
 from repro.analysis.tables import format_table
-from repro.core.heterogeneous import (
-    bandwidth_centric_steady_state,
-    global_selection,
-    local_selection,
-    lookahead_selection,
-)
 from repro.platform.named import table2_platform
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
 
@@ -38,6 +31,13 @@ _R, _S, _T = 10**6, 10**7, 10**6
 
 def _point(params: Mapping) -> dict:
     """Asymptotic ratio of one selection variant on the Table 2 platform."""
+    from repro.core.heterogeneous import (
+        bandwidth_centric_steady_state,
+        global_selection,
+        local_selection,
+        lookahead_selection,
+    )
+
     platform = table2_platform()
     variant = params["variant"]
     r, s, t = params["r"], params["s"], params["t"]
@@ -117,6 +117,9 @@ def run(
 
 def main() -> None:
     """Print the ratio table and the Figure 7/8 Gantt charts."""
+    from repro.analysis.gantt import gantt_selection
+    from repro.core.heterogeneous import global_selection, local_selection
+
     print(
         format_table(
             run(),

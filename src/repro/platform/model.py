@@ -8,9 +8,10 @@ worker ``Pi`` costs ``X * c_i`` seconds of master-port time; executing
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Worker", "Platform", "perturbed", "scaled_bandwidth"]
 
@@ -161,6 +162,8 @@ def perturbed(
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    import numpy as np
+
     workers = tuple(
         replace(
             wk,

@@ -229,9 +229,14 @@ def pool_context() -> multiprocessing.context.BaseContext:
     """The pool start-method shared by every process-based backend:
     ``fork`` where available (no re-import cost, monkeypatched modules
     and pytest-loaded benchmark modules survive into workers), the
-    platform default elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
+    platform default elsewhere.  The parent loads the simulation stack
+    lazily (experiments import it in their point functions), so this
+    one fork point loads it for every worker to inherit."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context(None)
+    import repro.engine  # noqa: F401
+
+    return multiprocessing.get_context("fork")
 
 
 @contextlib.contextmanager

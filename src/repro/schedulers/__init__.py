@@ -38,6 +38,7 @@ from repro.schedulers.hetero import HeteroIncremental
 from repro.schedulers.holm import HoLM, ORROML
 from repro.schedulers.maxreuse import MaxReuse
 from repro.schedulers.omm import OMMOML
+from repro.workloads import SECTION8_ALGORITHMS
 
 __all__ = [
     "BMM",
@@ -56,11 +57,13 @@ __all__ = [
     "section8_scheduler",
 ]
 
-#: The seven Section 8 algorithms by acronym, in the paper's order
-#: (optimized-layout group first, then Toledo group).
-SECTION8_SCHEDULERS = {
+#: The seven Section 8 algorithms by acronym, in the order of
+#: :data:`repro.workloads.SECTION8_ALGORITHMS` (a name without a class
+#: fails here, at import).
+_BY_NAME = {
     cls.name: cls for cls in (HoLM, ORROML, OMMOML, ODDOML, DDOML, BMM, OBMM)
 }
+SECTION8_SCHEDULERS = {name: _BY_NAME[name] for name in SECTION8_ALGORITHMS}
 
 
 def all_section8_schedulers() -> list:

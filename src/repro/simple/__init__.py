@@ -19,6 +19,8 @@ combinatorially hard:
   send orders on tiny instances, for ground truth in tests.
 """
 
+import importlib
+
 from repro.simple.alternating import alternating_greedy, alternating_sequence
 from repro.simple.bruteforce import brute_force_best
 from repro.simple.minmin import min_min
@@ -29,7 +31,6 @@ from repro.simple.model import (
     evaluate_schedule,
     greedy_task_count,
 )
-from repro.simple.dessim import simulate_schedule_des
 from repro.simple.thrifty import thrifty
 
 __all__ = [
@@ -45,3 +46,9 @@ __all__ = [
     "simulate_schedule_des",
     "thrifty",
 ]
+
+
+def __getattr__(name: str):  # the DES cross-check loads repro.sim on first use
+    if name == "simulate_schedule_des":
+        return importlib.import_module("repro.simple.dessim").simulate_schedule_des
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,6 +18,7 @@ __all__ = [
     "FIG12_BLOCK_SIZES",
     "FIG13_MEMORY_MB",
     "FIG13_WORKLOAD",
+    "SECTION8_ALGORITHMS",
     "fig10_workloads",
 ]
 
@@ -59,6 +60,12 @@ class Workload:
             self.n_b // factor,
         )
 
+
+#: The seven Section 8 algorithms by acronym, in the paper's order;
+#: :data:`repro.schedulers.SECTION8_SCHEDULERS` maps them to classes.
+SECTION8_ALGORITHMS: tuple[str, ...] = (
+    "HoLM", "ORROML", "OMMOML", "ODDOML", "DDOML", "BMM", "OBMM",
+)
 
 #: The three matrix sizes of the first experiment set (Figure 10).
 FIG10_WORKLOADS: tuple[Workload, ...] = (

@@ -9,7 +9,10 @@ unshippable-function fallback.
 
 import functools
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -437,3 +440,35 @@ class TestExperimentBackendParity:
                 _experiment_sweep(experiment), backend=exec_backend
             )
         assert json.dumps(result.rows) == json.dumps(reference.rows)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="inheritance through fork needs the fork start method",
+)
+class TestForkInheritance:
+    """The parent loads the simulation stack lazily; the fork point
+    loads it before forking so pool workers inherit it."""
+
+    def test_forked_workers_inherit_the_simulation_stack(self):
+        script = (
+            "import json, os, sys\n"
+            "from repro.runner import ProcessBackend, Sweep, run_sweep\n"
+            "def probe(params):\n"
+            "    return {'pid': os.getpid(), 'numpy': 'numpy' in sys.modules}\n"
+            "assert 'numpy' not in sys.modules\n"
+            "swp = Sweep('fork-probe', probe, ({'i': 0}, {'i': 1}))\n"
+            "rows = run_sweep(swp, backend=ProcessBackend(jobs=2)).rows\n"
+            "print(json.dumps([os.getpid(), rows]))\n"
+        )
+        src_dir = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        parent, rows = json.loads(out.splitlines()[-1])
+        assert len(rows) == 2
+        assert all(row["pid"] != parent for row in rows)
+        assert [row["numpy"] for row in rows] == [True, True]

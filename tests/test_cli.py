@@ -44,6 +44,21 @@ class TestExitCodes:
         assert cli_main(argv) == 2
         assert "--resume needs the cache" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("scale", ["0", "-2"])
+    def test_non_positive_scale_is_two(self, tmp_path, capsys, scale):
+        # Used to run silently at paper scale (scale applied only if > 1).
+        argv = ["sweep", "fig10", "--cache-dir", str(tmp_path), "--quiet",
+                "--scale", scale]
+        assert cli_main(argv) == 2
+        assert "bad arguments: --scale" in capsys.readouterr().out
+        assert not list(tmp_path.rglob("*.jsonl"))
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_is_two(self, tmp_path, capsys, jobs):
+        assert cli_main(_sweep_argv(tmp_path, "--jobs", jobs)) == 2
+        assert "bad arguments: --jobs" in capsys.readouterr().out
+        assert not list(tmp_path.rglob("*.jsonl"))
+
     def test_sweep_help_is_zero(self, capsys):
         with pytest.MonkeyPatch.context():
             assert cli_main(["sweep", "--help"]) == 0
@@ -394,23 +409,59 @@ class TestFaultToleranceFlags:
 
 class TestStartupCost:
     """A warm ``sweep`` is mostly start-up, so the CLI must not pay for
-    what it does not run: no eager scipy import, one code version per
-    invocation."""
+    what it does not run: no eager scipy, numpy or engine import, one
+    code version per invocation."""
 
-    def test_cli_import_loads_no_scipy(self):
+    @staticmethod
+    def _python(script):
+        """Run ``script`` in a fresh interpreter on this source tree."""
         src_dir = str(Path(repro.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+
+    def test_cli_import_loads_no_scipy(self):
         script = (
             "import sys, repro.__main__;"
             "print(sorted(m for m in sys.modules"
             " if m == 'scipy' or m.startswith('scipy.')))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, check=True,
+        assert self._python(script).strip() == "[]"
+
+    def test_warm_sweep_loads_no_simulation_stack(self, tmp_path, capsys):
+        """Experiment modules import the simulation stack only inside
+        their point functions: building every campaign and serving a
+        sweep from the cache loads none of it."""
+        argv = ["sweep", "fig10", "--scale", "8", "--cache-dir",
+                str(tmp_path), "--quiet"]
+        assert cli_main(argv) == 0
+        assert "fig10: 0 cached, 21 computed" in capsys.readouterr().out
+        script = (
+            "import json, sys\n"
+            "from repro.__main__ import main\n"
+            "from repro.experiments import ALL_EXPERIMENTS, campaign_for\n"
+            "for name in ALL_EXPERIMENTS:\n"
+            "    campaign_for(name)\n"
+            f"code = main({argv!r})\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
         )
-        assert out.stdout.strip() == "[]"
+        out = self._python(script).splitlines()
+        assert "fig10: 21 cached, 0 computed" in "\n".join(out)
+        code, modules = json.loads(out[-1])
+        assert code == 0
+        heavy = (
+            "numpy", "scipy", "repro.engine", "repro.sim", "repro.schedulers",
+            "repro.scenarios", "repro.lu", "repro.analysis.metrics",
+            "repro.blocks.matrix",
+        )
+        loaded = [
+            m for m in modules
+            if m in heavy or m.startswith(tuple(h + "." for h in heavy))
+        ]
+        assert loaded == []
 
     @pytest.fixture
     def counted_code_version(self, monkeypatch):
