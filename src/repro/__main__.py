@@ -64,6 +64,11 @@ import argparse
 import sys
 
 from repro.experiments import ALL_EXPERIMENTS, campaign_for
+from repro.runner.backends.base import BACKENDS
+
+#: ``sweep --backend`` choices: every registered backend but the
+#: ``chaos`` wrapper (``--chaos`` builds that one), plus ``auto``.
+BACKEND_CHOICES = ("auto", *(name for name in BACKENDS if name != "chaos"))
 
 
 def _print_experiment_list() -> None:
@@ -74,7 +79,7 @@ def _print_experiment_list() -> None:
     print("  all        run every experiment in sequence")
     print(
         "\nSubcommands:\n"
-        "  sweep NAME [--jobs N] [--backend auto|serial|process|persistent|remote]\n"
+        f"  sweep NAME [--jobs N] [--backend {'|'.join(BACKEND_CHOICES)}]\n"
         "             [--socket P] [--resume] [--keep-going] [--no-cache]\n"
         "             [--cache-dir D] [--scale K] [--engine fast|des|model]\n"
         "             [--prescreen K] [--scenario KIND[:SEVERITY]]\n"
@@ -107,7 +112,7 @@ def _cmd_sweep(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("auto", "serial", "process", "persistent", "remote"),
+        choices=BACKEND_CHOICES,
         default="auto",
         help="execution backend: 'serial' runs inline, 'process' starts a "
              "fresh pool per sweep, 'persistent' keeps warm workers alive "
@@ -241,10 +246,12 @@ def _cmd_sweep(argv: list[str]) -> int:
         print("bad arguments: --retry-quarantined only applies with --resume")
         return 2
 
-    from repro.runner import ChaosSpec, RetryPolicy
+    from repro.runner import RetryPolicy
 
     chaos_spec = None
     if args.chaos is not None:
+        from repro.runner.backends.chaos import ChaosSpec
+
         try:
             chaos_spec = ChaosSpec.parse(args.chaos)
         except ValueError as exc:
@@ -352,7 +359,7 @@ def _cmd_sweep(argv: list[str]) -> int:
     import os
 
     from repro.runner import (
-        ChaosBackend, CircuitOpenError, SweepPointError, code_version, resolve_backend,
+        CircuitOpenError, SweepPointError, code_version, resolve_backend,
     )
     from repro.runner.sweep import _error_summary
 
@@ -389,6 +396,8 @@ def _cmd_sweep(argv: list[str]) -> int:
             return 2
         exec_backend, owned = resolve_backend(stamped_backend, args.jobs)
     if chaos_spec is not None and chaos_spec.active:
+        from repro.runner.backends.chaos import ChaosBackend
+
         exec_backend = ChaosBackend(inner=exec_backend, spec=chaos_spec)
     # --max-failures tolerates failures up to its threshold, which only
     # makes sense under keep semantics; an explicit breaker therefore

@@ -12,68 +12,7 @@
 * :mod:`repro.core.heterogeneous` — Section 6: bandwidth-centric
   steady-state LP, its memory-feasibility check, and the global / local /
   lookahead incremental selection algorithms.
+
+Import the submodule you need: this package re-exports nothing, so a
+caller of :mod:`repro.core.layout` does not pay for the LP code.
 """
-
-from repro.core.bounds import (
-    ccr_lower_bound_loomis_whitney,
-    ccr_lower_bound_toledo_refined,
-    ccr_lower_bound_irony_toledo_tiskin,
-    ccr_max_reuse,
-    ccr_max_reuse_asymptotic,
-    hong_kung_bound,
-    loomis_whitney_bound,
-    solve_k_bound,
-)
-from repro.core.layout import (
-    MemoryLayout,
-    max_reuse_mu,
-    mu_no_overlap,
-    mu_overlap,
-    toledo_split,
-    overlapped_toledo_split,
-)
-from repro.core.homogeneous import (
-    HomogeneousPlan,
-    optimal_worker_count,
-    plan_homogeneous,
-    small_matrix_nu,
-    startup_overhead_fraction,
-)
-from repro.core.heterogeneous import (
-    SteadyState,
-    SelectionResult,
-    bandwidth_centric_steady_state,
-    global_selection,
-    local_selection,
-    lookahead_selection,
-    simulate_bandwidth_centric_feasibility,
-)
-
-__all__ = [
-    "HomogeneousPlan",
-    "MemoryLayout",
-    "SelectionResult",
-    "SteadyState",
-    "bandwidth_centric_steady_state",
-    "ccr_lower_bound_irony_toledo_tiskin",
-    "ccr_lower_bound_loomis_whitney",
-    "ccr_lower_bound_toledo_refined",
-    "ccr_max_reuse",
-    "ccr_max_reuse_asymptotic",
-    "global_selection",
-    "hong_kung_bound",
-    "local_selection",
-    "lookahead_selection",
-    "loomis_whitney_bound",
-    "max_reuse_mu",
-    "mu_no_overlap",
-    "mu_overlap",
-    "optimal_worker_count",
-    "overlapped_toledo_split",
-    "plan_homogeneous",
-    "simulate_bandwidth_centric_feasibility",
-    "small_matrix_nu",
-    "solve_k_bound",
-    "startup_overhead_fraction",
-    "toledo_split",
-]

@@ -16,19 +16,21 @@ from typing import Mapping
 
 from repro.analysis.tables import format_table
 from repro.runner import Campaign, Sweep, run_sweep, stamp_points
-from repro.simple import SimpleInstance
 
 __all__ = ["INSTANCE_A", "INSTANCE_B", "run", "main", "sweep", "campaign"]
 
-#: Figure 4(a): Min-min beats Thrifty.
-INSTANCE_A = SimpleInstance(r=3, s=3, p=2, c=4.0, w=7.0)
+#: Figure 4(a): Min-min beats Thrifty (``SimpleInstance`` parameters).
+INSTANCE_A = {"r": 3, "s": 3, "p": 2, "c": 4.0, "w": 7.0}
 #: Figure 4(b): Thrifty beats Min-min.
-INSTANCE_B = SimpleInstance(r=6, s=3, p=2, c=8.0, w=9.0)
+INSTANCE_B = {"r": 6, "s": 3, "p": 2, "c": 8.0, "w": 9.0}
 
 
 def _point(params: Mapping) -> dict:
     """Evaluate both heuristics (and maybe brute force) on one instance."""
-    from repro.simple import brute_force_best, min_min, thrifty
+    from repro.simple.bruteforce import brute_force_best
+    from repro.simple.minmin import min_min
+    from repro.simple.model import SimpleInstance
+    from repro.simple.thrifty import thrifty
 
     inst = SimpleInstance(
         r=params["r"], s=params["s"], p=params["p"], c=params["c"], w=params["w"]
@@ -60,15 +62,7 @@ def sweep(brute_force: bool = True, engine: str = "fast") -> Sweep:
     chunk engine, so the knob is inert.
     """
     points = tuple(
-        {
-            "instance": label,
-            "r": inst.r,
-            "s": inst.s,
-            "p": inst.p,
-            "c": inst.c,
-            "w": inst.w,
-            "brute_force": brute_force,
-        }
+        {"instance": label, **inst, "brute_force": brute_force}
         for label, inst in (("Fig4(a)", INSTANCE_A), ("Fig4(b)", INSTANCE_B))
     )
     return Sweep(

@@ -18,22 +18,18 @@ deterministic :class:`~repro.runner.backends.ChaosBackend` fault
 injector.  See ``docs/runner.md`` for the architecture.
 """
 
+import importlib
+
 from repro.runner.backends import (
     BACKENDS,
     CacheContext,
-    ChaosBackend,
-    ChaosFault,
-    ChaosSpec,
     ExecutionBackend,
-    PersistentBackend,
     PointTimeout,
-    ProcessBackend,
-    RemoteBackend,
-    SerialBackend,
     TaskResult,
     create_backend,
     resolve_backend,
 )
+from repro.runner.backends import LAZY as _LAZY_BACKENDS
 from repro.runner.cache import (
     CacheStats,
     ResultCache,
@@ -41,13 +37,6 @@ from repro.runner.cache import (
     default_cache_dir,
 )
 from repro.runner.hashing import canonical_params, code_version, point_key
-from repro.runner.prescreen import (
-    PrescreenResult,
-    PrescreenUnsupported,
-    ScoredPoint,
-    default_score,
-    prescreen_sweep,
-)
 from repro.runner.sweep import (
     FAILED,
     Campaign,
@@ -107,3 +96,20 @@ __all__ = [
     "run_sweep",
     "stamp_points",
 ]
+
+#: Names served on first use: name -> defining module.
+_LAZY = {
+    **_LAZY_BACKENDS,
+    **dict.fromkeys(
+        ("PrescreenResult", "PrescreenUnsupported", "ScoredPoint",
+         "default_score", "prescreen_sweep"),
+        "repro.runner.prescreen",
+    ),
+}
+
+
+def __getattr__(name: str):  # backend classes and prescreen load on first use
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -1,6 +1,6 @@
 """Pluggable execution backends for the sweep runner.
 
-Importing this package registers the built-in backends:
+The built-in backends, named in :data:`~repro.runner.backends.base.BACKENDS`:
 
 ========== ==========================================================
 ``serial``     inline, zero overhead — the reference semantics
@@ -12,11 +12,18 @@ Importing this package registers the built-in backends:
                over a local socket (leases, reconnect, resume tokens)
 ========== ==========================================================
 
+Each lives in its own module, imported on first use: by
+:func:`~repro.runner.backends.base.create_backend`, or by asking this
+package for its class (``from repro.runner.backends import
+ProcessBackend``).  A serial run never loads ``multiprocessing``.
+
 See :mod:`repro.runner.backends.base` for the contract and
 ``docs/runner.md`` for when to pick which (including the
 fault-tolerance semantics: per-point timeouts, worker respawn, chaos
 profiles).
 """
+
+import importlib
 
 from repro.runner.backends.base import (
     BACKENDS,
@@ -27,11 +34,6 @@ from repro.runner.backends.base import (
     create_backend,
     resolve_backend,
 )
-from repro.runner.backends.chaos import ChaosBackend, ChaosFault, ChaosSpec
-from repro.runner.backends.persistent import PersistentBackend
-from repro.runner.backends.process import ProcessBackend
-from repro.runner.backends.remote import RemoteBackend
-from repro.runner.backends.serial import SerialBackend
 
 __all__ = [
     "BACKENDS",
@@ -49,3 +51,18 @@ __all__ = [
     "create_backend",
     "resolve_backend",
 ]
+
+#: Names served from a backend module on first use: name -> module.
+LAZY = {
+    **{cls: module
+       for module, cls in (path.split(":") for path in BACKENDS.values())},
+    "ChaosFault": "repro.runner.backends.chaos",
+    "ChaosSpec": "repro.runner.backends.chaos",
+}
+
+
+def __getattr__(name: str):  # backend modules load on first use
+    module = LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -18,15 +18,17 @@ same three rules:
   items JSON-able mappings, exactly the rules sweep declarations
   already follow.
 
-Backends are registered by name in :data:`BACKENDS`; future backends
-(async, remote workers, sharded dispatch) plug in here without touching
-the orchestrator.
+:data:`BACKENDS` names every backend by the ``module:Class`` that
+defines it; :func:`create_backend` imports that module on first use, so
+a run pays only for the backends it builds.  A new backend plugs in
+with one entry here, without touching the orchestrator.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
+import importlib
+import os
 import signal
 import time
 import traceback
@@ -41,8 +43,12 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
+    TYPE_CHECKING,
     runtime_checkable,
 )
+
+if TYPE_CHECKING:
+    import multiprocessing.context
 
 __all__ = [
     "BACKENDS",
@@ -55,6 +61,11 @@ __all__ = [
 ]
 
 PointFn = Callable[[Mapping[str, Any]], Any]
+
+#: PID of the process that loaded the backend contract first: the
+#: orchestrator, which every forked worker inherits it from.  Fault
+#: injection must never SIGKILL it.
+MAIN_PID = os.getpid()
 
 
 @dataclass(frozen=True)
@@ -232,6 +243,8 @@ def pool_context() -> multiprocessing.context.BaseContext:
     platform default elsewhere.  The parent loads the simulation stack
     lazily (experiments import it in their point functions), so this
     one fork point loads it for every worker to inherit."""
+    import multiprocessing
+
     if "fork" not in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context(None)
     import repro.engine  # noqa: F401
@@ -282,30 +295,31 @@ def default_worker_signals() -> None:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
 
 
-#: name -> backend class; classes take a single ``jobs`` constructor arg.
-BACKENDS: Dict[str, Any] = {}
-
-
-def register(cls):
-    """Class decorator adding a backend to the registry by its ``name``."""
-    BACKENDS[cls.name] = cls
-    return cls
+#: name -> ``module:Class`` of the backend; classes take a ``jobs``
+#: constructor arg and carry the same ``name``.
+BACKENDS: Dict[str, str] = {
+    "serial": "repro.runner.backends.serial:SerialBackend",
+    "process": "repro.runner.backends.process:ProcessBackend",
+    "persistent": "repro.runner.backends.persistent:PersistentBackend",
+    "chaos": "repro.runner.backends.chaos:ChaosBackend",
+    "remote": "repro.runner.backends.remote:RemoteBackend",
+}
 
 
 def create_backend(name: str, jobs: int = 1) -> ExecutionBackend:
-    """Instantiate the backend registered as ``name``.
+    """Instantiate the backend named ``name``, importing its module.
 
     Raises ``ValueError`` for unknown names (the CLI turns that into
     exit code 2).
     """
     try:
-        cls = BACKENDS[name]
+        module, cls = BACKENDS[name].split(":")
     except KeyError:
         raise ValueError(
             f"unknown execution backend {name!r}; "
             f"available: {', '.join(sorted(BACKENDS))}"
         ) from None
-    return cls(jobs=jobs)
+    return getattr(importlib.import_module(module), cls)(jobs=jobs)
 
 
 def resolve_backend(

@@ -47,10 +47,10 @@ from dataclasses import asdict, dataclass
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from repro.runner.backends.base import (
+    MAIN_PID,
     ExecutionBackend,
     PointFn,
     TaskResult,
-    register,
 )
 from repro.runner.hashing import canonical_params
 
@@ -62,11 +62,6 @@ __all__ = [
     "decide",
     "decide_connection",
 ]
-
-#: PID of the process that imported this module first (the orchestrator
-#: under ``fork``).  Crash injection must never SIGKILL it.
-_MAIN_PID = os.getpid()
-
 
 class ChaosFault(RuntimeError):
     """An injected (synthetic) point failure."""
@@ -218,7 +213,7 @@ class _ChaosWrapped:
     def __call__(self, params: Mapping[str, Any]) -> Any:
         channel = decide(self.spec, params, self.attempt)
         if channel == "crash":
-            if self.kill and os.getpid() != _MAIN_PID:
+            if self.kill and os.getpid() != MAIN_PID:
                 os.kill(os.getpid(), signal.SIGKILL)  # a real worker death
             raise ChaosFault(
                 f"injected worker crash (inline) for params {dict(params)!r}"
@@ -253,7 +248,6 @@ def chaos_wrap(
     return _ChaosWrapped(fn, ChaosSpec(**spec), attempt + requeue, kill)
 
 
-@register
 class ChaosBackend:
     """An :class:`ExecutionBackend` injecting faults around another one.
 

@@ -68,7 +68,6 @@ from repro.runner.backends.base import (
     TaskResult,
     default_worker_signals,
     pool_context,
-    register,
     run_one,
     sigterm_held,
 )
@@ -253,7 +252,6 @@ class _Worker:
         self.results.close()
 
 
-@register
 class PersistentBackend:
     """A warm, self-healing worker pool shared by every sweep of a session."""
 

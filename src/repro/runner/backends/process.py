@@ -18,7 +18,6 @@ from repro.runner.backends.base import (
     TaskResult,
     default_worker_signals,
     pool_context,
-    register,
     run_one,
     sigterm_held,
 )
@@ -53,7 +52,6 @@ def _run_installed(params: Mapping[str, Any]) -> Tuple[Any, float, Optional[str]
     return result.value, result.seconds, result.error
 
 
-@register
 class ProcessBackend:
     """A fresh ``multiprocessing`` pool per sweep.
 

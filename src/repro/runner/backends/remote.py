@@ -48,7 +48,6 @@ from repro.runner.backends.base import (
     CacheContext,
     PointFn,
     TaskResult,
-    register,
     run_one,
 )
 from repro.runner.backends.persistent import _token_for, apply_wrap
@@ -77,7 +76,6 @@ def _env_float(name: str, default: float) -> float:
         return default
 
 
-@register
 class RemoteBackend:
     """Dispatch points to a ``repro serve`` daemon over a local socket."""
 

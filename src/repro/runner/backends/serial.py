@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
-from repro.runner.backends.base import PointFn, TaskResult, register, run_one
+from repro.runner.backends.base import PointFn, TaskResult, run_one
 
 __all__ = ["SerialBackend"]
 
 
-@register
 class SerialBackend:
     """Evaluate points inline in the calling process.
 

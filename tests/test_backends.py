@@ -81,6 +81,67 @@ class TestRegistry:
         backend, owned = resolve_backend(inst, jobs=4)
         assert backend is inst and not owned
 
+    def test_backends_load_by_name(self):
+        """``BACKENDS`` names each backend's module: importing the runner
+        loads none but the contract, building ``serial`` loads only its
+        own, and the runner serves every class as the defining module's."""
+        script = (
+            "import json, sys\n"
+            "import repro.runner as runner\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.startswith('repro.runner.backends.'))\n"
+            "out = {'names': sorted(runner.BACKENDS), 'import': loaded()}\n"
+            "runner.create_backend('serial').close()\n"
+            "out['serial'] = loaded()\n"
+            "out['multiprocessing'] = 'multiprocessing' in sys.modules\n"
+            "try:\n"
+            "    runner.create_backend('quantum')\n"
+            "except ValueError as exc:\n"
+            "    out['unknown'] = str(exc)\n"
+            "out['built'] = {}\n"
+            "for name in runner.BACKENDS:\n"
+            "    backend = runner.create_backend(name, jobs=2)\n"
+            "    out['built'][name] = backend.name\n"
+            "    backend.close()\n"
+            "from repro.runner import (ChaosSpec, PersistentBackend,\n"
+            "    ProcessBackend, RemoteBackend, prescreen_sweep,\n"
+            "    PrescreenUnsupported)\n"
+            "from repro.runner.backends import chaos, persistent, process, remote\n"
+            "from repro.runner import prescreen\n"
+            "out['same'] = [ChaosSpec is chaos.ChaosSpec,\n"
+            "    PersistentBackend is persistent.PersistentBackend,\n"
+            "    ProcessBackend is process.ProcessBackend,\n"
+            "    RemoteBackend is remote.RemoteBackend,\n"
+            "    prescreen_sweep is prescreen.prescreen_sweep,\n"
+            "    PrescreenUnsupported is prescreen.PrescreenUnsupported]\n"
+            "import repro.simple.thrifty\n"
+            "from repro.simple import thrifty\n"
+            "out['thrifty'] = thrifty is sys.modules['repro.simple.thrifty'].thrifty\n"
+            "print(json.dumps(out))\n"
+        )
+        src_dir = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        out = json.loads(subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.splitlines()[-1])
+        names = ["chaos", "persistent", "process", "remote", "serial"]
+        assert out["names"] == names
+        assert out["import"] == ["repro.runner.backends.base"]
+        assert out["serial"] == [
+            "repro.runner.backends.base", "repro.runner.backends.serial"
+        ]
+        assert out["multiprocessing"] is False
+        assert out["unknown"] == (
+            "unknown execution backend 'quantum'; "
+            "available: chaos, persistent, process, remote, serial"
+        )
+        assert out["built"] == {name: name for name in names}
+        assert out["same"] == [True] * 6
+        assert out["thrifty"] is True
+
 
 class TestByteIdentity:
     """Acceptance: all three backends produce byte-identical rows."""

@@ -7,6 +7,7 @@ plumbing, and the human-readable output the CI smoke jobs grep for.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,20 @@ class TestExitCodes:
 
     def test_bad_backend_is_two(self, tmp_path, capsys):
         assert cli_main(_sweep_argv(tmp_path, "--backend", "quantum")) == 2
+
+    def test_backend_choices_come_from_the_registry(self, tmp_path, capsys):
+        """The usage line and ``--backend`` choices list every registered
+        backend but the ``chaos`` wrapper, after ``auto``."""
+        assert cli_main([]) == 0
+        usage = "[--backend auto|serial|process|persistent|remote]"
+        assert usage in capsys.readouterr().out
+        assert cli_main(_sweep_argv(tmp_path, "--backend", "chaos")) == 2
+        err = capsys.readouterr().err
+        assert re.search(
+            r"invalid choice: .chaos. \(choose from .*auto.*serial.*process"
+            r".*persistent.*remote", err
+        )
+        assert "chaos" not in err.split("choose from")[1]
 
     def test_resume_without_cache_is_two(self, tmp_path, capsys):
         argv = _sweep_argv(tmp_path, "--resume", "--no-cache")
@@ -431,12 +446,12 @@ class TestStartupCost:
         )
         assert self._python(script).strip() == "[]"
 
-    def test_warm_sweep_loads_no_simulation_stack(self, tmp_path, capsys):
-        """Experiment modules import the simulation stack only inside
-        their point functions: building every campaign and serving a
-        sweep from the cache loads none of it."""
+    def _warm_sweep_modules(self, tmp_path, capsys, *extra):
+        """Fill the cache with ``sweep fig10 --scale 8``, then build every
+        campaign and re-run that sweep warm in a fresh interpreter; return
+        the modules it loaded."""
         argv = ["sweep", "fig10", "--scale", "8", "--cache-dir",
-                str(tmp_path), "--quiet"]
+                str(tmp_path), "--quiet", *extra]
         assert cli_main(argv) == 0
         assert "fig10: 0 cached, 21 computed" in capsys.readouterr().out
         script = (
@@ -452,16 +467,45 @@ class TestStartupCost:
         assert "fig10: 21 cached, 0 computed" in "\n".join(out)
         code, modules = json.loads(out[-1])
         assert code == 0
+        return modules
+
+    @staticmethod
+    def _loaded(modules, packages):
+        return [
+            m for m in modules
+            if m in packages or m.startswith(tuple(p + "." for p in packages))
+        ]
+
+    def test_warm_sweep_loads_no_simulation_stack(self, tmp_path, capsys):
+        """Experiment modules import the simulation stack only inside
+        their point functions: building every campaign and serving a
+        sweep from the cache loads none of it."""
         heavy = (
             "numpy", "scipy", "repro.engine", "repro.sim", "repro.schedulers",
             "repro.scenarios", "repro.lu", "repro.analysis.metrics",
             "repro.blocks.matrix",
         )
-        loaded = [
-            m for m in modules
-            if m in heavy or m.startswith(tuple(h + "." for h in heavy))
-        ]
-        assert loaded == []
+        modules = self._warm_sweep_modules(tmp_path, capsys)
+        assert self._loaded(modules, heavy) == []
+
+    def test_warm_serial_sweep_loads_only_the_serial_backend(
+        self, tmp_path, capsys
+    ):
+        """Backends load by name on first use, ``repro.core`` re-exports
+        nothing and ``fig04`` builds its instances inside its point
+        function: a warm ``--jobs 1`` sweep loads none of the pools, the
+        service client, the prescreen, the LP code or ``repro.simple``."""
+        unused = (
+            "multiprocessing", "socket", "repro.service",
+            "repro.runner.prescreen", "repro.runner.backends.process",
+            "repro.runner.backends.persistent", "repro.runner.backends.chaos",
+            "repro.runner.backends.remote", "repro.core.bounds",
+            "repro.core.homogeneous", "repro.core.heterogeneous",
+            "repro.simple",
+        )
+        modules = self._warm_sweep_modules(tmp_path, capsys, "--jobs", "1")
+        assert self._loaded(modules, unused) == []
+        assert "repro.runner.backends.serial" in modules
 
     @pytest.fixture
     def counted_code_version(self, monkeypatch):

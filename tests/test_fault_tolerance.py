@@ -12,6 +12,8 @@ import contextlib
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -454,6 +456,35 @@ class TestCrashRecovery:
         # resume recomputes nothing
         again = run_sweep(sweep, cache=cache, code="v", resume=True)
         assert again.hits == 16 and again.misses == 0
+
+    def test_injected_crash_kills_workers_that_load_chaos_first(self):
+        """Backend modules load on first use, so a pool worker can be the
+        first process to import the chaos module.  Its never-kill PID
+        must still be the orchestrator's: the injected crash is a real
+        SIGKILL that the pool heals, not an inline ``ChaosFault``."""
+        script = (
+            "import json, sys\n"
+            "from repro.runner.backends.persistent import PersistentBackend\n"
+            "from repro.runner.hashing import canonical_params\n"
+            "assert 'repro.runner.backends.chaos' not in sys.modules\n"
+            "wrap = ('repro.runner.backends.chaos', 'chaos_wrap',\n"
+            "        {'spec': {'crash': 1.0}, 'attempt': 0, 'kill': True})\n"
+            "with PersistentBackend(jobs=2) as backend:\n"
+            "    results = list(backend.map(canonical_params,\n"
+            "                   [{'x': i} for i in range(4)], wrap=wrap))\n"
+            "    respawns = backend.respawns\n"
+            "print(json.dumps([[r.error for r in results], respawns]))\n"
+        )
+        src_dir = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, check=True, timeout=60,
+        ).stdout
+        errors, respawns = json.loads(out.splitlines()[-1])
+        assert errors == [None] * 4
+        assert respawns >= 1
 
     def test_worker_killed_mid_send_does_not_stall_survivors(self):
         """A worker killed while writing a result must cost only its own
