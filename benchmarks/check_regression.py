@@ -21,9 +21,8 @@ Usage::
     python benchmarks/check_regression.py append BENCH.json [--runner L]
         [--commit SHA] [--ledger PATH]
 
-Both subcommands silently skip gates absent from ``BENCH.json``
-(bench_serve runs in a separate job), so any gate subset can be checked
-or appended.
+Both subcommands silently skip gates absent from ``BENCH.json``, so
+any gate subset can be checked or appended.
 """
 
 from __future__ import annotations
@@ -45,10 +44,10 @@ GATES = {
     # sharded cache (bench_cache_scale.py): the single recorded round
     # is the cold stats() fold over 100k entries / 256 segments.
     "test_cache_scale_100k": "min",
-    # runner backends (bench_runner.py).  The warm-campaign, retry-
-    # overhead and serve-budget gates time themselves in-test (no
-    # fixture record lands in the JSON) and enforce their ratios by
-    # assertion, so the ledger tracks the recorded backend sweeps.
+    # runner backends (bench_runner.py).  The warm-campaign and retry-
+    # overhead gates time themselves in-test (no fixture record lands
+    # in the JSON) and enforce their ratios by assertion, so the ledger
+    # tracks the recorded backend sweeps.
     "test_backend_serial": "min",
     "test_backend_process": "min",
     "test_backend_persistent": "min",

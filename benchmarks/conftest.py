@@ -26,8 +26,7 @@ signature accepts them:
 
 The execution backend is not an experiment parameter: the benches run
 each experiment's points inline.  Backend comparisons live in
-``bench_runner.py``/``bench_serve.py`` and in ``python -m repro sweep
---backend``.
+``bench_runner.py`` and in ``python -m repro sweep --backend``.
 
 Run with::
 

@@ -20,9 +20,6 @@ Usage::
     python -m repro cache info        # cache location, entries, size
     python -m repro cache compact     # fold dead segment history away
     python -m repro cache clear       # drop every cached result
-    python -m repro serve --jobs 4    # the long-lived sweep daemon
-    python -m repro serve --status    # ask a running daemon for its state
-    python -m repro sweep fig10 --backend remote   # dispatch through it
 
 ``sweep`` runs an experiment's campaign through the unified runner
 (:mod:`repro.runner`): cache-miss points execute on the selected
@@ -43,14 +40,6 @@ are quarantined in the cache (skipped by later ``--resume``
 runs unless ``--retry-quarantined``), and ``--chaos`` wraps the
 backend in the deterministic fault injector to rehearse all of it.
 
-``serve`` runs the crash-safe distributed sweep service
-(``docs/serve.md``): a daemon owning one warm persistent pool and the
-result cache, with ``sweep --backend remote`` campaigns dispatched to
-it over a local socket — batch leases with progress heartbeats, client
-reconnect with resume tokens, and a journaled request log that lets a
-``kill -9``'d daemon restart consistently and its clients complete via
-``--resume``.
-
 Exit codes: 0 on success, 1 when a sweep point failed (aborting the
 run, recorded under ``--keep-going``, or skipped as quarantined), 2
 for unknown experiment/sweep names or bad arguments, 130/143 when an
@@ -61,6 +50,7 @@ torn down, the cache stays consistent, ``--resume`` finishes the run).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.experiments import ALL_EXPERIMENTS, campaign_for
@@ -80,17 +70,14 @@ def _print_experiment_list() -> None:
     print(
         "\nSubcommands:\n"
         f"  sweep NAME [--jobs N] [--backend {'|'.join(BACKEND_CHOICES)}]\n"
-        "             [--socket P] [--resume] [--keep-going] [--no-cache]\n"
+        "             [--resume] [--keep-going] [--no-cache]\n"
         "             [--cache-dir D] [--scale K] [--engine fast|des|model]\n"
         "             [--prescreen K] [--scenario KIND[:SEVERITY]]\n"
         "             [--retries N] [--timeout S] [--max-failures M]\n"
         "             [--chaos SPEC] [--retry-quarantined]\n"
         "             run NAME's campaign through the parallel cached runner\n"
         "  cache [info|compact|clear] [--cache-dir D]\n"
-        "             inspect, compact or empty the result cache\n"
-        "  serve [--socket P] [--jobs N] [--cache-dir D] [--lease S]\n"
-        "        [--ping | --status | --stop [--no-drain]]\n"
-        "             run (or query) the crash-safe sweep service daemon"
+        "             inspect, compact or empty the result cache"
     )
 
 
@@ -116,16 +103,10 @@ def _cmd_sweep(argv: list[str]) -> int:
         default="auto",
         help="execution backend: 'serial' runs inline, 'process' starts a "
              "fresh pool per sweep, 'persistent' keeps warm workers alive "
-             "across every sweep of this invocation, 'remote' dispatches "
-             "through a running 'repro serve' daemon's warm pool; 'auto' "
+             "across every sweep of this invocation; 'auto' "
              "(default) picks serial for --jobs 1 and process otherwise.  "
              "An explicit choice is stamped into every point, so each "
              "backend keeps its own cache entries",
-    )
-    parser.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="with --backend remote: the daemon's socket (default "
-             "$REPRO_SERVE_SOCKET or <cache dir>/serve.sock)",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -233,7 +214,9 @@ def _cmd_sweep(argv: list[str]) -> int:
     if args.resume and args.no_cache:
         print("bad arguments: --resume needs the cache (drop --no-cache)")
         return 2
-    if args.prescreen is not None and args.prescreen <= 0:
+    if args.prescreen is not None and not (
+        math.isfinite(args.prescreen) and args.prescreen > 0
+    ):
         print("bad arguments: --prescreen must be a positive count or fraction")
         return 2
     if args.scale is not None and args.scale < 1:
@@ -384,17 +367,7 @@ def _cmd_sweep(argv: list[str]) -> int:
     # campaign of `sweep all`.  --chaos wraps it without touching the
     # points (cache keys stay those of the clean run — the whole point
     # of the byte-identity acceptance check).
-    if stamped_backend == "remote":
-        from repro.runner import RemoteBackend
-
-        exec_backend, owned = RemoteBackend(
-            jobs=args.jobs, socket_path=args.socket
-        ), True
-    else:
-        if args.socket is not None:
-            print("bad arguments: --socket only applies with --backend remote")
-            return 2
-        exec_backend, owned = resolve_backend(stamped_backend, args.jobs)
+    exec_backend, owned = resolve_backend(stamped_backend, args.jobs)
     if chaos_spec is not None and chaos_spec.active:
         from repro.runner.backends.chaos import ChaosBackend
 
@@ -536,12 +509,6 @@ def _cmd_cache(argv: list[str]) -> int:
                 if child.is_dir():
                     dropped += cache.compact(child.name)
         print(f"compacted segments: {dropped} dead record(s) dropped")
-        from repro.service.journal import ServiceJournal
-
-        journal = ServiceJournal(cache.root)
-        if journal.path.is_file():
-            removed = journal.compact()
-            print(f"compacted service journal: {removed} record(s) dropped")
         return 0
     stats = cache.stats()
     print(f"cache dir : {cache.root}")
@@ -561,114 +528,6 @@ def _cmd_cache(argv: list[str]) -> int:
     return 0
 
 
-def _cmd_serve(argv: list[str]) -> int:
-    """``python -m repro serve`` — the distributed sweep daemon."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description="Run (or query) the crash-safe sweep service daemon; "
-                    "see docs/serve.md.",
-    )
-    parser.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="unix socket to listen on (default $REPRO_SERVE_SOCKET or "
-             "<cache dir>/serve.sock)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="warm worker processes in the daemon's pool (default 2)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache the daemon owns (default $REPRO_CACHE_DIR or "
-             "~/.cache/repro-sweeps); the request journal lives beside it",
-    )
-    parser.add_argument(
-        "--lease", type=float, default=120.0, metavar="S",
-        help="per-batch lease: a dispatched batch must resolve a point "
-             "every S seconds or its workers are killed and the batch "
-             "requeued (default 120)",
-    )
-    parser.add_argument(
-        "--linger", type=float, default=300.0, metavar="S",
-        help="how long a finished session stays attachable for late "
-             "reconnects before it is reaped (default 300)",
-    )
-    parser.add_argument(
-        "--batch-points", type=int, default=None, metavar="N",
-        help="points per leased batch (default: 16x the worker count)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress daemon log lines"
-    )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--ping", action="store_true",
-        help="check whether a daemon answers on the socket",
-    )
-    mode.add_argument(
-        "--status", action="store_true",
-        help="print a running daemon's sessions/journal/lease state",
-    )
-    mode.add_argument(
-        "--stop", action="store_true",
-        help="ask a running daemon to drain and exit",
-    )
-    parser.add_argument(
-        "--no-drain", action="store_true",
-        help="with --stop: tear down immediately instead of finishing "
-             "the in-flight batch",
-    )
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-
-    from pathlib import Path
-
-    socket_path = args.socket
-    if socket_path is None and args.cache_dir is not None:
-        # An explicit cache dir moves the default rendezvous with it.
-        socket_path = str(Path(args.cache_dir) / "serve.sock")
-
-    if args.ping or args.status or args.stop:
-        import json
-
-        from repro.service.client import DaemonUnreachable, ServeClient
-
-        client = ServeClient(socket_path, connect_retries=1)
-        try:
-            if args.ping:
-                reply = client.ping()
-            elif args.status:
-                reply = client.status()
-            else:
-                reply = client.shutdown(drain=not args.no_drain)
-        except DaemonUnreachable as exc:
-            print(f"no daemon: {exc}", file=sys.stderr)
-            return 1
-        print(json.dumps(reply, indent=2, sort_keys=True))
-        return 0
-
-    from repro.service.daemon import ServeConfig, ServeDaemon
-
-    daemon = ServeDaemon(ServeConfig(
-        socket_path=socket_path,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        lease_s=args.lease,
-        linger_s=args.linger,
-        batch_points=args.batch_points,
-        quiet=args.quiet,
-    ))
-    try:
-        daemon.start()
-    except RuntimeError as exc:
-        print(f"cannot serve: {exc}", file=sys.stderr)
-        return 1
-    daemon.serve_forever()
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Dispatch to a subcommand or an experiment's ``main()``."""
     args = argv if argv is not None else sys.argv[1:]
@@ -680,8 +539,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_sweep(args[1:])
     if name == "cache":
         return _cmd_cache(args[1:])
-    if name == "serve":
-        return _cmd_serve(args[1:])
     if name == "all":
         for key, module in ALL_EXPERIMENTS.items():
             print(f"\n{'=' * 72}\n== {key}\n{'=' * 72}")

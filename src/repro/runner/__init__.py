@@ -22,7 +22,6 @@ import importlib
 
 from repro.runner.backends import (
     BACKENDS,
-    CacheContext,
     ExecutionBackend,
     PointTimeout,
     TaskResult,
@@ -56,7 +55,6 @@ from repro.runner.sweep import (
 
 __all__ = [
     "BACKENDS",
-    "CacheContext",
     "CacheStats",
     "Campaign",
     "CampaignResult",
@@ -74,7 +72,6 @@ __all__ = [
     "PrescreenUnsupported",
     "ProcessBackend",
     "Progress",
-    "RemoteBackend",
     "ResultCache",
     "RetryPolicy",
     "ScoredPoint",

@@ -8,8 +8,6 @@ The built-in backends, named in :data:`~repro.runner.backends.base.BACKENDS`:
 ``persistent`` warm self-healing workers reused across sweeps,
                batched dispatch, crash recovery
 ``chaos``      deterministic fault injection around any of the above
-``remote``     dispatch through a ``repro serve`` daemon's warm pool
-               over a local socket (leases, reconnect, resume tokens)
 ========== ==========================================================
 
 Each lives in its own module, imported on first use: by
@@ -27,7 +25,6 @@ import importlib
 
 from repro.runner.backends.base import (
     BACKENDS,
-    CacheContext,
     ExecutionBackend,
     PointTimeout,
     TaskResult,
@@ -37,7 +34,6 @@ from repro.runner.backends.base import (
 
 __all__ = [
     "BACKENDS",
-    "CacheContext",
     "ChaosBackend",
     "ChaosFault",
     "ChaosSpec",
@@ -45,7 +41,6 @@ __all__ = [
     "PersistentBackend",
     "PointTimeout",
     "ProcessBackend",
-    "RemoteBackend",
     "SerialBackend",
     "TaskResult",
     "create_backend",

@@ -52,7 +52,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BACKENDS",
-    "CacheContext",
     "ExecutionBackend",
     "PointTimeout",
     "TaskResult",
@@ -66,31 +65,6 @@ PointFn = Callable[[Mapping[str, Any]], Any]
 #: orchestrator, which every forked worker inherits it from.  Fault
 #: injection must never SIGKILL it.
 MAIN_PID = os.getpid()
-
-
-@dataclass(frozen=True)
-class CacheContext:
-    """Where a ``map`` call's results would be cached, for backends that
-    can use it.
-
-    The sweep orchestrator normally owns all cache traffic; a
-    *distributed* backend (the ``remote`` backend and the ``repro
-    serve`` daemon behind it) wants the addressing too, so the daemon
-    can serve already-cached points without recomputing them and can
-    journal freshly computed ones into the shared store the moment they
-    finish — which is what bounds a daemon crash to the in-flight
-    batches.  Backends opt in by setting ``supports_context = True``;
-    everyone else keeps receiving the historic call signature, so the
-    fault-tolerance layer's byte-invisibility guarantee is untouched.
-
-    ``keys`` is aligned with the ``items`` of the same ``map`` call
-    (one :func:`repro.runner.hashing.point_key` digest per item).
-    """
-
-    sweep: str
-    root: str
-    code: Optional[str]
-    keys: Tuple[str, ...]
 
 
 class PointTimeout(Exception):
@@ -302,7 +276,6 @@ BACKENDS: Dict[str, str] = {
     "process": "repro.runner.backends.process:ProcessBackend",
     "persistent": "repro.runner.backends.persistent:PersistentBackend",
     "chaos": "repro.runner.backends.chaos:ChaosBackend",
-    "remote": "repro.runner.backends.remote:RemoteBackend",
 }
 
 

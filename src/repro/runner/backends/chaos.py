@@ -40,6 +40,7 @@ CLI: ``python -m repro sweep NAME --chaos "fail=0.2,seed=7" --retries 2``
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import signal
 import time
@@ -60,7 +61,6 @@ __all__ = [
     "ChaosSpec",
     "chaos_wrap",
     "decide",
-    "decide_connection",
 ]
 
 class ChaosFault(RuntimeError):
@@ -79,19 +79,19 @@ class ChaosSpec:
     fail: float = 0.0    #: transient-exception probability
     hang: float = 0.0    #: hang (sleep) probability
     crash: float = 0.0   #: worker SIGKILL probability
-    drop: float = 0.0    #: connection-drop probability (remote backend)
-    dkill: float = 0.0   #: daemon SIGKILL probability (remote backend)
     hang_s: float = 0.5  #: injected hang duration, seconds
     seed: int = 0        #: decision seed
     sticky: int = 1      #: attempts a fault persists; -1 = permanent
 
     def __post_init__(self) -> None:
-        for channel in ("fail", "hang", "crash", "drop", "dkill"):
+        for channel in ("fail", "hang", "crash"):
             rate = getattr(self, channel)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"chaos {channel} rate must be in [0, 1], got {rate}")
-        if self.hang_s <= 0:
-            raise ValueError(f"chaos hang_s must be positive, got {self.hang_s}")
+        if not (math.isfinite(self.hang_s) and self.hang_s > 0):
+            raise ValueError(
+                f"chaos hang_s must be positive finite, got {self.hang_s}"
+            )
         if self.sticky == 0 or self.sticky < -1:
             raise ValueError(
                 f"chaos sticky must be a positive attempt count or -1 "
@@ -100,19 +100,8 @@ class ChaosSpec:
 
     @property
     def active(self) -> bool:
-        return self.point_active or self.connection_active
-
-    @property
-    def point_active(self) -> bool:
-        """Any in-worker fault channel armed (fail/hang/crash)."""
+        """Any fault channel armed (fail/hang/crash)."""
         return (self.fail or self.hang or self.crash) != 0.0
-
-    @property
-    def connection_active(self) -> bool:
-        """Any transport fault channel armed (drop/dkill) — only
-        meaningful over a backend with ``supports_connection_chaos``
-        (the ``remote`` backend); ignored elsewhere."""
-        return (self.drop or self.dkill) != 0.0
 
     @staticmethod
     def parse(arg: str) -> "ChaosSpec":
@@ -166,28 +155,6 @@ def decide(
         return None
     params_json = canonical_params(params)
     for channel in ("crash", "hang", "fail"):  # most severe first
-        if _fraction(spec.seed, params_json, channel) < getattr(spec, channel):
-            return channel
-    return None
-
-
-def decide_connection(
-    spec: ChaosSpec, params: Mapping[str, Any], attempt: int = 0
-) -> Optional[str]:
-    """The transport fault injected after ``params`` resolves, if any.
-
-    Same determinism contract as :func:`decide` — a pure function of
-    ``(seed, canonical params, channel)``, with ``sticky`` deciding
-    whether it still fires at this attempt — over the connection
-    channels: ``dkill`` (SIGKILL the daemon) beats ``drop`` (sever the
-    client socket).
-    """
-    if not spec.connection_active:
-        return None
-    if not (spec.sticky < 0 or attempt < spec.sticky):
-        return None
-    params_json = canonical_params(params)
-    for channel in ("dkill", "drop"):  # most severe first
         if _fraction(spec.seed, params_json, channel) < getattr(spec, channel):
             return channel
     return None
@@ -274,11 +241,6 @@ class ChaosBackend:
         self.spec = spec or ChaosSpec()
         self.jobs = getattr(inner, "jobs", jobs)
 
-    @property
-    def supports_context(self) -> bool:
-        """Pass-through: cache addressing reaches a remote inner."""
-        return bool(getattr(self.inner, "supports_context", False))
-
     def map(
         self,
         fn: PointFn,
@@ -286,30 +248,11 @@ class ChaosBackend:
         *,
         timeout: Optional[float] = None,
         attempt: int = 0,
-        context=None,
     ) -> Iterator[TaskResult]:
-        extra: dict[str, Any] = {}
-        if context is not None and self.supports_context:
-            extra["context"] = context
-        # Transport faults: one injection per faulty item index, fired
-        # by the inner backend after that item's result arrives.
-        faults: dict[int, str] = {}
-        if self.spec.connection_active and getattr(
-            self.inner, "supports_connection_chaos", False
-        ):
-            for idx, params in enumerate(items):
-                channel = decide_connection(self.spec, params, attempt)
-                if channel is not None:
-                    faults[idx] = channel
-        if faults:
-            extra["faults"] = faults
-        if not self.spec.point_active:
-            if extra:
-                yield from self.inner.map(fn, items, timeout=timeout, **extra)
-            else:
-                yield from self.inner.map(
-                    fn, items, timeout=timeout, attempt=attempt
-                )
+        if not self.spec.active:
+            yield from self.inner.map(
+                fn, items, timeout=timeout, attempt=attempt
+            )
             return
         # Real kills only where the inner pool heals from worker death.
         kill = bool(
@@ -320,9 +263,7 @@ class ChaosBackend:
                 __name__, "chaos_wrap",
                 {"spec": asdict(self.spec), "attempt": attempt, "kill": kill},
             )
-            yield from self.inner.map(
-                fn, items, timeout=timeout, wrap=wrap, **extra
-            )
+            yield from self.inner.map(fn, items, timeout=timeout, wrap=wrap)
         else:
             wrapped = _ChaosWrapped(fn, self.spec, attempt, kill)
             yield from self.inner.map(wrapped, items, timeout=timeout)

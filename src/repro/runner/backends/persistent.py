@@ -281,15 +281,6 @@ class PersistentBackend:
         while len(self._workers) < self.jobs:
             self._workers.append(_Worker(self._ctx, self._resolve_probe))
 
-    def warm(self) -> None:
-        """Spawn the pool now instead of lazily at the first ``map``.
-
-        The serve daemon calls this before starting any service thread,
-        so the ``fork`` happens while the process is still
-        single-threaded.
-        """
-        self._ensure_workers()
-
     def worker_pids(self) -> List[int]:
         """PIDs of the live workers (diagnostics and crash tests)."""
         return [

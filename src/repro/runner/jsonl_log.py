@@ -1,5 +1,5 @@
 """Append-only JSON-lines logs: the primitive under the result cache's
-shard segments and the service journal.
+shard segments.
 
 A log is a text file of one JSON object per line.  Three operations,
 each with one crash-consistency rule:

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.runner.backends import CacheContext, ExecutionBackend, resolve_backend
+from repro.runner.backends import ExecutionBackend, resolve_backend
 from repro.runner.cache import ResultCache
 from repro.runner.hashing import code_version, point_key
 
@@ -129,8 +130,12 @@ class RetryPolicy:
             raise ValueError("backoff and backoff_cap must be >= 0")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.timeout is not None and not (
+            math.isfinite(self.timeout) and self.timeout > 0
+        ):
+            raise ValueError(
+                f"timeout must be positive finite, got {self.timeout}"
+            )
         if self.max_failures is not None and self.max_failures < 1:
             raise ValueError(
                 f"max_failures must be >= 1, got {self.max_failures}"
@@ -430,7 +435,6 @@ def _map(
     items: Sequence[Mapping[str, Any]],
     timeout: Optional[float],
     attempt: int,
-    context: Optional[CacheContext] = None,
 ):
     """Dispatch to the backend, invisibly when fault tolerance is off.
 
@@ -439,18 +443,7 @@ def _map(
     a failure-free default run issues exactly the historic backend
     calls (so third-party backends without the new keywords keep
     working, and nothing about dispatch order or results can shift).
-
-    ``context`` (cache addressing for the points being mapped) is only
-    ever non-``None`` for backends that declared ``supports_context``
-    — the ``remote`` backend, so the serve daemon can serve cache hits
-    and journal fresh results — and those calls carry the keyword
-    explicitly; every other backend keeps seeing the historic
-    signatures above.
     """
-    if context is not None:
-        return backend.map(
-            fn, items, timeout=timeout, attempt=attempt, context=context
-        )
     if timeout is None and attempt == 0:
         return backend.map(fn, items)
     return backend.map(fn, items, timeout=timeout, attempt=attempt)
@@ -648,22 +641,9 @@ def run_sweep(
                 )
             )
 
-    def _context(indices: Sequence[int]) -> Optional[CacheContext]:
-        """Cache addressing for a dispatch round, for backends that
-        asked for it (``supports_context``)."""
-        if cache is None or not getattr(exec_backend, "supports_context", False):
-            return None
-        return CacheContext(
-            sweep=sweep.name,
-            root=str(cache.root),
-            code=code,
-            keys=tuple(keys[i] for i in indices),
-        )
-
     miss_points = [sweep.points[i] for i in missing]
     computed = _map(
-        exec_backend, sweep.run_fn, miss_points, policy.timeout, 0,
-        _context(missing),
+        exec_backend, sweep.run_fn, miss_points, policy.timeout, 0
     )
     try:
         pending: List[int] = []
@@ -693,7 +673,6 @@ def run_sweep(
                 [sweep.points[i] for i in pending],
                 policy.timeout,
                 round_no,
-                _context(pending),
             )
             still_failing: List[int] = []
             for idx in pending:

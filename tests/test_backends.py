@@ -105,14 +105,12 @@ class TestRegistry:
             "    out['built'][name] = backend.name\n"
             "    backend.close()\n"
             "from repro.runner import (ChaosSpec, PersistentBackend,\n"
-            "    ProcessBackend, RemoteBackend, prescreen_sweep,\n"
-            "    PrescreenUnsupported)\n"
-            "from repro.runner.backends import chaos, persistent, process, remote\n"
+            "    ProcessBackend, prescreen_sweep, PrescreenUnsupported)\n"
+            "from repro.runner.backends import chaos, persistent, process\n"
             "from repro.runner import prescreen\n"
             "out['same'] = [ChaosSpec is chaos.ChaosSpec,\n"
             "    PersistentBackend is persistent.PersistentBackend,\n"
             "    ProcessBackend is process.ProcessBackend,\n"
-            "    RemoteBackend is remote.RemoteBackend,\n"
             "    prescreen_sweep is prescreen.prescreen_sweep,\n"
             "    PrescreenUnsupported is prescreen.PrescreenUnsupported]\n"
             "import repro.simple.thrifty\n"
@@ -127,7 +125,7 @@ class TestRegistry:
             [sys.executable, "-c", script],
             env=env, capture_output=True, text=True, check=True,
         ).stdout.splitlines()[-1])
-        names = ["chaos", "persistent", "process", "remote", "serial"]
+        names = ["chaos", "persistent", "process", "serial"]
         assert out["names"] == names
         assert out["import"] == ["repro.runner.backends.base"]
         assert out["serial"] == [
@@ -136,10 +134,10 @@ class TestRegistry:
         assert out["multiprocessing"] is False
         assert out["unknown"] == (
             "unknown execution backend 'quantum'; "
-            "available: chaos, persistent, process, remote, serial"
+            "available: chaos, persistent, process, serial"
         )
         assert out["built"] == {name: name for name in names}
-        assert out["same"] == [True] * 6
+        assert out["same"] == [True] * 5
         assert out["thrifty"] is True
 
 
@@ -436,28 +434,6 @@ class TestStreamingProgress:
         assert [e.status for e in events] == ["ok", "ok", "error", "ok"]
 
 
-@pytest.fixture
-def daemon():
-    """An in-process serve daemon for the remote backend (socket paths
-    have a short length limit, hence a short temp directory)."""
-    import shutil
-    import tempfile
-
-    from repro.service.daemon import ServeConfig, ServeDaemon
-
-    tmp = Path(tempfile.mkdtemp(prefix="repro-parity-", dir="/tmp"))
-    d = ServeDaemon(ServeConfig(
-        socket_path=str(tmp / "s.sock"),
-        cache_dir=str(tmp / "cache"),
-        jobs=2,
-        quiet=True,
-    ))
-    d.start()
-    yield d
-    d.stop()
-    shutil.rmtree(tmp, ignore_errors=True)
-
-
 def _experiment_sweep(name):
     if name == "fig10":
         from repro.experiments import fig10
@@ -482,21 +458,13 @@ class TestExperimentBackendParity:
     @pytest.mark.parametrize(
         "experiment", ("fig10", "fig11", "table1", "robustness")
     )
-    @pytest.mark.parametrize("backend", (*BACKEND_NAMES, "remote"))
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_tables_byte_identical(
-        self, experiment, backend, daemon, tmp_path, monkeypatch
+        self, experiment, backend, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         reference = run_sweep(_experiment_sweep(experiment), backend="serial")
-        if backend == "remote":
-            from repro.runner import RemoteBackend
-
-            exec_backend = RemoteBackend(
-                jobs=2, socket_path=str(daemon.socket_path)
-            )
-        else:
-            exec_backend = create_backend(backend, jobs=2)
-        with exec_backend:
+        with create_backend(backend, jobs=2) as exec_backend:
             result = run_sweep(
                 _experiment_sweep(experiment), backend=exec_backend
             )

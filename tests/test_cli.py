@@ -44,13 +44,13 @@ class TestExitCodes:
         """The usage line and ``--backend`` choices list every registered
         backend but the ``chaos`` wrapper, after ``auto``."""
         assert cli_main([]) == 0
-        usage = "[--backend auto|serial|process|persistent|remote]"
+        usage = "[--backend auto|serial|process|persistent]"
         assert usage in capsys.readouterr().out
         assert cli_main(_sweep_argv(tmp_path, "--backend", "chaos")) == 2
         err = capsys.readouterr().err
         assert re.search(
             r"invalid choice: .chaos. \(choose from .*auto.*serial.*process"
-            r".*persistent.*remote", err
+            r".*persistent", err
         )
         assert "chaos" not in err.split("choose from")[1]
 
@@ -212,17 +212,6 @@ class TestCacheCommand:
         value, hit = cache.get("s", "k")
         assert hit and value == 1
 
-    def test_compact_includes_service_journal(self, tmp_path, capsys):
-        from repro.service.journal import ServiceJournal
-
-        ResultCache(tmp_path).put("s", "k", {}, 1)
-        journal = ServiceJournal(tmp_path)
-        journal.request("t1", "s", 4)
-        journal.done("t1")
-        assert cli_main(["cache", "compact", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "compacted service journal: 2 record(s) dropped" in out
-        assert journal.fold() == {}
 
 
 class TestCacheEnvExport:
@@ -338,13 +327,34 @@ class TestKeepGoing:
 class TestFaultToleranceFlags:
     """--retries/--timeout/--max-failures/--chaos/--retry-quarantined."""
 
-    def test_bad_chaos_spec_is_two(self, tmp_path, capsys):
-        assert cli_main(_sweep_argv(tmp_path, "--chaos", "bogus=1")) == 2
-        assert "bad --chaos" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "spec",
+        ["bogus=1", "hang=1,hang_s=nan", "hang=1,hang_s=inf", "drop=0.1"],
+    )
+    def test_bad_chaos_spec_is_two(self, tmp_path, capsys, spec):
+        assert cli_main(_sweep_argv(tmp_path, "--chaos", spec)) == 2
+        captured = capsys.readouterr()
+        assert "bad --chaos" in captured.out
+        assert "Traceback" not in captured.err
 
-    def test_bad_retries_is_two(self, tmp_path, capsys):
-        assert cli_main(_sweep_argv(tmp_path, "--retries", "-1")) == 2
-        assert "bad arguments" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--retries", "-1"),
+            ("--timeout", "nan"),
+            # Used to crash in the pool with "timestamp out of range".
+            ("--timeout", "inf", "--jobs", "2", "--backend", "process"),
+            # Used to crash converting NaN to a point count.
+            ("--prescreen", "nan"),
+        ],
+        ids=["retries=-1", "timeout=nan", "timeout=inf", "prescreen=nan"],
+    )
+    def test_bad_number_is_two(self, tmp_path, capsys, extra):
+        assert cli_main(_sweep_argv(tmp_path, *extra)) == 2
+        captured = capsys.readouterr()
+        assert "bad arguments" in captured.out
+        assert "Traceback" not in captured.err
+        assert not list(tmp_path.rglob("*.jsonl"))
 
     def test_retry_quarantined_requires_resume(self, tmp_path, capsys):
         assert cli_main(_sweep_argv(tmp_path, "--retry-quarantined")) == 2
@@ -493,13 +503,13 @@ class TestStartupCost:
     ):
         """Backends load by name on first use, ``repro.core`` re-exports
         nothing and ``fig04`` builds its instances inside its point
-        function: a warm ``--jobs 1`` sweep loads none of the pools, the
-        service client, the prescreen, the LP code or ``repro.simple``."""
+        function: a warm ``--jobs 1`` sweep loads none of the pools,
+        ``socket``, the prescreen, the LP code or ``repro.simple``."""
         unused = (
-            "multiprocessing", "socket", "repro.service",
+            "multiprocessing", "socket",
             "repro.runner.prescreen", "repro.runner.backends.process",
             "repro.runner.backends.persistent", "repro.runner.backends.chaos",
-            "repro.runner.backends.remote", "repro.core.bounds",
+            "repro.core.bounds",
             "repro.core.homogeneous", "repro.core.heterogeneous",
             "repro.simple",
         )

@@ -53,6 +53,14 @@ def _bulky_point(params):
     return {"x": params["x"], "pad": "y" * 512_000}
 
 
+def _pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 @contextlib.contextmanager
 def _time_limit(seconds):
     """Fail (instead of hanging the suite) when the body overruns."""
@@ -102,6 +110,8 @@ class TestRetryPolicy:
             {"jitter": 1.5},
             {"timeout": 0.0},
             {"max_failures": 0},
+            {"timeout": float("nan")},
+            {"timeout": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -133,7 +143,11 @@ class TestChaosSpec:
         assert ChaosSpec.parse("fail=0.5,sticky=permanent").sticky == -1
         assert not ChaosSpec.parse("").active
 
-    @pytest.mark.parametrize("arg", ["fail", "bogus=1", "fail=2.0", "sticky=0"])
+    @pytest.mark.parametrize(
+        "arg",
+        ["fail", "bogus=1", "fail=2.0", "sticky=0", "hang_s=nan", "hang_s=inf",
+         "drop=0.1"],
+    )
     def test_parse_rejects(self, arg):
         with pytest.raises(ValueError):
             ChaosSpec.parse(arg)
@@ -513,6 +527,49 @@ class TestCrashRecovery:
         assert [o.value for o in result.outcomes] == [
             o.value for o in clean.outcomes
         ]
+
+    def test_workers_exit_when_their_owner_is_sigkilled(self):
+        """A SIGKILLed pool owner never sends the shutdown sentinel: its
+        workers must notice the reparenting and exit on their own
+        instead of waiting on a dead queue forever."""
+        script = (
+            "import json, sys, time\n"
+            "from repro.runner.backends.persistent import PersistentBackend\n"
+            "from repro.runner.hashing import canonical_params\n"
+            "backend = PersistentBackend(jobs=2)\n"
+            "list(backend.map(canonical_params, [{'x': i} for i in range(4)]))\n"
+            "print(json.dumps(backend.worker_pids()), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        src_dir = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        env["REPRO_WORKER_ORPHAN_POLL_S"] = "0.2"
+        owner = subprocess.Popen(
+            [sys.executable, "-c", script], env=env,
+            stdout=subprocess.PIPE, text=True,
+        )
+        alive = []
+        try:
+            with _time_limit(60):
+                workers = json.loads(owner.stdout.readline())
+                assert len(workers) == 2
+                owner.send_signal(signal.SIGKILL)
+                owner.wait(timeout=10)
+                deadline = time.monotonic() + 10
+                alive = workers
+                while alive and time.monotonic() < deadline:
+                    alive = [pid for pid in alive if _pid_alive(pid)]
+                    time.sleep(0.1)
+                assert not alive, f"orphaned workers survived: {alive}"
+        finally:
+            if owner.poll() is None:
+                owner.kill()
+                owner.wait(timeout=10)
+            owner.stdout.close()
+            for pid in alive:  # a failed run must not leak its workers
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class _Terminated(BaseException):
