@@ -1,17 +1,16 @@
-"""Execution-backend throughput — process vs persistent on a warm campaign.
+"""Execution-backend throughput — one warm pool against a pool per sweep.
 
-The sweep runner's three backends promise identical rows; this module
-measures what they *cost* on the workload the persistent backend was
-built for: a campaign of several sweeps of cheap points, where pool
-start-up and per-task IPC dominate real computation.  The fresh-pool
-``process`` backend pays a pool spawn per sweep and a task round-trip
-per point; the ``persistent`` backend pays one pool spawn per session
-and ships points in batches to already-warm workers.
+The sweep runner's backends promise identical rows; this module
+measures what they *cost* on a campaign of several sweeps of cheap
+points, where pool start-up and per-task IPC dominate real
+computation.  The ``process`` backend pays one pool spawn per backend
+instance and ships points in batches to already-warm workers; building
+a fresh backend per sweep pays the spawn once per sweep.
 
-``test_persistent_beats_process_on_warm_campaign`` is the acceptance
-gate: on a warm multi-sweep campaign the persistent backend must beat
-the process backend outright.  The surrounding benchmarks record the
-absolute numbers (see docs/runner.md for measured figures).
+``test_warm_pool_beats_a_pool_per_sweep`` is the acceptance gate: on a
+multi-sweep campaign one warm pool must beat a pool per sweep
+outright.  The surrounding benchmarks record the absolute numbers (see
+docs/runner.md for measured figures).
 
 Run with ``pytest benchmarks/bench_runner.py -s --benchmark-only`` for
 the numbers, or plain ``pytest benchmarks/bench_runner.py`` for the
@@ -24,7 +23,9 @@ import time
 
 from conftest import one_shot
 
-from repro.runner import Campaign, Sweep, create_backend, run_campaign
+from repro.runner import (
+    Campaign, Sweep, create_backend, run_campaign, run_sweep,
+)
 
 #: Campaign shape: enough sweeps that pool start-up matters, enough
 #: points per sweep that batching matters.
@@ -74,49 +75,46 @@ def test_backend_process(benchmark):
     assert result.misses == N_SWEEPS * N_POINTS
 
 
-def test_backend_persistent(benchmark):
-    result = one_shot(benchmark, _run_campaign_on, "persistent")
-    assert result.misses == N_SWEEPS * N_POINTS
+def _warmed_pool():
+    """A ``process`` backend whose workers have already served a sweep."""
+    backend = create_backend("process", jobs=JOBS)
+    warmup = Sweep(
+        name="warmup", run_fn=_micro_point, points=({"s": -1, "x": 0},)
+    )
+    run_campaign(Campaign("warmup", (warmup,)), jobs=JOBS, backend=backend)
+    return backend
 
 
 def _measure_backends():
-    """One comparison round: best-of-3 campaign wall-clock per backend.
+    """One comparison round: best-of-3 campaign wall-clock per side.
 
-    Returns ``(process_seconds, persistent_seconds)`` plus both
-    results so the caller can assert row identity.
+    Returns ``(per_sweep_seconds, warm_seconds)`` plus both sides' rows
+    so the caller can assert row identity.
     """
     campaign = _campaign()
     rounds = 3  # best-of-N absorbs scheduler noise within an attempt
 
-    process_seconds = float("inf")
-    with create_backend("process", jobs=JOBS) as process_backend:
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            process_result = run_campaign(
-                campaign, jobs=JOBS, backend=process_backend
-            )
-            process_seconds = min(process_seconds, time.perf_counter() - t0)
+    per_sweep_seconds = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        per_sweep_rows = [
+            run_sweep(sweep, jobs=JOBS, backend="process").rows
+            for sweep in campaign.sweeps
+        ]
+        per_sweep_seconds = min(per_sweep_seconds, time.perf_counter() - t0)
 
-    persistent_seconds = float("inf")
-    with create_backend("persistent", jobs=JOBS) as persistent_backend:
-        warmup = Sweep(
-            name="warmup", run_fn=_micro_point, points=({"s": -1, "x": 0},)
-        )
-        run_campaign(Campaign("warmup", (warmup,)), jobs=JOBS,
-                     backend=persistent_backend)
+    warm_seconds = float("inf")
+    with _warmed_pool() as backend:
         for _ in range(rounds):
             t0 = time.perf_counter()
-            persistent_result = run_campaign(
-                campaign, jobs=JOBS, backend=persistent_backend
-            )
-            persistent_seconds = min(
-                persistent_seconds, time.perf_counter() - t0
-            )
-    return process_seconds, persistent_seconds, process_result, persistent_result
+            warm_result = run_campaign(campaign, jobs=JOBS, backend=backend)
+            warm_seconds = min(warm_seconds, time.perf_counter() - t0)
+    warm_rows = [sweep.rows for sweep in warm_result.sweeps]
+    return per_sweep_seconds, warm_seconds, per_sweep_rows, warm_rows
 
 
 def _measure_retry_overhead():
-    """Best-of-5 warm persistent campaign, without and with a retry
+    """Best-of-5 warm pool campaign, without and with a retry
     policy, on the same warm pool.  Returns ``(plain_s, retry_s)``."""
     from repro.runner import RetryPolicy
 
@@ -124,11 +122,7 @@ def _measure_retry_overhead():
     rounds = 5
     policy = RetryPolicy(retries=2, timeout=60.0, max_failures=10)
     plain_s = retry_s = float("inf")
-    with create_backend("persistent", jobs=JOBS) as backend:
-        warmup = Sweep(
-            name="warmup", run_fn=_micro_point, points=({"s": -1, "x": 0},)
-        )
-        run_campaign(Campaign("warmup", (warmup,)), jobs=JOBS, backend=backend)
+    with _warmed_pool() as backend:
         for _ in range(rounds):
             t0 = time.perf_counter()
             plain_r = run_campaign(campaign, jobs=JOBS, backend=backend)
@@ -149,7 +143,7 @@ def test_retry_layer_overhead():
     nothing fails.
 
     A fully configured retry policy — retries, timeout, breaker — on a
-    failure-free warm persistent campaign must add < 5 % to dispatch:
+    failure-free warm pool campaign must add < 5 % to dispatch:
     the retry machinery only engages on failures, so the hot path's
     additions are a status check per point and one extra keyword on the
     backend call.  Retries up to three attempts for the same
@@ -175,36 +169,37 @@ def test_retry_layer_overhead():
     )
 
 
-def test_persistent_beats_process_on_warm_campaign():
-    """Acceptance gate: warm persistent workers beat fresh pools.
+def test_warm_pool_beats_a_pool_per_sweep():
+    """Acceptance gate: one warm pool beats a fresh pool per sweep.
 
-    Both backends run the identical campaign with the same job count.
-    The persistent backend is warmed with one throwaway sweep first —
-    the steady state it exists for (`sweep all`, repeated invocations,
-    benchmark sessions) — while the process backend, by design, can
-    never be warm: it spawns a pool per sweep.  Identical rows are
-    asserted along the way, so the speed claim is about the same work.
+    Both sides run the identical campaign with the same job count.
+    The warm side is one ``process`` instance, warmed with one
+    throwaway sweep first — the steady state of ``sweep all`` and of
+    benchmark sessions.  The other side runs each sweep through
+    ``run_sweep(..., backend="process")``, which builds and closes a
+    pool per sweep.  Identical rows are asserted along the way, so the
+    speed claim is about the same work.
 
     The comparison retries up to three attempts: a contended CI runner
     can deschedule one side of a tens-of-milliseconds measurement, but
-    a genuine regression loses every attempt (the local margin is
-    ~6-9×, see docs/runner.md).
+    a genuine regression loses every attempt (see docs/runner.md for
+    the local margin).
     """
     attempts = []
     for _ in range(3):
-        process_s, persistent_s, process_r, persistent_r = _measure_backends()
-        assert persistent_r.tables == process_r.tables
-        attempts.append((process_s, persistent_s))
+        per_sweep_s, warm_s, per_sweep_rows, warm_rows = _measure_backends()
+        assert warm_rows == per_sweep_rows
+        attempts.append((per_sweep_s, warm_s))
         print(
             f"\nwarm campaign ({N_SWEEPS} sweeps x {N_POINTS} points, "
-            f"jobs={JOBS}): process {process_s * 1e3:.1f} ms, "
-            f"persistent {persistent_s * 1e3:.1f} ms "
-            f"({process_s / persistent_s:.1f}x)"
+            f"jobs={JOBS}): pool per sweep {per_sweep_s * 1e3:.1f} ms, "
+            f"warm pool {warm_s * 1e3:.1f} ms "
+            f"({per_sweep_s / warm_s:.1f}x)"
         )
-        if persistent_s < process_s:
+        if warm_s < per_sweep_s:
             return
     raise AssertionError(
-        "persistent never beat process on a warm multi-sweep campaign "
-        f"across {len(attempts)} attempts: "
+        "a warm pool never beat a pool per sweep on a multi-sweep "
+        f"campaign across {len(attempts)} attempts: "
         + ", ".join(f"{p * 1e3:.1f}ms vs {q * 1e3:.1f}ms" for p, q in attempts)
     )

@@ -50,7 +50,6 @@ GATES = {
     # tracks the recorded backend sweeps.
     "test_backend_serial": "min",
     "test_backend_process": "min",
-    "test_backend_persistent": "min",
 }
 
 DEFAULT_LEDGER = Path(__file__).parent / "history" / "ledger.jsonl"

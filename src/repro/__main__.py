@@ -10,7 +10,6 @@ Usage::
     python -m repro sweep fig10 --engine des    # force the DES oracle
     python -m repro sweep fig10 --engine model  # analytic estimates only
     python -m repro sweep fig10 --prescreen 5   # model-rank, simulate top 5
-    python -m repro sweep all --jobs 4 --backend persistent   # warm workers
     python -m repro sweep fig10 --resume        # finish a killed sweep
     python -m repro sweep robustness --scenario dropout:0.5
     python -m repro sweep fig10 --retries 2 --timeout 60      # fault tolerant
@@ -23,9 +22,9 @@ Usage::
 
 ``sweep`` runs an experiment's campaign through the unified runner
 (:mod:`repro.runner`): cache-miss points execute on the selected
-``--backend`` (``serial`` inline, ``process`` fresh pool per sweep,
-``persistent`` warm workers shared by every sweep of the invocation)
-over ``--jobs`` workers, and results are memoized in a
+``--backend`` (``serial`` inline, ``process`` a self-healing pool of
+warm workers shared by every sweep of the invocation) over ``--jobs``
+workers, and results are memoized in a
 log-structured content-addressed on-disk cache, so a repeated
 invocation completes without re-running any simulation and a killed
 one picks up where it stopped (``--resume``).  Aggregated tables are
@@ -50,7 +49,6 @@ torn down, the cache stays consistent, ``--resume`` finishes the run).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from repro.experiments import ALL_EXPERIMENTS, campaign_for
@@ -101,9 +99,9 @@ def _cmd_sweep(argv: list[str]) -> int:
         "--backend",
         choices=BACKEND_CHOICES,
         default="auto",
-        help="execution backend: 'serial' runs inline, 'process' starts a "
-             "fresh pool per sweep, 'persistent' keeps warm workers alive "
-             "across every sweep of this invocation; 'auto' "
+        help="execution backend: 'serial' runs inline, 'process' keeps a "
+             "self-healing pool of warm workers alive across every sweep "
+             "of this invocation; 'auto' "
              "(default) picks serial for --jobs 1 and process otherwise.  "
              "An explicit choice is stamped into every point, so each "
              "backend keeps its own cache entries",
@@ -164,7 +162,7 @@ def _cmd_sweep(argv: list[str]) -> int:
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
         help="per-point wall-clock limit in seconds, enforced inside the "
-             "worker by the process/persistent backends (the serial "
+             "worker by the process backend (the serial "
              "backend never interrupts a point); a timed-out point counts "
              "as a failure and is retried like any other",
     )
@@ -215,9 +213,11 @@ def _cmd_sweep(argv: list[str]) -> int:
         print("bad arguments: --resume needs the cache (drop --no-cache)")
         return 2
     if args.prescreen is not None and not (
-        math.isfinite(args.prescreen) and args.prescreen > 0
+        0 < args.prescreen < 1
+        or (args.prescreen >= 1 and args.prescreen.is_integer())
     ):
-        print("bad arguments: --prescreen must be a positive count or fraction")
+        print("bad arguments: --prescreen must be an integer count or a "
+              "fraction in (0,1)")
         return 2
     if args.scale is not None and args.scale < 1:
         print("bad arguments: --scale must be a positive integer")
@@ -362,9 +362,9 @@ def _cmd_sweep(argv: list[str]) -> int:
     else:
         os.environ["REPRO_CACHE_DISABLE"] = "1"
 
-    # One backend instance for the whole invocation: `--backend
-    # persistent` keeps its warm workers across every sweep and
-    # campaign of `sweep all`.  --chaos wraps it without touching the
+    # One backend instance for the whole invocation: the process pool
+    # keeps its warm workers across every sweep and campaign of
+    # `sweep all`.  --chaos wraps it without touching the
     # points (cache keys stay those of the clean run — the whole point
     # of the byte-identity acceptance check).
     exec_backend, owned = resolve_backend(stamped_backend, args.jobs)

@@ -103,9 +103,9 @@ def _baseline_makespan(
     hot within one process; underneath, :func:`repro.runner.cached_call`
     persists it in the sweep result cache (``$REPRO_CACHE_DIR`` or the
     default location, keyed by these scalars plus the package code
-    version), so fresh worker pools, the persistent backend's warm
-    workers, and later runs all reuse one simulation per algorithm
-    instead of recomputing it per process.
+    version), so every worker of the process pool, a respawned worker,
+    and later runs all reuse one simulation per algorithm instead of
+    recomputing it per process.
     """
     return cached_call(
         "robustness-baseline",

@@ -5,8 +5,8 @@ The experiment modules declare their work as :class:`Sweep`\\ s (points +
 a pure per-point function) grouped into :class:`Campaign`\\ s;
 :func:`run_sweep` / :func:`run_campaign` execute them on an
 interchangeable :class:`~repro.runner.backends.ExecutionBackend`
-(``serial`` inline, ``process`` fresh pool, ``persistent`` warm
-workers) with results memoized in a content-addressed on-disk
+(``serial`` inline, ``process`` a warm self-healing worker pool)
+with results memoized in a content-addressed on-disk
 :class:`ResultCache` of append-only per-shard segments that are both
 its index and its data.  ``python -m repro sweep <name>`` is the
 CLI front-end; ``benchmarks/conftest.py`` reuses the same cache through
@@ -65,7 +65,6 @@ __all__ = [
     "ExecutionBackend",
     "FAILED",
     "FailureReport",
-    "PersistentBackend",
     "PointOutcome",
     "PointTimeout",
     "PrescreenResult",

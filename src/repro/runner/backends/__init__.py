@@ -2,13 +2,12 @@
 
 The built-in backends, named in :data:`~repro.runner.backends.base.BACKENDS`:
 
-========== ==========================================================
-``serial``     inline, zero overhead — the reference semantics
-``process``    fresh pool per sweep, function shipped via initializer
-``persistent`` warm self-healing workers reused across sweeps,
-               batched dispatch, crash recovery
-``chaos``      deterministic fault injection around any of the above
-========== ==========================================================
+=========== ==========================================================
+``serial``  inline, zero overhead — the reference semantics
+``process`` warm self-healing workers reused across sweeps,
+            batched dispatch, crash recovery
+``chaos``   deterministic fault injection around either of the above
+=========== ==========================================================
 
 Each lives in its own module, imported on first use: by
 :func:`~repro.runner.backends.base.create_backend`, or by asking this
@@ -38,7 +37,6 @@ __all__ = [
     "ChaosFault",
     "ChaosSpec",
     "ExecutionBackend",
-    "PersistentBackend",
     "PointTimeout",
     "ProcessBackend",
     "SerialBackend",

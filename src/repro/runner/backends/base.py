@@ -3,9 +3,8 @@
 An :class:`ExecutionBackend` turns a pure point function plus a list of
 parameter mappings into an ordered stream of :class:`TaskResult`\\ s.
 The sweep orchestrator (:mod:`repro.runner.sweep`) is the only caller;
-it neither knows nor cares whether points ran inline, across a fresh
-process pool, or on warm persistent workers — every backend obeys the
-same three rules:
+it neither knows nor cares whether points ran inline or on the warm
+worker pool — every backend obeys the same three rules:
 
 * **order** — results are yielded in input order, lazily, so the
   orchestrator can stream progress while later points still compute;
@@ -114,9 +113,9 @@ class ExecutionBackend(Protocol):
     ) -> Iterator[TaskResult]:
         """Yield one :class:`TaskResult` per item, lazily, in order.
 
-        ``timeout`` asks for a per-point wall-clock bound; the pooled
-        backends enforce it inside their workers (``SIGALRM``), the
-        serial backend cannot preempt inline code and ignores it.
+        ``timeout`` asks for a per-point wall-clock bound; the process
+        pool enforces it inside its workers (``SIGALRM``), the serial
+        backend cannot preempt inline code and ignores it.
         ``attempt`` is the retry round the orchestrator is on (0 for
         the first pass); plain backends ignore it — it exists so the
         chaos wrapper can make injected faults *transient* (a fault
@@ -138,10 +137,10 @@ def run_one(
 ) -> TaskResult:
     """Evaluate one point inline, capturing failure as a result.
 
-    The shared serial building block: the serial backend, the small-input
-    fast paths of the pooled backends, and the persistent backend's
-    unresolvable-function fallback all route through here, so error
-    capture is identical everywhere.
+    The shared serial building block: the serial backend, the process
+    pool's workers and its inline fallback (``jobs <= 1`` or an
+    unshippable function) all route through here, so error capture is
+    identical everywhere.
 
     ``timeout`` (pooled workers only — the caller decides) arms a
     ``SIGALRM`` interval timer around the evaluation; an expiry raises
@@ -211,12 +210,12 @@ def run_one(
 
 
 def pool_context() -> multiprocessing.context.BaseContext:
-    """The pool start-method shared by every process-based backend:
-    ``fork`` where available (no re-import cost, monkeypatched modules
-    and pytest-loaded benchmark modules survive into workers), the
-    platform default elsewhere.  The parent loads the simulation stack
-    lazily (experiments import it in their point functions), so this
-    one fork point loads it for every worker to inherit."""
+    """The process pool's start method: ``fork`` where available (no
+    re-import cost, monkeypatched modules and pytest-loaded benchmark
+    modules survive into workers), the platform default elsewhere.  The
+    parent loads the simulation stack lazily (experiments import it in
+    their point functions), so this one fork point loads it for every
+    worker to inherit."""
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -246,13 +245,13 @@ def sigterm_held() -> Iterator[None]:
 
 
 def default_worker_signals() -> None:
-    """Signal rule for every worker a pool backend forks: SIGTERM kills.
+    """Signal rule for every worker the process pool forks: SIGTERM kills.
 
     A forked worker inherits its parent's handlers, and the CLI's
-    ``sweep`` installs a SIGTERM handler that *raises*.  Pools stop
-    their workers with SIGTERM (``Pool.terminate``).  A raising handler
-    can unwind a worker between acquiring and releasing the task
-    queue's shared lock, or run inside an after-fork hook that prints
+    ``sweep`` installs a SIGTERM handler that *raises*.  The pool stops
+    its workers with SIGTERM (``ProcessBackend.terminate``).  A raising
+    handler can unwind a worker between acquiring and releasing its
+    task queue's lock, or run inside an after-fork hook that prints
     and drops the exception, so the worker lives on; either way a
     worker is left blocked forever and the parent's ``join`` with it.
 
@@ -274,7 +273,6 @@ def default_worker_signals() -> None:
 BACKENDS: Dict[str, str] = {
     "serial": "repro.runner.backends.serial:SerialBackend",
     "process": "repro.runner.backends.process:ProcessBackend",
-    "persistent": "repro.runner.backends.persistent:PersistentBackend",
     "chaos": "repro.runner.backends.chaos:ChaosBackend",
 }
 
@@ -301,9 +299,9 @@ def resolve_backend(
     """Resolve a backend spec to ``(instance, owned)``.
 
     ``backend`` may be an instance (campaign-level reuse — the caller
-    keeps ownership, so persistent workers stay warm across sweeps), a
+    keeps ownership, so pool workers stay warm across sweeps), a
     registry name, or ``None``/``"auto"``, which preserves the historic
-    default: inline execution for ``jobs <= 1``, a fresh process pool
+    default: inline execution for ``jobs <= 1``, the process pool
     otherwise.  ``owned`` tells the caller whether it must ``close()``
     the instance when done.
     """

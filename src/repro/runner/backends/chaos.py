@@ -5,11 +5,11 @@ into point evaluation at configurable rates: transient **exceptions**
 (:class:`ChaosFault`), **hangs** (a sleep long enough to trip the
 per-point timeout, when one is set), and **worker crashes** (a real
 ``SIGKILL`` of the evaluating worker — only where the inner backend can
-heal from one, i.e. the persistent pool; elsewhere the kill is
+heal from one, i.e. the process pool; elsewhere the kill is
 downgraded to an exception).  It exists as the test substrate for the
 runner's fault-tolerance layer: retries, timeouts, the circuit breaker
-and the persistent pool's self-healing are all proven against it, in
-tests and in the CI ``chaos-matrix`` job.
+and the pool's self-healing are all proven against it, in tests and in
+the CI ``chaos-matrix`` job.
 
 Every decision is **seeded and deterministic**: whether a point is
 faulty is a pure function of ``(seed, canonical params, channel)``, and
@@ -24,14 +24,12 @@ governed by ``sticky``:
 * ``sticky = -1`` (``"permanent"``) — the fault never clears: the
   quarantine / circuit-breaker paths.
 
-The wrapper reaches real worker processes two ways: pickled by value
-for the fresh-pool ``process`` backend (the :class:`_ChaosWrapped`
-callable carries only scalars and an importable function reference),
-and as an import-token :data:`~repro.runner.backends.persistent.WrapSpec`
-for the ``persistent`` backend (whose tasks never pickle callables).
-Crash injection folds the pool's batch ``requeue`` count into the
-attempt, so a transient crash kills a worker exactly once and the
-requeued batch survives.
+The wrapper reaches the process pool's workers as an import-token
+:data:`~repro.runner.backends.process.WrapSpec` (the pool's tasks never
+pickle callables); around any other backend it wraps the point function
+in place.  Crash injection folds the pool's batch ``requeue`` count
+into the attempt, so a transient crash kills a worker exactly once and
+the requeued batch survives.
 
 CLI: ``python -m repro sweep NAME --chaos "fail=0.2,seed=7" --retries 2``
 (see :func:`ChaosSpec.parse` for the accepted keys).
@@ -161,12 +159,10 @@ def decide(
 
 
 class _ChaosWrapped:
-    """A picklable callable injecting faults around one point function.
+    """A callable injecting faults around one point function.
 
-    Carries only scalars plus a reference to an importable function, so
-    it crosses process boundaries by value (the ``process`` backend's
-    initializer) as well as being buildable worker-side from a
-    :func:`chaos_wrap` token (the ``persistent`` backend).
+    Built in place around the inner backend's point function, or
+    worker-side from a :func:`chaos_wrap` token (the process pool).
     """
 
     def __init__(

@@ -127,11 +127,14 @@ def prescreen_sweep(
     cost microseconds, so fan-out and memoization overheads would
     dominate the work being screened.
     """
+    if not (0 < keep < 1 or (keep >= 1 and float(keep).is_integer())):
+        raise ValueError(
+            f"keep must be an integer count or a fraction in (0, 1), "
+            f"got {keep}"
+        )
     total = len(sweep.points)
     if total == 0:
         return PrescreenResult(sweep=sweep, scored=(), kept=0)
-    if keep <= 0:
-        raise ValueError(f"keep must be positive, got {keep}")
     n_keep = math.ceil(keep * total) if 0 < keep < 1 else int(keep)
     n_keep = max(1, min(n_keep, total))
 

@@ -5,8 +5,8 @@ per-point function; a :class:`Campaign` is an ordered collection of
 sweeps (one experiment module may expose several, e.g. the LU study).
 :func:`run_sweep` consults the content-addressed result cache first,
 fans the remaining points out over an execution backend
-(:mod:`repro.runner.backends` — inline, fresh process pool, or warm
-persistent workers), streams ordered progress back through a callback
+(:mod:`repro.runner.backends` — inline or a warm worker pool),
+streams ordered progress back through a callback
 as each point resolves, and hands the ordered point results to the
 sweep's ``aggregate`` hook to build the experiment's published rows.
 
@@ -104,7 +104,7 @@ class RetryPolicy:
             desynchronize.
         seed: jitter seed.
         timeout: per-point wall-clock limit, seconds, enforced inside
-            the worker by the process/persistent backends (the serial
+            the worker by the process backend (the serial
             backend never interrupts a point — see ``docs/runner.md``).
             A timed-out point fails with a ``PointTimeout`` error and
             is retried like any other failure.
@@ -483,11 +483,11 @@ def run_sweep(
             :func:`~repro.runner.hashing.code_version` once for this
             sweep (the CLI passes one version for the whole invocation).
         backend: execution backend — a registry name (``"serial"``,
-            ``"process"``, ``"persistent"``), an already-constructed
+            ``"process"``), an already-constructed
             :class:`~repro.runner.backends.ExecutionBackend` (the
-            campaign path: pass one instance to keep persistent workers
+            campaign path: pass one instance to keep pool workers
             warm across sweeps), or ``None``/``"auto"`` for the historic
-            default (inline when ``jobs <= 1``, fresh pool otherwise).
+            default (inline when ``jobs <= 1``, the pool otherwise).
         resume: fold the sweep's cache segments once for which points
             already exist instead of looking every point up; points
             missing from the store — the tail a killed run never
@@ -727,9 +727,8 @@ def run_campaign(
     """Run every sweep of ``campaign`` in order; see :func:`run_sweep`.
 
     The backend is resolved **once** for the whole campaign, so a
-    ``"persistent"`` spec keeps its warm workers (and their in-process
-    memo caches) alive from sweep to sweep — the scenario that backend
-    exists for.  The retry policy (and its circuit breaker budget)
+    ``"process"`` spec keeps its warm workers (and their in-process
+    memo caches) alive from sweep to sweep.  The retry policy (and its circuit breaker budget)
     applies per sweep.
     """
     exec_backend, owned = resolve_backend(backend, jobs)

@@ -123,5 +123,9 @@ def brute_force_best(
                         held_b[widx].discard(index)
 
     dfs(0.0)
+    # ``dfs`` reaches itself through its closure, so this frame's memo
+    # would otherwise live until a cyclic GC pass; a long-lived pool
+    # worker would pay that pass in the middle of a later sweep.
+    seen.clear()
     assert best_schedule is not None
     return evaluate_schedule(inst, best_schedule, require_complete=True)

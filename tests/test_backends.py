@@ -1,10 +1,9 @@
 """Tests for the pluggable execution backends (repro.runner.backends).
 
-Covers the ISSUE-5 tentpole surface: serial/process/persistent byte-
-identity (synthetic sweeps and every registered experiment at smoke
-scale), warm-worker reuse across sweeps, once-per-worker function
-shipping, batching order, per-point failure isolation, and the
-unshippable-function fallback.
+Covers serial/process byte-identity (synthetic sweeps and every
+registered experiment at smoke scale), warm-worker reuse across sweeps,
+once-per-worker function shipping, batching order, per-point failure
+isolation, and the unshippable-function fallback.
 """
 
 import functools
@@ -20,7 +19,6 @@ import pytest
 from repro.experiments import ALL_EXPERIMENTS, campaign_for
 from repro.runner import (
     BACKENDS,
-    PersistentBackend,
     ProcessBackend,
     SerialBackend,
     Sweep,
@@ -31,7 +29,7 @@ from repro.runner import (
     run_sweep,
 )
 
-BACKEND_NAMES = ("serial", "process", "persistent")
+BACKEND_NAMES = ("serial", "process")
 
 
 def _square_point(params):
@@ -49,7 +47,7 @@ def _flaky_point(params):
 
 
 def _touch_probe(path, token=None):
-    """Append one line to ``path``; used as initializer/resolve probe."""
+    """Append one line to ``path``; used as the resolve probe."""
     with open(path, "a") as fh:
         fh.write(f"{os.getpid()}\n")
 
@@ -104,12 +102,11 @@ class TestRegistry:
             "    backend = runner.create_backend(name, jobs=2)\n"
             "    out['built'][name] = backend.name\n"
             "    backend.close()\n"
-            "from repro.runner import (ChaosSpec, PersistentBackend,\n"
+            "from repro.runner import (ChaosSpec,\n"
             "    ProcessBackend, prescreen_sweep, PrescreenUnsupported)\n"
-            "from repro.runner.backends import chaos, persistent, process\n"
+            "from repro.runner.backends import chaos, process\n"
             "from repro.runner import prescreen\n"
             "out['same'] = [ChaosSpec is chaos.ChaosSpec,\n"
-            "    PersistentBackend is persistent.PersistentBackend,\n"
             "    ProcessBackend is process.ProcessBackend,\n"
             "    prescreen_sweep is prescreen.prescreen_sweep,\n"
             "    PrescreenUnsupported is prescreen.PrescreenUnsupported]\n"
@@ -125,7 +122,7 @@ class TestRegistry:
             [sys.executable, "-c", script],
             env=env, capture_output=True, text=True, check=True,
         ).stdout.splitlines()[-1])
-        names = ["chaos", "persistent", "process", "serial"]
+        names = ["chaos", "process", "serial"]
         assert out["names"] == names
         assert out["import"] == ["repro.runner.backends.base"]
         assert out["serial"] == [
@@ -134,26 +131,25 @@ class TestRegistry:
         assert out["multiprocessing"] is False
         assert out["unknown"] == (
             "unknown execution backend 'quantum'; "
-            "available: chaos, persistent, process, serial"
+            "available: chaos, process, serial"
         )
         assert out["built"] == {name: name for name in names}
-        assert out["same"] == [True] * 5
+        assert out["same"] == [True] * 4
         assert out["thrifty"] is True
 
 
 class TestByteIdentity:
-    """Acceptance: all three backends produce byte-identical rows."""
+    """Acceptance: both backends produce byte-identical rows."""
 
     def test_synthetic_sweep(self):
         reference = run_sweep(_sweep(), backend="serial")
-        for name in ("process", "persistent"):
-            with create_backend(name, jobs=3) as backend:
-                result = run_sweep(_sweep(), backend=backend)
-            assert json.dumps(result.rows) == json.dumps(reference.rows), name
+        with create_backend("process", jobs=3) as backend:
+            result = run_sweep(_sweep(), backend=backend)
+        assert json.dumps(result.rows) == json.dumps(reference.rows)
 
     @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
     def test_every_experiment_smoke_scale(self, name, tmp_path, monkeypatch):
-        """Serial, process, and persistent rows match on every registered
+        """Serial and process rows match on every registered
         experiment (smoke scale, truncated to the first points of each
         sweep to keep the matrix fast)."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "baseline-cache"))
@@ -178,28 +174,20 @@ class TestByteIdentity:
                 [s.rows for s in result.sweeps], sort_keys=True
             )
         assert rows["process"] == rows["serial"]
-        assert rows["persistent"] == rows["serial"]
 
 
-class TestPersistentReuse:
+class TestPoolReuse:
     def test_workers_survive_across_sweeps(self):
         """The same worker pool serves every sweep of a campaign: across
         two maps at most ``jobs`` distinct processes ever run a point
-        (a fresh-pool backend would show up to ``2 * jobs``)."""
+        (a pool per sweep would show up to ``2 * jobs``)."""
         points = tuple({"x": x} for x in range(8))
-        with PersistentBackend(jobs=2) as backend:
+        with ProcessBackend(jobs=2) as backend:
             first = [t.value["pid"] for t in backend.map(_pid_point, points)]
             second = [t.value["pid"] for t in backend.map(_pid_point, points)]
         assert first and second
         assert len(set(first) | set(second)) <= 2
         assert os.getpid() not in set(first) | set(second)  # really pooled
-
-    def test_process_backend_pools_are_fresh(self):
-        points = tuple({"x": x} for x in range(8))
-        with ProcessBackend(jobs=2) as backend:
-            first = {t.value["pid"] for t in backend.map(_pid_point, points)}
-            second = {t.value["pid"] for t in backend.map(_pid_point, points)}
-        assert first.isdisjoint(second)
 
     def test_function_resolved_once_per_worker(self, tmp_path):
         """Two sweeps through warm workers resolve the point function at
@@ -207,24 +195,15 @@ class TestPersistentReuse:
         probe_file = tmp_path / "resolves.txt"
         probe = functools.partial(_touch_probe, str(probe_file))
         points = tuple({"x": x} for x in range(12))
-        with PersistentBackend(jobs=2, resolve_probe=probe) as backend:
+        with ProcessBackend(jobs=2, resolve_probe=probe) as backend:
             list(backend.map(_square_point, points))
             list(backend.map(_square_point, points))
         resolves = probe_file.read_text().splitlines()
         assert 1 <= len(resolves) <= 2  # once per worker, not per task/sweep
         assert len(set(resolves)) == len(resolves)
 
-    def test_process_initializer_ships_once_per_worker(self, tmp_path):
-        probe_file = tmp_path / "installs.txt"
-        probe = functools.partial(_touch_probe, str(probe_file))
-        points = tuple({"x": x} for x in range(12))
-        with ProcessBackend(jobs=2, initializer_probe=probe) as backend:
-            list(backend.map(_square_point, points))
-        installs = probe_file.read_text().splitlines()
-        assert 1 <= len(installs) <= 2
-
     def test_unshippable_function_falls_back_inline(self):
-        """Closures have no importable address; the persistent backend
+        """Closures have no importable address; the process backend
         must still evaluate them (inline) rather than fail or run the
         wrong code."""
         seen = []
@@ -234,20 +213,20 @@ class TestPersistentReuse:
             return params["x"] * 2
 
         points = tuple({"x": x} for x in range(4))
-        with PersistentBackend(jobs=2) as backend:
+        with ProcessBackend(jobs=2) as backend:
             values = [t.value for t in backend.map(closure_point, points)]
         assert values == [0, 2, 4, 6]
         assert seen == [0, 1, 2, 3]  # ran in this process
 
     def test_batching_preserves_order(self):
         points = tuple({"x": x} for x in range(23))
-        with PersistentBackend(jobs=3, batch_size=4) as backend:
+        with ProcessBackend(jobs=3, batch_size=4) as backend:
             values = [t.value["x"] for t in backend.map(_square_point, points)]
         assert values == list(range(23))
 
     def test_close_and_reuse(self):
         points = tuple({"x": x} for x in range(4))
-        backend = PersistentBackend(jobs=2)
+        backend = ProcessBackend(jobs=2)
         first = [t.value for t in backend.map(_square_point, points)]
         backend.close()
         second = [t.value for t in backend.map(_square_point, points)]
@@ -287,7 +266,7 @@ class TestErrorIsolation:
         """Regression: run_sweep's generator close() after a fully
         served sweep must not be mistaken for an abort — the warm pool
         stays up across sweeps (the backend's whole point)."""
-        backend = PersistentBackend(jobs=2)
+        backend = ProcessBackend(jobs=2)
         try:
             run_sweep(_sweep(n=8), backend=backend)
             workers = list(backend._workers)
@@ -300,7 +279,7 @@ class TestErrorIsolation:
             backend.close()
 
     def test_persistent_abort_drops_queued_batches(self):
-        """Abandoning an errored persistent sweep must not silently
+        """Abandoning an errored pool sweep must not silently
         drain the queued batches first: the pool is terminated and the
         next map starts a fresh one."""
         sweep = Sweep(
@@ -308,7 +287,7 @@ class TestErrorIsolation:
             run_fn=_flaky_point,
             points=tuple({"x": x} for x in range(40)),
         )
-        backend = PersistentBackend(jobs=2, batch_size=1)
+        backend = ProcessBackend(jobs=2, batch_size=1)
         try:
             with pytest.raises(SweepPointError):
                 run_sweep(sweep, backend=backend)

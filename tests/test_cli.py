@@ -44,13 +44,13 @@ class TestExitCodes:
         """The usage line and ``--backend`` choices list every registered
         backend but the ``chaos`` wrapper, after ``auto``."""
         assert cli_main([]) == 0
-        usage = "[--backend auto|serial|process|persistent]"
+        usage = "[--backend auto|serial|process]"
         assert usage in capsys.readouterr().out
         assert cli_main(_sweep_argv(tmp_path, "--backend", "chaos")) == 2
         err = capsys.readouterr().err
         assert re.search(
-            r"invalid choice: .chaos. \(choose from .*auto.*serial.*process"
-            r".*persistent", err
+            r"invalid choice: .chaos. \(choose from .*auto.*serial.*process",
+            err,
         )
         assert "chaos" not in err.split("choose from")[1]
 
@@ -95,7 +95,7 @@ def _put_records(root, sweep):
 
 
 class TestBackendPlumbing:
-    @pytest.mark.parametrize("backend", ["serial", "process", "persistent"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backend_runs_and_stamps(self, backend, tmp_path, capsys):
         argv = _sweep_argv(tmp_path, "--backend", backend, "--jobs", "2")
         assert cli_main(argv) == 0
@@ -134,7 +134,7 @@ class TestBackendPlumbing:
             assert all(r["params"]["backend"] == "serial" for r in records)
 
     def test_warm_rerun_is_fully_cached(self, tmp_path, capsys):
-        argv = _sweep_argv(tmp_path, "--backend", "persistent")
+        argv = _sweep_argv(tmp_path, "--backend", "process")
         assert cli_main(argv) == 0
         capsys.readouterr()
         assert cli_main(argv) == 0
@@ -346,8 +346,11 @@ class TestFaultToleranceFlags:
             ("--timeout", "inf", "--jobs", "2", "--backend", "process"),
             # Used to crash converting NaN to a point count.
             ("--prescreen", "nan"),
+            # Used to run truncated to "prescreen kept 2 of 21 points".
+            ("--prescreen", "2.5"),
         ],
-        ids=["retries=-1", "timeout=nan", "timeout=inf", "prescreen=nan"],
+        ids=["retries=-1", "timeout=nan", "timeout=inf", "prescreen=nan",
+             "prescreen=2.5"],
     )
     def test_bad_number_is_two(self, tmp_path, capsys, extra):
         assert cli_main(_sweep_argv(tmp_path, *extra)) == 2
@@ -508,7 +511,7 @@ class TestStartupCost:
         unused = (
             "multiprocessing", "socket",
             "repro.runner.prescreen", "repro.runner.backends.process",
-            "repro.runner.backends.persistent", "repro.runner.backends.chaos",
+            "repro.runner.backends.chaos",
             "repro.core.bounds",
             "repro.core.homogeneous", "repro.core.heterogeneous",
             "repro.simple",
@@ -516,6 +519,14 @@ class TestStartupCost:
         modules = self._warm_sweep_modules(tmp_path, capsys, "--jobs", "1")
         assert self._loaded(modules, unused) == []
         assert "repro.runner.backends.serial" in modules
+
+    def test_warm_pool_sweep_starts_no_pool(self, tmp_path, capsys):
+        """The process pool starts on the first point it computes: a
+        warm ``--jobs 2`` sweep builds the backend but loads no
+        ``multiprocessing`` and no ``queue``."""
+        modules = self._warm_sweep_modules(tmp_path, capsys, "--jobs", "2")
+        assert self._loaded(modules, ("multiprocessing", "queue")) == []
+        assert "repro.runner.backends.process" in modules
 
     @pytest.fixture
     def counted_code_version(self, monkeypatch):

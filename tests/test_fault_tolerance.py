@@ -4,7 +4,7 @@ Covers the tentpole surface: RetryPolicy determinism and validation,
 per-point timeouts, the max-failures circuit breaker with its
 structured report, quarantine lifecycle in the cache manifest, the
 ChaosBackend fault injector (including real worker SIGKILLs healed by
-the persistent pool), the byte-invisibility of the inert policy, and
+the process pool), the byte-invisibility of the inert policy, and
 crash recovery of a sweep whose worker is killed externally mid-run.
 """
 
@@ -35,7 +35,7 @@ from repro.runner import (
 )
 from repro.runner.backends.chaos import decide
 
-BACKEND_NAMES = ("serial", "process", "persistent")
+BACKEND_NAMES = ("serial", "process")
 
 
 def _square_point(params):
@@ -220,9 +220,9 @@ class TestByteInvisibility:
                 clean_cache.manifest_keys("ft")
             )
 
-    def test_crash_injection_heals_persistent_pool(self, tmp_path):
+    def test_crash_injection_heals_the_pool(self, tmp_path):
         clean = run_sweep(_sweep(16), code="v")
-        with create_backend("persistent", jobs=3) as inner:
+        with create_backend("process", jobs=3) as inner:
             backend = ChaosBackend(
                 inner=inner, spec=ChaosSpec(crash=0.2, fail=0.1, seed=11)
             )
@@ -239,7 +239,7 @@ class TestByteInvisibility:
 
 
 class TestTimeout:
-    @pytest.mark.parametrize("name", ("process", "persistent"))
+    @pytest.mark.parametrize("name", ("process",))
     def test_hang_reaped_and_retried(self, name):
         """A hang far longer than the timeout costs ~timeout, and the
         sticky=1 retry computes the correct value."""
@@ -439,7 +439,7 @@ class TestCrashRecovery:
         clean = run_sweep(sweep, code="v")
         killed = []
 
-        with _time_limit(60), create_backend("persistent", jobs=2) as backend:
+        with _time_limit(60), create_backend("process", jobs=2) as backend:
             def assassin(event):
                 if not killed and event.index >= 1:
                     victims = backend.worker_pids()
@@ -478,12 +478,12 @@ class TestCrashRecovery:
         SIGKILL that the pool heals, not an inline ``ChaosFault``."""
         script = (
             "import json, sys\n"
-            "from repro.runner.backends.persistent import PersistentBackend\n"
+            "from repro.runner.backends.process import ProcessBackend\n"
             "from repro.runner.hashing import canonical_params\n"
             "assert 'repro.runner.backends.chaos' not in sys.modules\n"
             "wrap = ('repro.runner.backends.chaos', 'chaos_wrap',\n"
             "        {'spec': {'crash': 1.0}, 'attempt': 0, 'kill': True})\n"
-            "with PersistentBackend(jobs=2) as backend:\n"
+            "with ProcessBackend(jobs=2) as backend:\n"
             "    results = list(backend.map(canonical_params,\n"
             "                   [{'x': i} for i in range(4)], wrap=wrap))\n"
             "    respawns = backend.respawns\n"
@@ -511,7 +511,7 @@ class TestCrashRecovery:
         clean = run_sweep(sweep, code="v")
         killed = []
 
-        with _time_limit(60), create_backend("persistent", jobs=2) as backend:
+        with _time_limit(60), create_backend("process", jobs=2) as backend:
             def assassin(event):
                 if not killed:
                     time.sleep(0.3)
@@ -534,9 +534,9 @@ class TestCrashRecovery:
         instead of waiting on a dead queue forever."""
         script = (
             "import json, sys, time\n"
-            "from repro.runner.backends.persistent import PersistentBackend\n"
+            "from repro.runner.backends.process import ProcessBackend\n"
             "from repro.runner.hashing import canonical_params\n"
-            "backend = PersistentBackend(jobs=2)\n"
+            "backend = ProcessBackend(jobs=2)\n"
             "list(backend.map(canonical_params, [{'x': i} for i in range(4)]))\n"
             "print(json.dumps(backend.worker_pids()), flush=True)\n"
             "time.sleep(60)\n"
@@ -582,22 +582,23 @@ def _raise_terminated(signum, frame):
 
 class TestWorkerSignals:
     def test_raising_sigterm_handler_never_stalls_pool_teardown(self):
-        """``Pool.terminate`` SIGTERMs the workers of every finished
-        ``map``.  Forked under a parent whose SIGTERM handler raises,
-        a worker could unwind while holding the task queue's lock, or
-        drop the exception inside an after-fork hook and live on, and
-        the parent's join then waited forever.  Each short map below
-        tears its pool down while workers are still starting up or
-        waiting on that lock."""
+        """``ProcessBackend.terminate`` SIGTERMs the pool's workers.
+        Forked under a parent whose SIGTERM handler raises, a worker
+        could unwind while holding its task queue's lock, or drop the
+        exception inside an after-fork hook and live on, and the
+        parent's join then waited forever.  Each iteration below
+        builds a pool, maps, and tears the pool down while its workers
+        wait on that queue."""
         items = [{"x": x} for x in range(4)]
         expected = [_square_point(params) for params in items]
-        backend = create_backend("process", jobs=4)
         previous = signal.signal(signal.SIGTERM, _raise_terminated)
         try:
             with _time_limit(60):
                 for _ in range(100):
+                    backend = create_backend("process", jobs=4)
                     got = [r.value for r in backend.map(_square_point, items)]
                     assert got == expected
+                    backend.terminate()
         finally:
             signal.signal(signal.SIGTERM, previous)
 

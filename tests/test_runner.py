@@ -857,6 +857,13 @@ class TestPrescreen:
             assert "engine" not in params or params["engine"] == "fast"
             assert point_key("fig10", params, "k") in keys
 
+    @pytest.mark.parametrize("keep", [0, -1, 2.5, float("nan")])
+    def test_bad_keep_is_rejected(self, keep):
+        from repro.runner import prescreen_sweep
+
+        with pytest.raises(ValueError, match="keep must be"):
+            prescreen_sweep(fig10.sweep(scale=8), keep=keep)
+
     def test_sweep_that_cannot_run_under_the_model_raises(self):
         from repro.runner import PrescreenUnsupported, prescreen_sweep
 
