@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Generator, Iterable, Optional, Protocol, Sequence
+from typing import Generator, Iterable, Iterator, Optional, Protocol, Sequence
 
 from repro.blocks.matrix import BlockMatrix
 from repro.blocks.shape import ProblemShape
@@ -63,6 +63,12 @@ class ChunkQueue:
 
     def __len__(self) -> int:
         return len(self._chunks) - self._next
+
+    def drain(self) -> Iterator[Chunk]:
+        """Take every chunk not yet popped, as one iterator, in queue order."""
+        rest = self._chunks[self._next:]
+        self._next = len(self._chunks)
+        return iter(rest)
 
 
 class Engine:

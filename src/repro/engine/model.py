@@ -58,8 +58,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Optional, Sequence
+from heapq import heappop, heappush, heappushpop
+from typing import Iterator, Optional, Sequence
 
 from repro.blocks.shape import ProblemShape
 from repro.engine.chunks import Chunk
@@ -311,21 +311,41 @@ _COUT = 2   # C tile returns; chunk complete, agent fetches the next
 
 
 class _Run:
-    """Mutable per-agent cursor state during the estimate."""
+    """Mutable per-agent state of the general (scenario) loop."""
 
-    __slots__ = ("widx", "gap", "chunks", "cursor", "queue",
-                 "stats", "chunk", "compute_start", "stats_key")
+    __slots__ = ("widx", "gap", "source", "stats", "chunk", "compute_start",
+                 "stats_key")
 
-    def __init__(self, spec: AgentSpec):
+    def __init__(self, spec: AgentSpec, source: Iterator[Chunk]):
         self.widx = spec.widx
         self.gap = spec.gap
-        self.chunks = spec.chunks
-        self.cursor = 0
-        self.queue = spec.queue
+        self.source = source
         self.stats = None
         self.chunk = None
         self.compute_start = 0.0
         self.stats_key = "_model_stats2" if spec.gap == 2 else "_model_stats1"
+
+
+def _chunk_sources(agents: Sequence[AgentSpec]) -> list[Iterator[Chunk]]:
+    """One chunk iterator per agent, in agent order.
+
+    A static agent iterates its own list; all agents on one
+    :class:`~repro.engine.engine.ChunkQueue` share a single iterator
+    over its remaining chunks, so the queue is drained exactly once and
+    in the order the agents ask for work.
+    """
+    shared: dict = {}
+    sources = []
+    for spec in agents:
+        queue = spec.queue
+        if queue is None:
+            sources.append(iter(spec.chunks))
+        else:
+            source = shared.get(queue)
+            if source is None:
+                source = shared[queue] = queue.drain()
+            sources.append(source)
+    return sources
 
 
 def _estimate(
@@ -336,8 +356,16 @@ def _estimate(
     check_memory: bool,
     scenario: Optional[Scenario],
 ) -> ModelEstimate:
+    """Replay the agents' chunk streams through the closed-form estimate.
+
+    ``scenario is None`` takes the stationary loop; any scenario,
+    the identity one included, takes the general loop, which is the
+    reference both must match bit for bit on stationary platforms.
+    """
+    if scenario is None:
+        return _estimate_stationary(agents, platform, two_port, check_memory)
     p = platform.p
-    varying = scenario is not None and scenario.has_rate_variation
+    varying = scenario.has_rate_variation
     if varying:
         c_tls = [
             (tl.times, tl.values)
@@ -350,13 +378,7 @@ def _estimate(
     else:
         c_tls = [((0.0,), (wk.c,)) for wk in platform.workers]
         w_tls = [((0.0,), (wk.w,)) for wk in platform.workers]
-    # Constant-rate scalars (the overwhelmingly common case): hoisting
-    # them past the _advance call shaves ~30 % off stationary estimates,
-    # which the model-vs-fast >100x gate (check_engine_speedup.py) and
-    # every capacity-planning grid spend directly.
-    c_flat = [vals[0] if len(times) == 1 else None for times, vals in c_tls]
-    w_flat = [vals[0] if len(times) == 1 else None for times, vals in w_tls]
-    background = list(scenario.background) if scenario is not None else []
+    background = list(scenario.background)
 
     recv_pid = 1 if two_port else 0
     port_avail = [0.0, 0.0]
@@ -382,7 +404,7 @@ def _estimate(
         """
         nonlocal bg_index, bg_busy
         avail = port_avail[pid]
-        if pid == 0 and bg_index < len(background):
+        if pid == 0:
             while bg_index < len(background):
                 ev = background[bg_index]
                 if ev.time > t_req:
@@ -392,44 +414,23 @@ def _estimate(
                 bg_busy += ev.duration
                 bg_index += 1
         start = avail if avail > t_req else t_req
-        flat = c_flat[widx]
-        if flat is not None:
-            end = start + blocks * flat
-        else:
-            times, values = c_tls[widx]
-            end = _advance(times, values, start, blocks)
+        times, values = c_tls[widx]
+        end = _advance(times, values, start, blocks)
         port_avail[pid] = end
         comm_seconds[pid] += end - start
         return start, end
 
     heap: list = []
     seq = 0
-    for spec in agents:
-        heappush(heap, (0.0, seq, _START, _Run(spec)))
+    for spec, source in zip(agents, _chunk_sources(agents)):
+        heappush(heap, (0.0, seq, _START, _Run(spec, source)))
         seq += 1
 
-    # The loop below inlines ``commit``'s happy path (flat rate, no
-    # pending background hold) at each call site: the three port
-    # commits per chunk dominate the per-point cost that the
-    # model-vs-fast >100x gate measures, and the call overhead alone is
-    # worth ~15 % of a stationary estimate.
-    n_bg = len(background)
-    pop = heappop
-    push = heappush
     while heap:
-        now, _, stage, run = pop(heap)
+        now, _, stage, run = heappop(heap)
         widx = run.widx
         if stage == _START:
-            queue = run.queue
-            if queue is not None:
-                chunk = queue.pop()
-            else:
-                cursor = run.cursor
-                if cursor < len(run.chunks):
-                    chunk = run.chunks[cursor]
-                    run.cursor = cursor + 1
-                else:
-                    chunk = None
+            chunk = next(run.source, None)
             if chunk is None:
                 continue
             stats = chunk.__dict__.get(run.stats_key)
@@ -446,58 +447,30 @@ def _estimate(
             # C-in plus the first phase's delivery: the pipeline fill
             # that gates the worker's first compute.
             run.chunk = chunk
-            cf = c_flat[widx]
-            if cf is not None and bg_index == n_bg:
-                avail = port_avail[0]
-                start = avail if avail > now else now
-                fill_done = start + (stats[0] + stats[3]) * cf
-                port_avail[0] = fill_done
-                comm_seconds[0] += fill_done - start
-            else:
-                _, fill_done = commit(0, widx, now, stats[0] + stats[3])
+            _, fill_done = commit(0, widx, now, stats[0] + stats[3])
             run.compute_start = fill_done
-            push(heap, (fill_done, seq, _BULK, run))
+            heappush(heap, (fill_done, seq, _BULK, run))
             seq += 1
         elif stage == _BULK:
-            c_blocks, ab, ups, fill, last_ups, _ = run.stats
-            cf = c_flat[widx]
-            if cf is not None and bg_index == n_bg:
-                avail = port_avail[0]
-                bulk_start = avail if avail > now else now
-                deliver_done = bulk_start + (ab - fill) * cf
-                port_avail[0] = deliver_done
-                comm_seconds[0] += deliver_done - bulk_start
-            else:
-                bulk_start, deliver_done = commit(0, widx, now, ab - fill)
-            w_f = w_flat[widx]
-            if w_f is not None:
-                nominal_end = now + ups * w_f
-            else:
-                w_times, w_values = w_tls[widx]
-                nominal_end = _advance(w_times, w_values, now, ups)
+            _, ab, ups, fill, last_ups, _ = run.stats
+            bulk_start, deliver_done = commit(0, widx, now, ab - fill)
+            w_times, w_values = w_tls[widx]
+            nominal_end = _advance(w_times, w_values, now, ups)
             busy_time = nominal_end - now
             updates_done[widx] += ups
             if run.gap == 1:
                 # No spare buffer generation: sends and computes strictly
                 # alternate, so the chunk's span is delivery + compute
                 # regardless of interleaving.
-                if w_f is not None:
-                    comp_end = deliver_done + ups * w_f
-                else:
-                    comp_end = _advance(w_times, w_values, deliver_done, ups)
+                comp_end = _advance(w_times, w_values, deliver_done, ups)
             else:
                 # Overlapped: compute streams behind the deliveries; the
                 # last phase cannot finish before its own delivery plus
                 # its own compute (the drain correction).
-                if w_f is not None:
-                    gated_end = deliver_done + last_ups * w_f
-                else:
-                    gated_end = _advance(
-                        w_times, w_values, deliver_done, last_ups
-                    )
+                gated_end = _advance(w_times, w_values, deliver_done, last_ups)
                 comp_end = nominal_end if nominal_end > gated_end else gated_end
                 if varying and (
-                    _crosses(w_tls[widx][0], now, comp_end)
+                    _crosses(w_times, now, comp_end)
                     or _crosses(c_tls[widx][0], now, comp_end)
                 ):
                     # A rate step lands inside this chunk: the O(1)
@@ -506,7 +479,6 @@ def _estimate(
                     # the phases delivery-paced instead (still cheap —
                     # only rate-crossing chunks pay it).
                     c_times, c_values = c_tls[widx]
-                    w_times, w_values = w_tls[widx]
                     comp = run.compute_start
                     deliv = bulk_start
                     busy_time = 0.0
@@ -524,25 +496,16 @@ def _estimate(
                         busy_time += comp - start
                     comp_end = comp
             busy[widx] += busy_time
-            push(heap, (comp_end, seq, _COUT, run))
+            heappush(heap, (comp_end, seq, _COUT, run))
             seq += 1
         else:  # _COUT
             stats = run.stats
-            c_blocks = stats[0]
-            cf = c_flat[widx]
-            if cf is not None and bg_index == n_bg:
-                avail = port_avail[recv_pid]
-                start = avail if avail > now else now
-                done = start + c_blocks * cf
-                port_avail[recv_pid] = done
-                comm_seconds[recv_pid] += done - start
-            else:
-                _, done = commit(recv_pid, widx, now, c_blocks)
-            comm_blocks_total += stats[1] + 2 * c_blocks
+            _, done = commit(recv_pid, widx, now, stats[0])
+            comm_blocks_total += stats[1] + 2 * stats[0]
             updates_total += stats[2]
             if done > makespan:
                 makespan = done
-            push(heap, (done, seq, _START, run))
+            heappush(heap, (done, seq, _START, run))
             seq += 1
 
     return ModelEstimate(
@@ -550,6 +513,107 @@ def _estimate(
         comm_blocks=comm_blocks_total,
         total_updates=updates_total,
         port_busy=(comm_seconds[0] + bg_busy, comm_seconds[1]),
+        worker_busy=tuple(busy),
+        worker_updates=tuple(updates_done),
+        peak_blocks=tuple(peaks),
+        two_port=two_port,
+    )
+
+
+def _estimate_stationary(
+    agents: Sequence[AgentSpec],
+    platform: Platform,
+    two_port: bool,
+    check_memory: bool,
+) -> ModelEstimate:
+    """:func:`_estimate` on a platform without a scenario.
+
+    The same arithmetic as the general loop with every rate constant:
+    the port clocks are locals, an agent is an immutable
+    ``(widx, gap, chunk source, c, w, stats key)`` tuple carried in its
+    heap entries next to the current chunk's stats, and each event is
+    one ``heappushpop``.  Its cost is the per-event overhead, so nothing
+    here tests for scenario inputs.
+    """
+    p = platform.p
+    workers = platform.workers
+    avail0 = avail1 = comm0 = comm1 = 0.0
+    busy = [0.0] * p
+    updates_done = [0] * p
+    peaks = [0] * p
+    comm_blocks_total = 0
+    updates_total = 0
+    makespan = 0.0
+
+    heap = [
+        (0.0, seq, _START, (
+            spec.widx, spec.gap, source, workers[spec.widx].c,
+            workers[spec.widx].w,
+            "_model_stats2" if spec.gap == 2 else "_model_stats1",
+        ), None)
+        for seq, (spec, source) in enumerate(zip(agents, _chunk_sources(agents)))
+    ]
+    seq = len(heap)
+    while heap:
+        now, _, stage, agent, stats = heappop(heap)
+        while True:
+            widx, gap, source, c, w, key = agent
+            if stage == _START:
+                chunk = next(source, None)
+                if chunk is None:
+                    break
+                stats = chunk.__dict__.get(key)
+                if stats is None:
+                    stats = _chunk_stats(chunk, gap)
+                peak = stats[5]
+                if peak > peaks[widx]:
+                    peaks[widx] = peak
+                    if check_memory and peak > workers[widx].m:
+                        raise memory_exceeded(widx, peak, workers[widx].m, now)
+                start = avail0 if avail0 > now else now
+                avail0 = start + (stats[0] + stats[3]) * c
+                comm0 += avail0 - start
+                entry = (avail0, seq, _BULK, agent, stats)
+            elif stage == _BULK:
+                _, ab, ups, fill, last_ups, _ = stats
+                start = avail0 if avail0 > now else now
+                avail0 = start + (ab - fill) * c
+                comm0 += avail0 - start
+                nominal_end = now + ups * w
+                busy[widx] += nominal_end - now
+                updates_done[widx] += ups
+                if gap == 1:
+                    comp_end = avail0 + ups * w
+                else:
+                    gated_end = avail0 + last_ups * w
+                    comp_end = (
+                        nominal_end if nominal_end > gated_end else gated_end
+                    )
+                entry = (comp_end, seq, _COUT, agent, stats)
+            else:  # _COUT
+                c_blocks = stats[0]
+                if two_port:
+                    start = avail1 if avail1 > now else now
+                    done = avail1 = start + c_blocks * c
+                    comm1 += done - start
+                else:
+                    start = avail0 if avail0 > now else now
+                    done = avail0 = start + c_blocks * c
+                    comm0 += done - start
+                comm_blocks_total += stats[1] + 2 * c_blocks
+                updates_total += stats[2]
+                if done > makespan:
+                    makespan = done
+                entry = (done, seq, _START, agent, None)
+            seq += 1
+            # The agent's next event goes in and the earliest comes out.
+            now, _, stage, agent, stats = heappushpop(heap, entry)
+
+    return ModelEstimate(
+        makespan=makespan,
+        comm_blocks=comm_blocks_total,
+        total_updates=updates_total,
+        port_busy=(comm0, comm1),
         worker_busy=tuple(busy),
         worker_updates=tuple(updates_done),
         peak_blocks=tuple(peaks),

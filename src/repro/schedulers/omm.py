@@ -44,17 +44,20 @@ class OMMOML(StaticChunkScheduler):
         assignment: dict[int, list[Chunk]] = {w: [] for w in range(p)}
         port_free = 0.0
         worker_free = [0.0] * p
+        cs = [wk.c for wk in platform.workers]
+        ws = [wk.w for wk in platform.workers]
         for chunk in chunks:
             comm_blocks = chunk.comm_blocks
             updates = chunk.updates
             best_widx, best_finish = 0, float("inf")
             for widx in range(p):
-                wk = platform.workers[widx]
-                arrive = port_free + comm_blocks * wk.c
-                finish = max(arrive, worker_free[widx]) + updates * wk.w
+                arrive = port_free + comm_blocks * cs[widx]
+                free = worker_free[widx]
+                # ``max(arrive, free)`` without the call: the same float.
+                finish = (free if free > arrive else arrive) + updates * ws[widx]
                 if finish < best_finish - 1e-12:
                     best_widx, best_finish = widx, finish
-            port_free += comm_blocks * platform.workers[best_widx].c
+            port_free += comm_blocks * cs[best_widx]
             worker_free[best_widx] = best_finish
             assignment[best_widx].append(chunk)
         return assignment

@@ -333,6 +333,22 @@ class TestContract:
         )
         assert estimate.makespan > 0.0
 
+        class OversizedSecond(HoLM):
+            name = "OversizedSecond"
+
+            def launch(self, engine):
+                # A 1x1 tile fits; the mu=4 tile after it does not.
+                chunks = [tile_chunks(shape, 1)[0], tile_chunks(shape, 4)[0]]
+                engine.env.process(engine.static_agent(0, chunks, 2))
+
+        # The check fires when the oversized chunk starts, after the
+        # first chunk's C tile has returned at t=7.
+        with pytest.raises(RuntimeError) as excinfo:
+            run_model(OversizedSecond(), platform, shape)
+        assert str(excinfo.value) == (
+            "worker P1 memory exceeded: 32 > 10 blocks at t=7"
+        )
+
     def test_scenario_platform_mismatch(self):
         platform = ut_cluster_platform(p=4)
         other = ut_cluster_platform(p=8)
