@@ -165,8 +165,12 @@ class ModelEstimate:
     def check_invariants(self) -> None:
         """No-op: the model records no intervals to validate.
 
-        Exists so ``run_scheduler``'s post-run validation path treats
-        estimates and traces uniformly.
+        Kept so estimates expose the :class:`~repro.engine.trace.Trace`
+        method surface; nothing calls it on an estimate today.
+        ``run_scheduler(engine="model")`` returns before its trace
+        checks and validates only the estimate's ``total_updates``
+        (memory caps are enforced during the estimate when
+        ``check_memory`` is set).
         """
 
     def to_summary(self):

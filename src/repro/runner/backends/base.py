@@ -25,10 +25,8 @@ with one entry here, without touching the orchestrator.
 
 from __future__ import annotations
 
-import contextlib
 import importlib
 import os
-import signal
 import time
 import traceback
 from dataclasses import dataclass
@@ -42,12 +40,8 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    TYPE_CHECKING,
     runtime_checkable,
 )
-
-if TYPE_CHECKING:
-    import multiprocessing.context
 
 __all__ = [
     "BACKENDS",
@@ -69,10 +63,11 @@ MAIN_PID = os.getpid()
 class PointTimeout(Exception):
     """A point exceeded its per-point wall-clock timeout.
 
-    Raised *inside* the evaluating process by the ``SIGALRM`` guard in
-    :func:`run_one`, so it is captured like any other point failure —
-    an errored :class:`TaskResult` whose traceback names this class —
-    and the retry layer above can treat timeouts as transient faults.
+    Raised *inside* a pool worker by its ``SIGALRM`` handler
+    (:mod:`repro.runner.backends.process`), so :func:`run_one` captures
+    it like any other point failure — an errored :class:`TaskResult`
+    whose error text names this class — and the retry layer above can
+    treat timeouts as transient faults.
     """
 
 
@@ -114,8 +109,10 @@ class ExecutionBackend(Protocol):
         """Yield one :class:`TaskResult` per item, lazily, in order.
 
         ``timeout`` asks for a per-point wall-clock bound; the process
-        pool enforces it inside its workers (``SIGALRM``), the serial
-        backend cannot preempt inline code and ignores it.
+        pool enforces it inside its workers, which own ``SIGALRM`` for
+        their whole life (see :mod:`repro.runner.backends.process`).
+        The serial backend and the pool's inline fallback run points
+        in the caller's process, never arm a timer and ignore it.
         ``attempt`` is the retry round the orchestrator is on (0 for
         the first pass); plain backends ignore it — it exists so the
         chaos wrapper can make injected faults *transient* (a fault
@@ -128,76 +125,22 @@ class ExecutionBackend(Protocol):
         ...
 
 
-def _alarm_handler(signum, frame):  # pragma: no cover - trivial
-    raise PointTimeout("point exceeded its wall-clock timeout")
-
-
-def run_one(
-    fn: PointFn, params: Mapping[str, Any], timeout: Optional[float] = None
-) -> TaskResult:
+def run_one(fn: PointFn, params: Mapping[str, Any]) -> TaskResult:
     """Evaluate one point inline, capturing failure as a result.
 
     The shared serial building block: the serial backend, the process
     pool's workers and its inline fallback (``jobs <= 1`` or an
     unshippable function) all route through here, so error capture is
-    identical everywhere.
-
-    ``timeout`` (pooled workers only — the caller decides) arms a
-    ``SIGALRM`` interval timer around the evaluation; an expiry raises
-    :class:`PointTimeout`, captured like any other point failure.  The
-    guard is skipped entirely when ``timeout`` is ``None``, keeping the
-    failure-free default path byte-identical to the historic one, and
-    is only effective in a process's main thread on platforms with
-    ``setitimer`` (everywhere this repository targets).
-
-    The guard is a save/restore bracket around ``SIGALRM``: a handler
-    someone else installed before this call is put back afterwards, and
-    a pending alarm they had armed is re-armed with whatever time it had
-    left (floored at a tick so an alarm that would have fired during the
-    point still fires promptly).  A point function is therefore free to
-    run its own ``signal.alarm`` brackets — the guard re-checks the
-    installed handler per point instead of trusting a sticky install —
-    with the one unavoidable caveat that the user's alarm and the guard
-    share the single ``ITIMER_REAL`` timer, so whichever was armed last
-    wins for the remainder of that point.  The common case (consecutive
-    guarded points, nothing else touching ``SIGALRM``) pays one
-    ``getsignal`` and two ``setitimer`` calls, staying inside the retry
-    layer's <5 % dispatch-overhead budget on batches of cheap points.
+    identical everywhere.  A :class:`PointTimeout` (raised only inside
+    pool workers, whose timer wraps ``fn``) is reported as its message
+    plus the point's params instead of a traceback.
     """
     start = time.perf_counter()
-    armed = False
-    displaced_handler: Any = None
-    restore_handler = False
-    remaining = 0.0
     try:
-        if timeout is not None and hasattr(signal, "setitimer"):
-            try:
-                displaced_handler = signal.getsignal(signal.SIGALRM)
-                if displaced_handler is not _alarm_handler:
-                    signal.signal(signal.SIGALRM, _alarm_handler)
-                    restore_handler = True
-                remaining = signal.setitimer(signal.ITIMER_REAL, timeout)[0]
-                armed = True
-            except ValueError:
-                pass  # not the main thread: run unguarded
-        try:
-            value = fn(params)
-        finally:
-            if armed:
-                signal.setitimer(signal.ITIMER_REAL, 0.0)
-                if restore_handler:
-                    signal.signal(signal.SIGALRM, displaced_handler)
-                if remaining > 0.0:
-                    elapsed = time.perf_counter() - start
-                    signal.setitimer(
-                        signal.ITIMER_REAL, max(remaining - elapsed, 1e-4)
-                    )
+        value = fn(params)
     except Exception as exc:  # isolate the point, keep the sweep alive
         if isinstance(exc, PointTimeout):
-            error = (
-                f"PointTimeout: point exceeded the {timeout:g}s wall-clock "
-                f"timeout\nparams: {dict(params)!r}\n"
-            )
+            error = f"PointTimeout: {exc}\nparams: {dict(params)!r}\n"
         else:
             error = traceback.format_exc()
         return TaskResult(
@@ -207,65 +150,6 @@ def run_one(
             exception=exc,
         )
     return TaskResult(value=value, seconds=time.perf_counter() - start)
-
-
-def pool_context() -> multiprocessing.context.BaseContext:
-    """The process pool's start method: ``fork`` where available (no
-    re-import cost, monkeypatched modules and pytest-loaded benchmark
-    modules survive into workers), the platform default elsewhere.  The
-    parent loads the simulation stack lazily (experiments import it in
-    their point functions), so this one fork point loads it for every
-    worker to inherit."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context(None)
-    import repro.engine  # noqa: F401
-
-    return multiprocessing.get_context("fork")
-
-
-@contextlib.contextmanager
-def sigterm_held() -> Iterator[None]:
-    """Hold SIGTERM in the calling thread while it forks pool workers.
-
-    See :func:`default_worker_signals`: a worker is born with SIGTERM
-    blocked and unblocks it only after restoring the default action.
-    A SIGTERM aimed at the parent meanwhile stays pending and is
-    delivered when the block ends.
-    """
-    if not hasattr(signal, "pthread_sigmask"):
-        yield
-        return
-    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-    try:
-        yield
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
-
-
-def default_worker_signals() -> None:
-    """Signal rule for every worker the process pool forks: SIGTERM kills.
-
-    A forked worker inherits its parent's handlers, and the CLI's
-    ``sweep`` installs a SIGTERM handler that *raises*.  The pool stops
-    its workers with SIGTERM (``ProcessBackend.terminate``).  A raising
-    handler can unwind a worker between acquiring and releasing its
-    task queue's lock, or run inside an after-fork hook that prints
-    and drops the exception, so the worker lives on; either way a
-    worker is left blocked forever and the parent's ``join`` with it.
-
-    So the parent forks with SIGTERM held (:func:`sigterm_held`), and
-    each worker restores the default action and then unblocks SIGTERM
-    before it runs a point; a SIGTERM that arrived in between kills it
-    right there.  The parent's handler stays in the parent.  SIGINT is
-    left alone: the CLI installs no SIGINT handler, and a terminal's
-    Ctrl-C reaching the workers is the interrupt path it already
-    handles.
-    """
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    if hasattr(signal, "pthread_sigmask"):
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
 
 
 #: name -> ``module:Class`` of the backend; classes take a ``jobs``

@@ -34,10 +34,12 @@ directly, not through a ``multiprocessing.Pool``, so the pool can
   EOF and heals) and never blocks the survivors — a result queue
   shared by all workers would stay locked forever by a worker killed
   while writing.
-* **timeouts** — a per-point wall-clock ``timeout`` (see
-  :meth:`ProcessBackend.map`) is enforced *inside* each worker via
-  ``SIGALRM`` (:func:`repro.runner.backends.base.run_one`), so a hung
-  point becomes an ordinary errored result, not a stuck sweep.
+* **worker signals** — this module owns the workers' signal policy
+  (:func:`default_worker_signals`).  A worker owns ``SIGALRM`` for its
+  whole life and arms a one-shot timer around each point of a batch
+  run under a ``timeout`` (:func:`_timed`), so a hung point becomes an
+  ordinary errored result, not a stuck sweep.  A point function
+  running in a pool worker must not install a ``SIGALRM`` handler.
 
 The pool starts on the first ``map`` that has points to compute, so a
 fully cached run builds the backend without loading
@@ -47,9 +49,12 @@ fully cached run builds the backend without loading
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import os
+import signal
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -61,14 +66,10 @@ from typing import (
     Tuple,
 )
 
-from repro.runner.backends.base import (
-    PointFn,
-    TaskResult,
-    default_worker_signals,
-    pool_context,
-    run_one,
-    sigterm_held,
-)
+from repro.runner.backends.base import PointFn, PointTimeout, TaskResult, run_one
+
+if TYPE_CHECKING:
+    import multiprocessing.context
 
 __all__ = ["MAX_BATCH_REQUEUES", "ProcessBackend"]
 
@@ -94,8 +95,101 @@ _FN_CACHE: dict = {}
 _RESOLVE_PROBE: Optional[Callable[[Token], None]] = None
 
 
+def pool_context() -> multiprocessing.context.BaseContext:
+    """The process pool's start method: ``fork`` where available (no
+    re-import cost, monkeypatched modules and pytest-loaded benchmark
+    modules survive into workers), the platform default elsewhere.  The
+    parent loads the simulation stack lazily (experiments import it in
+    their point functions), so this one fork point loads it for every
+    worker to inherit."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context(None)
+    import repro.engine  # noqa: F401
+
+    return multiprocessing.get_context("fork")
+
+
+@contextlib.contextmanager
+def sigterm_held() -> Iterator[None]:
+    """Hold SIGTERM in the calling thread while it forks pool workers.
+
+    See :func:`default_worker_signals`: a worker is born with SIGTERM
+    blocked and unblocks it only after restoring the default action.
+    A SIGTERM aimed at the parent meanwhile stays pending and is
+    delivered when the block ends.
+    """
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
+def _alarm_handler(signum, frame):  # pragma: no cover - trivial
+    raise PointTimeout()
+
+
+def default_worker_signals() -> None:
+    """Signal rule for every worker the pool forks: SIGTERM kills, and
+    ``SIGALRM`` is the per-point timer (:func:`_timed`).
+
+    A forked worker inherits its parent's handlers, and the CLI's
+    ``sweep`` installs a SIGTERM handler that *raises*.  The pool stops
+    its workers with SIGTERM (``ProcessBackend.terminate``).  A raising
+    handler can unwind a worker between acquiring and releasing its
+    task queue's lock, or run inside an after-fork hook that prints
+    and drops the exception, so the worker lives on; either way a
+    worker is left blocked forever and the parent's ``join`` with it.
+
+    So the parent forks with SIGTERM held (:func:`sigterm_held`), and
+    each worker restores the default action and then unblocks SIGTERM
+    before it runs a point; a SIGTERM that arrived in between kills it
+    right there.  The parent's handler stays in the parent.  SIGINT is
+    left alone: the CLI installs no SIGINT handler, and a terminal's
+    Ctrl-C reaching the workers is the interrupt path it already
+    handles.
+
+    The ``SIGALRM`` handler is installed here once, for the worker's
+    whole life, replacing whatever the parent had (a fork does not
+    inherit armed timers).
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if hasattr(signal, "setitimer"):
+        signal.signal(signal.SIGALRM, _alarm_handler)
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
+def _timed(fn: PointFn, timeout: float) -> PointFn:
+    """``fn`` under a one-shot ``timeout``-second wall-clock timer.
+
+    An expiry raises :class:`PointTimeout` out of ``fn``, which
+    :func:`~repro.runner.backends.base.run_one` reports as the point's
+    error; the outer ``try`` also catches an expiry that lands while
+    the timer is being disarmed.
+    """
+    message = f"point exceeded the {timeout:g}s wall-clock timeout"
+
+    def timed(params: Mapping[str, Any]) -> Any:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, timeout)
+            try:
+                return fn(params)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+        except PointTimeout:
+            raise PointTimeout(message) from None
+
+    return timed
+
+
 def _init_worker(resolve_probe: Optional[Callable[[Token], None]]) -> None:
-    """Worker start-up: default signals, an empty function cache."""
+    """Worker start-up: the worker's signals, an empty function cache."""
     global _RESOLVE_PROBE
     default_worker_signals()
     _FN_CACHE.clear()
@@ -139,7 +233,8 @@ def _run_batch(
 
     Every point is isolated; a resolution failure (module vanished
     between parent check and worker import) errors the whole batch but
-    still returns results instead of raising through the pool.
+    still returns results instead of raising through the pool.  The
+    timer wraps outermost, so it also reaps a hang a wrapper injects.
     """
     try:
         fn = apply_wrap(
@@ -151,9 +246,11 @@ def _run_batch(
         error = traceback.format_exc()
         return [(None, 0.0, error) for _ in batch]
     timeout = options.get("timeout")
+    if timeout is not None and hasattr(signal, "setitimer"):
+        fn = _timed(fn, timeout)
     out = []
     for params in batch:
-        result = run_one(fn, params, timeout=timeout)
+        result = run_one(fn, params)
         out.append((result.value, result.seconds, result.error))
     return out
 

@@ -19,10 +19,11 @@ __all__ = ["SerialBackend"]
 class SerialBackend:
     """Evaluate points inline in the calling process.
 
-    ``timeout`` is accepted but **not enforced**: there is no worker to
-    preempt, and arming signal timers in the caller's process would
-    interfere with whatever embeds the library.  Pick a pooled backend
-    when timeout enforcement matters (see ``docs/runner.md``).
+    ``timeout`` is accepted but **not enforced**: only pool workers,
+    which own their ``SIGALRM`` (:mod:`repro.runner.backends.process`),
+    arm a per-point timer, so the caller's own alarms stay untouched.
+    Pick the process backend when timeout enforcement matters (see
+    ``docs/runner.md``).
     """
 
     name = "serial"

@@ -103,9 +103,10 @@ class RetryPolicy:
             reruns sleep identical amounts while distinct sweeps
             desynchronize.
         seed: jitter seed.
-        timeout: per-point wall-clock limit, seconds, enforced inside
-            the worker by the process backend (the serial
-            backend never interrupts a point — see ``docs/runner.md``).
+        timeout: per-point wall-clock limit, seconds, enforced only in
+            pool workers, which own their ``SIGALRM`` (see
+            :mod:`repro.runner.backends.process` and ``docs/runner.md``);
+            a point run in the calling process is never interrupted.
             A timed-out point fails with a ``PointTimeout`` error and
             is retried like any other failure.
         max_failures: circuit breaker — abort the whole sweep with a
@@ -126,8 +127,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff and backoff_cap must be >= 0")
+        if not (0 <= self.backoff < math.inf and 0 <= self.backoff_cap < math.inf):
+            raise ValueError("backoff and backoff_cap must be finite and >= 0")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
         if self.timeout is not None and not (

@@ -112,6 +112,11 @@ class TestRetryPolicy:
             {"max_failures": 0},
             {"timeout": float("nan")},
             {"timeout": float("inf")},
+            {"retries": 1, "backoff": float("nan")},
+            {"retries": 1, "backoff_cap": float("nan")},
+            {"retries": 1, "backoff": float("inf")},
+            {"retries": 1, "backoff": float("inf"), "backoff_cap": float("inf")},
+            {"retries": 1, "backoff_cap": float("-inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -271,9 +276,11 @@ class TestTimeout:
                 retry=RetryPolicy(timeout=0.3), on_error="keep",
             )
         assert result.errors == 2
-        assert all(
-            "PointTimeout" in o.error for o in result.outcomes
-        )
+        assert [o.error for o in result.outcomes] == [
+            "PointTimeout: point exceeded the 0.3s wall-clock timeout\n"
+            f"params: {{'x': {x}}}\n"
+            for x in range(2)
+        ]
 
     def test_serial_backend_ignores_timeout(self):
         # Documented: serial never interrupts a point.
@@ -630,8 +637,9 @@ class TestHypothesisConvergence:
         ]
 
 
-class TestAlarmGuard:
-    """run_one's SIGALRM bracket must not clobber a caller's alarm."""
+class TestWorkerOwnsSigalrm:
+    """Only pool workers arm per-point timers, with the handler they
+    install at start-up; the caller's ``SIGALRM`` is never touched."""
 
     @pytest.fixture(autouse=True)
     def _pristine_sigalrm(self):
@@ -640,51 +648,36 @@ class TestAlarmGuard:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, handler)
 
-    def test_preexisting_handler_and_timer_survive_guarded_point(self):
-        from repro.runner.backends.base import run_one
+    def test_parent_handler_does_not_shield_a_hang_from_the_timeout(self):
+        """Workers inherit the parent's handlers at fork; a no-op
+        ``SIGALRM`` handler there must not swallow the worker's timer."""
+        signal.signal(signal.SIGALRM, lambda signum, frame: None)
+        with create_backend("process", jobs=2) as inner:
+            backend = ChaosBackend(
+                inner=inner, spec=ChaosSpec(hang=1.0, hang_s=3.0, seed=0)
+            )
+            result = run_sweep(
+                _sweep(2), backend=backend,
+                retry=RetryPolicy(timeout=0.3), on_error="keep",
+            )
+        assert [o.error.splitlines()[0] for o in result.outcomes] == [
+            "PointTimeout: point exceeded the 0.3s wall-clock timeout"
+        ] * 2
 
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_in_process_sweep_leaves_the_callers_alarm_alone(self, name):
+        """The serial backend and the pool's inline fallback (``jobs=1``)
+        run points in the caller's process and ignore the timeout."""
         fired = []
-
-        def user_handler(signum, frame):
-            fired.append(signum)
-
-        signal.signal(signal.SIGALRM, user_handler)
+        signal.signal(signal.SIGALRM, lambda signum, frame: fired.append(1))
         signal.setitimer(signal.ITIMER_REAL, 60.0)
-
-        task = run_one(_square_point, {"x": 3}, timeout=5.0)
-        assert task.error is None and task.value["square"] == 9
-
-        # The displaced handler is back, and the caller's 60s alarm is
-        # re-armed with (roughly) the time it had left.
-        assert signal.getsignal(signal.SIGALRM) is user_handler
+        handler = signal.getsignal(signal.SIGALRM)
+        result = run_sweep(
+            _sweep(2, fn=_slow_point, sleep=0.05), backend=name, jobs=1,
+            retry=RetryPolicy(timeout=0.001), on_error="keep",
+        )
+        assert result.errors == 0
+        assert signal.getsignal(signal.SIGALRM) is handler
         remaining = signal.setitimer(signal.ITIMER_REAL, 0.0)[0]
         assert 55.0 < remaining <= 60.0
         assert not fired
-
-    def test_user_alarm_due_during_point_still_fires(self):
-        from repro.runner.backends.base import run_one
-
-        fired = []
-
-        def user_handler(signum, frame):
-            fired.append(time.monotonic())
-
-        signal.signal(signal.SIGALRM, user_handler)
-        signal.setitimer(signal.ITIMER_REAL, 0.1)
-
-        # The point outlives the caller's alarm; the guard owns the
-        # single ITIMER_REAL meanwhile, then re-arms the displaced
-        # alarm floored at a tick so it fires promptly afterwards.
-        task = run_one(_slow_point, {"x": 1, "sleep": 0.3}, timeout=5.0)
-        assert task.error is None
-        deadline = time.monotonic() + 2.0
-        while not fired and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert fired, "displaced alarm never fired after the point"
-
-    def test_timeout_still_enforced_with_displaced_handler(self):
-        from repro.runner.backends.base import run_one
-
-        signal.signal(signal.SIGALRM, lambda s, f: None)
-        task = run_one(_slow_point, {"x": 1, "sleep": 5.0}, timeout=0.2)
-        assert task.error is not None and "PointTimeout" in task.error
