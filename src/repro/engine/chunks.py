@@ -25,16 +25,19 @@ from typing import Iterator, NamedTuple, Sequence
 
 from repro.blocks.shape import ProblemShape
 
-__all__ = ["Phase", "Chunk", "tile_chunks", "toledo_chunks", "check_chunk_cover"]
+__all__ = [
+    "Phase", "Chunk", "tile_grid", "tile_chunks", "toledo_chunks",
+    "check_chunk_cover",
+]
 
 
 class Phase(NamedTuple):
     """One delivery-plus-update step of a chunk.
 
     A ``NamedTuple``: layouts materialise one ``Phase`` per inner-k step
-    of every chunk (hundreds of thousands for sweep-scale instances), so
-    construction cost and per-field access in the engines' inner loops
-    both matter.
+    of every distinct tile shape (chunks of one shape share the tuple),
+    so construction cost and per-field access in the engines' inner
+    loops both matter.  Phases, like chunks, are never mutated.
 
     Attributes:
         k_range: half-open block range of the inner dimension covered.
@@ -141,34 +144,49 @@ _UPD_LABELS: dict[tuple[int, int], str] = {}
 _get_a, _get_b, _get_updates = itemgetter(1), itemgetter(2), itemgetter(3)
 
 
-def _ranges(total: int, width: int) -> list[tuple[int, int]]:
-    """Split ``0..total`` into half-open ranges of at most ``width``."""
+def _ranges(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
+    """Split ``lo..hi`` into half-open ranges of at most ``width``."""
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
+    return [(a, min(a + width, hi)) for a in range(lo, hi, width)]
+
+
+def tile_grid(
+    r: int, col_span: tuple[int, int], t: int, tile: int, k_width: int
+) -> list[Chunk]:
+    """Tiles of side ``tile`` over every row and the columns ``col_span``,
+    column-panel-major, each streaming ``k_width``-wide phases over
+    ``0..t``.
+
+    Every tile of one ``(rows, cols)`` shape streams the same phases, so
+    each shape's phase tuple is built once and shared by all its chunks:
+    at most four per build (interior, right edge, bottom edge, corner).
+    """
+    k_widths = [(kr, kr[1] - kr[0]) for kr in _ranges(0, t, k_width)]
+    streams: dict[tuple[int, int], tuple[Phase, ...]] = {}
+    tnew = tuple.__new__
+    chunks: list[Chunk] = []
+    for col_range in _ranges(*col_span, tile):
+        cols = col_range[1] - col_range[0]
+        for row_range in _ranges(0, r, tile):
+            rows = row_range[1] - row_range[0]
+            phases = streams.get((rows, cols))
+            if phases is None:
+                rc = rows * cols
+                # tuple.__new__ bypasses the generated NamedTuple __new__.
+                phases = streams[rows, cols] = tuple(
+                    tnew(Phase, (kr, rows * dk, dk * cols, rc * dk, None))
+                    for kr, dk in k_widths
+                )
+            chunks.append(Chunk(row_range, col_range, phases))
+    return chunks
 
 
 @lru_cache(maxsize=32)
 def _build_chunks_cached(
     r: int, s: int, t: int, tile: int, k_width: int
 ) -> tuple[Chunk, ...]:
-    chunks: list[Chunk] = []
-    k_widths = [(kr, kr[1] - kr[0]) for kr in _ranges(t, k_width)]
-    tnew = tuple.__new__
-    for col_range in _ranges(s, tile):
-        cols = col_range[1] - col_range[0]
-        for row_range in _ranges(r, tile):
-            rows = row_range[1] - row_range[0]
-            rc = rows * cols
-            # tuple.__new__ bypasses the generated NamedTuple __new__;
-            # sweep-scale instances build hundreds of thousands of
-            # phases, so constructor overhead is visible end to end.
-            phases = tuple(
-                tnew(Phase, (kr, rows * dk, dk * cols, rc * dk, None))
-                for kr, dk in k_widths
-            )
-            chunks.append(Chunk(row_range, col_range, phases))
-    return tuple(chunks)
+    return tuple(tile_grid(r, (0, s), t, tile, k_width))
 
 
 def _build_chunks(shape: ProblemShape, tile: int, k_width: int) -> list[Chunk]:

@@ -243,9 +243,11 @@ def _chunk_stats(chunk: Chunk, gap: int) -> tuple[int, int, int, int, int, int]:
     largest window of ``gap`` consecutive phase deliveries alive at
     once under the buffer-generation gate.
 
-    Cached on the chunk object itself (chunks are immutable and shared
-    across sweep points via ``_build_chunks_cached``), so across a
-    sweep each unique chunk pays the phase scan once.
+    Cached on the chunk object itself: chunks are never mutated, and
+    the memoized builders (``_build_chunks_cached``, MaxReuse's
+    ``_max_reuse_chunks``) share them across sweep points, so across a
+    sweep each unique chunk pays the phase scan once.  Chunks of one
+    tile shape share their phase tuple but keep separate caches.
     """
     key = "_model_stats2" if gap == 2 else "_model_stats1"
     stats = chunk.__dict__.get(key)

@@ -157,7 +157,10 @@ class RetryPolicy:
         the same ``(seed, token, round)`` always sleeps the same
         amount, so retried runs stay reproducible end to end.
         """
-        base = min(self.backoff * (2.0 ** (round_no - 1)), self.backoff_cap)
+        try:  # exact backoff * 2**(r-1), without overflowing 2.0**(r-1)
+            base = min(math.ldexp(self.backoff, round_no - 1), self.backoff_cap)
+        except OverflowError:
+            base = self.backoff_cap
         if base <= 0 or not self.jitter:
             return max(base, 0.0)
         digest = hashlib.sha256(

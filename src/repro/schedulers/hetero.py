@@ -25,7 +25,7 @@ from repro.core.heterogeneous import (
     local_selection,
     lookahead_selection,
 )
-from repro.engine.chunks import Chunk, Phase
+from repro.engine.chunks import tile_grid
 from repro.engine.engine import Engine
 from repro.platform.model import Platform
 
@@ -69,24 +69,6 @@ def allocate_columns(
     return cols
 
 
-def _worker_chunks(
-    shape: ProblemShape, mu: int, col_start: int, n_cols: int
-) -> list[Chunk]:
-    """µ×µ tiles (single-k phases) over a contiguous column slice."""
-    chunks: list[Chunk] = []
-    for c0 in range(col_start, col_start + n_cols, mu):
-        c1 = min(c0 + mu, col_start + n_cols)
-        for r0 in range(0, shape.r, mu):
-            r1 = min(r0 + mu, shape.r)
-            rows, cols = r1 - r0, c1 - c0
-            phases = tuple(
-                Phase((k, k + 1), rows, cols, rows * cols)
-                for k in range(shape.t)
-            )
-            chunks.append(Chunk((r0, r1), (c0, c1), phases))
-    return chunks
-
-
 class HeteroIncremental:
     """Executable scheduler following an incremental selection.
 
@@ -128,8 +110,10 @@ class HeteroIncremental:
         for widx in range(platform.p):
             if cols[widx] == 0:
                 continue
-            chunks = _worker_chunks(shape, mus[widx], col_start, cols[widx])
-            col_start += cols[widx]
+            col_span = (col_start, col_start + cols[widx])
+            col_start = col_span[1]
+            # µ_i×µ_i tiles with single-k phases over the worker's columns.
+            chunks = tile_grid(shape.r, col_span, shape.t, mus[widx], 1)
             engine.env.process(
                 engine.static_agent(widx, chunks, self.generation_gap),
                 name=f"{self.name}-P{widx + 1}",

@@ -4,14 +4,80 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocks import ProblemShape
+from repro.blocks import ProblemShape, make_product_instance
+from repro.core.heterogeneous import chunk_sizes
+from repro.engine import run_scheduler
 from repro.engine.chunks import (
     Chunk,
     Phase,
+    _build_chunks_cached,
     check_chunk_cover,
     tile_chunks,
     toledo_chunks,
 )
+from repro.platform import Platform
+from repro.schedulers import BMM, HoLM, MaxReuse
+from repro.schedulers.hetero import HeteroIncremental, allocate_columns
+from repro.schedulers.maxreuse import _max_reuse_chunks
+
+
+def reference_tiles(r, cols, t, tile, k_width):
+    """The plain tiling loop every tile builder must reproduce."""
+    chunks = []
+    for c0 in range(cols[0], cols[1], tile):
+        c1 = min(c0 + tile, cols[1])
+        for r0 in range(0, r, tile):
+            r1 = min(r0 + tile, r)
+            phases = []
+            for k0 in range(0, t, k_width):
+                dk = min(k0 + k_width, t) - k0
+                phases.append(Phase(
+                    (k0, k0 + dk), (r1 - r0) * dk, dk * (c1 - c0),
+                    (r1 - r0) * (c1 - c0) * dk,
+                ))
+            chunks.append(Chunk((r0, r1), (c0, c1), tuple(phases)))
+    return chunks
+
+
+def reference_max_reuse(shape, mu):
+    """The plain maximum re-use loop: sub-k phases, one row at a time."""
+    chunks = []
+    for c0 in range(0, shape.s, mu):
+        c1 = min(c0 + mu, shape.s)
+        for r0 in range(0, shape.r, mu):
+            r1 = min(r0 + mu, shape.r)
+            phases = [
+                Phase((k, k + 1), 1, c1 - c0 if row == r0 else 0, c1 - c0,
+                      (row, row + 1))
+                for k in range(shape.t)
+                for row in range(r0, r1)
+            ]
+            chunks.append(Chunk((r0, r1), (c0, c1), tuple(phases)))
+    return chunks
+
+
+class _LaunchRecorder:
+    """Just enough of an engine to capture the chunks a scheduler launches."""
+
+    def __init__(self, platform, shape):
+        self.platform, self.shape, self.env = platform, shape, self
+        self.agents = {}
+
+    def static_agent(self, widx, chunks, gap):
+        self.agents[widx] = chunks
+
+    def process(self, agent, name):
+        pass
+
+
+#: Ragged r and s, t not divisible by σ, and r < µ.
+SHAPES = [
+    ProblemShape(r=4, s=6, t=3, q=2),
+    ProblemShape(r=5, s=7, t=5, q=2),
+    ProblemShape(r=7, s=3, t=7, q=2),
+    ProblemShape(r=2, s=9, t=4, q=2),
+]
+HETERO = Platform.heterogeneous([0.3, 0.5, 0.4], [0.2, 0.3, 0.25], [21, 30, 45])
 
 
 class TestPhase:
@@ -135,3 +201,112 @@ class TestCheckChunkCover:
         bad = Chunk((0, 2), (0, 2), (Phase((0, 1), 2, 2, 4),))  # misses k=1
         with pytest.raises(ValueError, match="updates"):
             check_chunk_cover(shape, [bad])
+
+
+class TestBuildersMatchReference:
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("side", [1, 2, 3, 4])
+    def test_tile_and_toledo(self, shape, side):
+        cols = (0, shape.s)
+        assert tile_chunks(shape, side) == reference_tiles(
+            shape.r, cols, shape.t, side, 1
+        )
+        assert toledo_chunks(shape, side) == reference_tiles(
+            shape.r, cols, shape.t, side, side
+        )
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_hetero_column_slices(self, shape):
+        scheduler = HeteroIncremental("global")
+        recorder = _LaunchRecorder(HETERO, shape)
+        scheduler.launch(recorder)
+        cols = allocate_columns(HETERO, shape, scheduler.last_selection)
+        mus = chunk_sizes(HETERO)
+        expected, start = {}, 0
+        for widx, n in enumerate(cols):
+            if n:
+                expected[widx] = reference_tiles(
+                    shape.r, (start, start + n), shape.t, mus[widx], 1
+                )
+                start += n
+        assert recorder.agents == expected
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4])
+    def test_max_reuse(self, shape, mu):
+        assert MaxReuse().build_chunks(shape, mu) == reference_max_reuse(shape, mu)
+
+    @pytest.mark.parametrize("mu", [0, -1])
+    def test_max_reuse_rejects_bad_mu(self, mu):
+        with pytest.raises(ValueError, match=f"mu must be >= 1, got {mu}"):
+            MaxReuse().build_chunks(SHAPES[0], mu)
+
+
+class TestPhaseSharing:
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("side", [1, 2, 3, 4])
+    @pytest.mark.parametrize("build", [tile_chunks, toledo_chunks])
+    def test_one_phase_tuple_per_tile_shape(self, shape, side, build):
+        chunks = build(shape, side)
+        by_shape = {}
+        for ch in chunks:
+            assert by_shape.setdefault((ch.rows, ch.cols), ch.phases) is ch.phases
+        assert len({id(ch.phases) for ch in chunks}) <= 4
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_max_reuse_shares_per_row_band(self, shape):
+        chunks = MaxReuse().build_chunks(shape, 3)
+        by_band = {}
+        for ch in chunks:
+            key = (ch.row_range, ch.cols)
+            assert by_band.setdefault(key, ch.phases) is ch.phases
+        assert len({id(ch.phases) for ch in chunks}) == len(by_band)
+
+
+class TestSharedChunksStayIntact:
+    """Memoized chunks are shared by every later build of the same
+    geometry, so no engine or caller may change them."""
+
+    def _check_caches(self, builds):
+        for memo, args in builds:
+            shared, fresh = memo(*args), memo.__wrapped__(*args)
+            assert shared == fresh
+            for a, b in zip(shared, fresh):
+                assert (a.updates, a.comm_blocks, a.ab_labels, a.upd_labels) == (
+                    b.updates, b.comm_blocks, b.ab_labels, b.upd_labels
+                )
+
+    def test_engines_do_not_mutate_shared_chunks(self):
+        shape = ProblemShape(r=5, s=7, t=3, q=2)
+        one = Platform.homogeneous(1, c=1.0, w=0.5, m=21)
+        three = Platform.homogeneous(3, c=0.3, w=0.2, m=21)
+        runs = [
+            (MaxReuse, one), (HoLM, three), (BMM, three),
+            (lambda: HeteroIncremental("global"), HETERO),
+        ]
+        for engine in ("fast", "des", "model"):
+            for make, platform in runs:
+                data = None
+                if engine == "des":
+                    data = make_product_instance(shape, seed=1)
+                run_scheduler(make(), platform, shape, data=data, engine=engine)
+        grid = (shape.r, shape.s, shape.t)
+        mu, sigma = HoLM().chunk_param(21), BMM().chunk_param(21)
+        self._check_caches([
+            (_max_reuse_chunks, (*grid, MaxReuse().chunk_param(21))),
+            (_build_chunks_cached, (*grid, mu, 1)),
+            (_build_chunks_cached, (*grid, sigma, sigma)),
+        ])
+
+    @pytest.mark.parametrize(
+        "build",
+        [tile_chunks, toledo_chunks, MaxReuse().build_chunks],
+        ids=["tile", "toledo", "maxreuse"],
+    )
+    def test_returned_list_is_the_callers(self, build):
+        shape = SHAPES[1]
+        expected = list(build(shape, 2))
+        mine = build(shape, 2)
+        mine.reverse()
+        del mine[1:]
+        assert build(shape, 2) == expected

@@ -9,6 +9,7 @@ crash recovery of a sweep whose worker is killed externally mid-run.
 """
 
 import contextlib
+import hashlib
 import json
 import os
 import signal
@@ -137,6 +138,37 @@ class TestRetryPolicy:
     def test_zero_jitter_is_exact_exponential(self):
         policy = RetryPolicy(retries=3, backoff=0.2, backoff_cap=10.0, jitter=0.0)
         assert [policy.delay(r) for r in (1, 2, 3)] == [0.2, 0.4, 0.8]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"jitter": 0.0}, {"backoff": 0.0},
+         {"backoff": 1e-300, "backoff_cap": 1e300, "jitter": 0.0}],
+    )
+    def test_delay_matches_the_plain_formula(self, kwargs):
+        """Every round that could be computed as ``backoff * 2.0**(r-1)``
+        still sleeps exactly that (capped, jittered) amount."""
+        policy = RetryPolicy(retries=60, seed=3, **kwargs)
+
+        def plain(round_no):
+            base = min(policy.backoff * 2.0 ** (round_no - 1), policy.backoff_cap)
+            if base <= 0 or not policy.jitter:
+                return max(base, 0.0)
+            digest = hashlib.sha256(
+                f"{policy.seed}\0sw\0{round_no}".encode()
+            ).digest()
+            frac = int.from_bytes(digest[:8], "big") / 2.0**64
+            return base * (1.0 - policy.jitter * frac)
+
+        for round_no in range(1, 61):
+            assert policy.delay(round_no, "sw") == plain(round_no)
+
+    def test_delay_past_float_range_is_capped(self):
+        # 2.0 ** 1099 overflows a float; the capped delay does not.
+        policy = RetryPolicy(retries=2000, jitter=0.0)
+        assert policy.delay(1100) == policy.backoff_cap
+        jittered = RetryPolicy(retries=2000).delay(1100, "sw")
+        assert 0.75 * 2.0 <= jittered <= 2.0
+        assert RetryPolicy(retries=2000, backoff=0.0).delay(1100) == 0.0
 
 
 class TestChaosSpec:
