@@ -26,7 +26,7 @@ signature accepts them:
 
 The execution backend is not an experiment parameter: the benches run
 each experiment's points inline.  Backend comparisons live in
-``bench_runner.py`` and in ``python -m repro sweep --backend``.
+``bench_runner.py`` and in ``python -m repro sweep --jobs N``.
 
 Run with::
 

@@ -21,14 +21,13 @@ Usage::
     python -m repro cache clear       # drop every cached result
 
 ``sweep`` runs an experiment's campaign through the unified runner
-(:mod:`repro.runner`): cache-miss points execute on the selected
-``--backend`` (``serial`` inline, ``process`` a self-healing pool of
-warm workers shared by every sweep of the invocation) over ``--jobs``
-workers, and results are memoized in a
-log-structured content-addressed on-disk cache, so a repeated
-invocation completes without re-running any simulation and a killed
-one picks up where it stopped (``--resume``).  Aggregated tables are
-identical across every backend and the plain serial path.
+(:mod:`repro.runner`): cache-miss points execute inline under
+``--jobs 1`` and on a self-healing pool of ``--jobs`` warm workers,
+shared by every sweep of the invocation, otherwise.  Results are
+memoized in a log-structured content-addressed on-disk cache, so a
+repeated invocation completes without re-running any simulation and a
+killed one picks up where it stopped (``--resume``).  Aggregated
+tables are identical for every ``--jobs``.
 
 The fault-tolerance layer (``docs/runner.md``) rides on top:
 ``--retries`` re-attempts failed points with deterministic backoff,
@@ -52,11 +51,6 @@ import argparse
 import sys
 
 from repro.experiments import ALL_EXPERIMENTS, campaign_for
-from repro.runner.backends.base import BACKENDS
-
-#: ``sweep --backend`` choices: every registered backend but the
-#: ``chaos`` wrapper (``--chaos`` builds that one), plus ``auto``.
-BACKEND_CHOICES = ("auto", *(name for name in BACKENDS if name != "chaos"))
 
 
 def _print_experiment_list() -> None:
@@ -67,8 +61,7 @@ def _print_experiment_list() -> None:
     print("  all        run every experiment in sequence")
     print(
         "\nSubcommands:\n"
-        f"  sweep NAME [--jobs N] [--backend {'|'.join(BACKEND_CHOICES)}]\n"
-        "             [--resume] [--keep-going] [--no-cache]\n"
+        "  sweep NAME [--jobs N] [--resume] [--keep-going] [--no-cache]\n"
         "             [--cache-dir D] [--scale K] [--engine fast|des|model]\n"
         "             [--prescreen K] [--scenario KIND[:SEVERITY]]\n"
         "             [--retries N] [--timeout S] [--max-failures M]\n"
@@ -77,6 +70,19 @@ def _print_experiment_list() -> None:
         "  cache [info|compact|clear] [--cache-dir D]\n"
         "             inspect, compact or empty the result cache"
     )
+
+
+def _not_a_directory(cache) -> bool:  # noqa: ANN001 — repro.runner.ResultCache
+    """Report (exit-2 wording) a cache root that is, or lies below, an
+    existing file: the store could never be created there."""
+    root = cache.root
+    try:
+        if next(p for p in (root, *root.parents) if p.exists()).is_dir():
+            return False
+    except OSError:  # unreadable ancestor: leave the verdict to the store
+        return False
+    print(f"bad arguments: --cache-dir {root} is not a directory")
+    return True
 
 
 def _cmd_sweep(argv: list[str]) -> int:
@@ -93,25 +99,16 @@ def _cmd_sweep(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for cache-miss points (default 1)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="execution backend: 'serial' runs inline, 'process' keeps a "
-             "self-healing pool of warm workers alive across every sweep "
-             "of this invocation; 'auto' "
-             "(default) picks serial for --jobs 1 and process otherwise.  "
-             "An explicit choice is stamped into every point, so each "
-             "backend keeps its own cache entries",
+        help="worker processes for cache-miss points: 1 (default) runs "
+             "them inline, N > 1 on a self-healing pool of warm workers "
+             "kept alive across every sweep of this invocation",
     )
     parser.add_argument(
         "--resume", action="store_true",
-        help="skip points the sweep's cache already holds (one read "
-             "per cache segment) and compute only the missing/failed "
-             "rest — finishing a previously killed run without re-doing "
-             "its completed points; requires the cache",
+        help="finish a previously killed run: like every cached run it "
+             "loads the points the cache holds and computes the "
+             "missing/failed rest, and it also skips points quarantined "
+             "as known-permanent failures; requires the cache",
     )
     parser.add_argument(
         "--keep-going", action="store_true",
@@ -162,8 +159,8 @@ def _cmd_sweep(argv: list[str]) -> int:
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
         help="per-point wall-clock limit in seconds, enforced inside the "
-             "worker by the process backend (the serial "
-             "backend never interrupts a point); a timed-out point counts "
+             "pool workers of --jobs N > 1 (--jobs 1 never interrupts a "
+             "point); a timed-out point counts "
              "as a failure and is retried like any other",
     )
     parser.add_argument(
@@ -251,6 +248,8 @@ def _cmd_sweep(argv: list[str]) -> int:
         return 2
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
+    if cache is not None and _not_a_directory(cache):
+        return 2
     progress = None
     if not args.quiet:
         counts = {"error": 0, "quarantined": 0}
@@ -295,26 +294,9 @@ def _cmd_sweep(argv: list[str]) -> int:
         print(f"bad arguments: {exc}")
         return 2
 
-    from dataclasses import replace
-
-    # The one place the execution backend meets the points: an explicit
-    # --backend is stamped into every point (own cache namespace); 'auto'
-    # leaves points — and cache keys — untouched.
-    stamped_backend = None if args.backend == "auto" else args.backend
-    if stamped_backend is not None:
-        from repro.runner import stamp_points
-
-        campaigns = [
-            replace(campaign, sweeps=tuple(
-                replace(swp, points=stamp_points(
-                    swp.points, backend=stamped_backend
-                ))
-                for swp in campaign.sweeps
-            ))
-            for campaign in campaigns
-        ]
-
     if args.prescreen is not None:
+        from dataclasses import replace
+
         from repro.runner import PrescreenUnsupported, prescreen_sweep
 
         screened = []
@@ -367,7 +349,7 @@ def _cmd_sweep(argv: list[str]) -> int:
     # `sweep all`.  --chaos wraps it without touching the
     # points (cache keys stay those of the clean run — the whole point
     # of the byte-identity acceptance check).
-    exec_backend, owned = resolve_backend(stamped_backend, args.jobs)
+    exec_backend, owned = resolve_backend(None, args.jobs)
     if chaos_spec is not None and chaos_spec.active:
         from repro.runner.backends.chaos import ChaosBackend
 
@@ -498,6 +480,8 @@ def _cmd_cache(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 2
 
     cache = ResultCache(args.cache_dir)
+    if _not_a_directory(cache):
+        return 2
     if args.action == "clear":
         removed = cache.clear()
         print(f"removed {removed} cached results from {cache.root}")

@@ -6,10 +6,9 @@ them, and a ``campaign()`` declaring the same work as
 :class:`repro.runner.Campaign` sweeps for the parallel/cached runner
 (``python -m repro sweep <name>``).  Points carry platform, workload
 and algorithm parameters only; how they are dispatched is the runner's
-business (the CLI stamps an explicit ``--backend`` onto the built
-campaign).  The ``benchmarks/`` directory wraps these in
-pytest-benchmark targets; the CLI (``python -m repro``) runs them by
-name.  Rule: modules import the simulation stack (numpy, engine,
+business and never reaches a point.  The ``benchmarks/`` directory
+wraps these in pytest-benchmark targets; the CLI (``python -m repro``)
+runs them by name.  Rule: modules import the simulation stack (numpy, engine,
 schedulers, scenarios, LU) only inside point functions.
 
 | Module              | Reproduces                                             |
@@ -80,8 +79,7 @@ def campaign_for(
     ``scenario`` (``"KIND[:SEVERITY]"``, see :mod:`repro.scenarios`)
     narrows scenario-aware campaigns (currently ``robustness``) to one
     family; campaigns that ignore it do so silently, like ``scale``.
-    The execution backend is not a campaign parameter: the CLI stamps
-    an explicit ``--backend`` onto the returned sweeps' points.
+    The execution backend is not a campaign parameter.
     Raises ``KeyError`` for unknown names.
     """
     import inspect

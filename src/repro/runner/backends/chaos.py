@@ -218,7 +218,7 @@ class ChaosBackend:
     and a :class:`ChaosSpec`.  The registry entry exists so ``chaos``
     shows up beside the real backends; a bare ``create_backend("chaos",
     jobs)`` wraps a serial inner with a no-fault spec — the CLI always
-    builds it explicitly around the ``--backend`` choice.
+    builds it explicitly around the backend ``--jobs`` resolves to.
     """
 
     name = "chaos"

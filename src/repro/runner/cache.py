@@ -256,7 +256,7 @@ class ResultCache:
         return hits
 
     def manifest_keys(self, sweep: str) -> Set[str]:
-        """Keys stored for ``sweep`` — the resume fast path.
+        """Keys stored for ``sweep``.
 
         Exactly the keys :meth:`get` serves, read from the same folds.
         """

@@ -22,10 +22,20 @@ __all__ = ["canonical_params", "code_version", "point_key"]
 
 
 def _coerce(value: Any) -> Any:
-    """JSON fallback for the scalar types sweeps are allowed to carry."""
-    for attr, cast in (("item", None), ("__float__", float), ("__int__", int)):
-        if hasattr(value, attr):
-            return value.item() if attr == "item" else cast(value)
+    """JSON fallback for the scalar types sweeps are allowed to carry.
+
+    Anything else — a multi-element numpy array, whose ``item()``
+    raises ``ValueError``, included — raises ``TypeError``.
+    """
+    try:
+        if hasattr(value, "item"):
+            return value.item()
+        if hasattr(value, "__float__"):
+            return float(value)
+        if hasattr(value, "__int__"):
+            return int(value)
+    except ValueError:
+        pass
     raise TypeError(
         f"sweep parameters must be JSON-serialisable scalars/lists/dicts, "
         f"got {type(value).__name__}: {value!r}"

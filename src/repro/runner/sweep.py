@@ -59,19 +59,12 @@ def stamp_points(
     """Stamp shared knob values into every point of a sweep.
 
     The uniform way cross-cutting knobs reach the points: experiment
-    declarations stamp the simulation ``engine``, and ``python -m repro
-    sweep`` stamps an explicit ``--backend`` once onto every built
-    campaign.  The knob lands in each point mapping, so it reaches the
-    pure per-point function, participates in the cache key, and crosses
-    process boundaries like any other parameter.  ``None`` values are
-    skipped (knob not applicable / leave the per-point default).
-
-    Stamping deliberately splits the cache namespace per knob value —
-    even for sweeps where a knob is inert — so cache entries always
-    record exactly the parameters the point ran with.  (That is what
-    makes the CI backend matrix meaningful: each backend computes its
-    own entries, and the rows can be compared for byte-identity instead
-    of the later backends trivially replaying the first one's cache.)
+    declarations stamp the simulation ``engine``, and the prescreen
+    stamps ``engine="model"`` onto the points it ranks.  The knob lands
+    in each point mapping, so it reaches the pure per-point function,
+    participates in the cache key, and crosses process boundaries like
+    any other parameter.  ``None`` values are skipped (knob not
+    applicable / leave the per-point default).
     """
     common = {k: v for k, v in common.items() if v is not None}
     if not common:
@@ -492,12 +485,11 @@ def run_sweep(
             campaign path: pass one instance to keep pool workers
             warm across sweeps), or ``None``/``"auto"`` for the historic
             default (inline when ``jobs <= 1``, the pool otherwise).
-        resume: fold the sweep's cache segments once for which points
-            already exist instead of looking every point up; points
-            missing from the store — the tail a killed run never
-            wrote, or failed points, which are never cached — are
-            recomputed, everything else is loaded.
-            Requires ``cache``.
+        resume: skip the points the cache has quarantined as
+            known-permanent failures (see ``retry_quarantined``).  Every
+            run, resumed or not, loads the points the cache holds and
+            computes the rest — the tail a killed run never wrote, or
+            failed points, which are never cached.  Requires ``cache``.
         on_error: ``"raise"`` (default) re-raises the first failing
             point as :class:`SweepPointError`; ``"keep"`` records the
             failure as a ``status="error"`` outcome and keeps the
@@ -539,7 +531,6 @@ def run_sweep(
     keys = [point_key(sweep.name, p, code) for p in sweep.points] if cache else []
     resolved: List[Optional[PointOutcome]] = [None] * total
 
-    known = cache.manifest_keys(sweep.name) if (cache and resume) else None
     quarantined = (
         cache.quarantined(sweep.name)
         if (cache and resume and not retry_quarantined)
@@ -557,9 +548,7 @@ def run_sweep(
                 error=quarantined[keys[idx]].get("error"),
             )
             continue
-        if cache and (known is None or keys[idx] in known):
-            # A listing read before this point's get() may be stale (a
-            # compaction or another writer since), so get() decides.
+        if cache:
             value, hit = cache.get(sweep.name, keys[idx])
             if hit:
                 resolved[idx] = PointOutcome(params, keys[idx], value, True, 0.0)

@@ -1,13 +1,12 @@
 """End-to-end tests for the ``python -m repro`` command line.
 
 Everything goes through :func:`repro.__main__.main` with an explicit
-argv, asserting exit codes, ``--backend``/``--resume``/``--keep-going``
+argv, asserting exit codes, ``--jobs``/``--resume``/``--keep-going``
 plumbing, and the human-readable output the CI smoke jobs grep for.
 """
 
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,28 +30,22 @@ class TestExitCodes:
     def test_list_is_zero(self, capsys):
         assert cli_main([]) == 0
         out = capsys.readouterr().out
-        assert "Available experiments" in out and "--backend" in out
+        assert "Available experiments" in out and "--jobs" in out
 
     def test_unknown_experiment_is_two(self, capsys):
         assert cli_main(["sweep", "nonsense"]) == 2
         assert "unknown experiment" in capsys.readouterr().out
 
     def test_bad_backend_is_two(self, tmp_path, capsys):
-        assert cli_main(_sweep_argv(tmp_path, "--backend", "quantum")) == 2
-
-    def test_backend_choices_come_from_the_registry(self, tmp_path, capsys):
-        """The usage line and ``--backend`` choices list every registered
-        backend but the ``chaos`` wrapper, after ``auto``."""
-        assert cli_main([]) == 0
-        usage = "[--backend auto|serial|process]"
-        assert usage in capsys.readouterr().out
-        assert cli_main(_sweep_argv(tmp_path, "--backend", "chaos")) == 2
-        err = capsys.readouterr().err
-        assert re.search(
-            r"invalid choice: .chaos. \(choose from .*auto.*serial.*process",
-            err,
-        )
-        assert "chaos" not in err.split("choose from")[1]
+        """``--jobs`` alone selects the backend: ``--backend`` is no
+        option, whatever its value, and nothing is computed."""
+        for backend in ("quantum", "serial", "process"):
+            argv = _sweep_argv(tmp_path, "--backend", backend)
+            assert cli_main(argv) == 2
+            assert "unrecognized arguments: --backend" in (
+                capsys.readouterr().err
+            )
+        assert not list(tmp_path.rglob("*.jsonl"))
 
     def test_resume_without_cache_is_two(self, tmp_path, capsys):
         argv = _sweep_argv(tmp_path, "--resume", "--no-cache")
@@ -77,7 +70,39 @@ class TestExitCodes:
     def test_sweep_help_is_zero(self, capsys):
         with pytest.MonkeyPatch.context():
             assert cli_main(["sweep", "--help"]) == 0
-        assert "--backend" in capsys.readouterr().out
+        assert "--jobs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "table1", "--quiet"], ["cache", "info"],
+         ["cache", "clear"], ["cache", "compact"]],
+        ids=["sweep", "info", "clear", "compact"],
+    )
+    def test_cache_dir_naming_a_file_is_two(
+        self, tmp_path, capsys, argv, below
+    ):
+        # sweep used to compute a point, then die with NotADirectoryError;
+        # cache info used to report an empty cache.
+        blocker = tmp_path / "file"
+        blocker.write_text("not a cache")
+        path = blocker.joinpath(*below)
+        assert cli_main([*argv, "--cache-dir", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (
+            f"bad arguments: --cache-dir {path} is not a directory"
+            in captured.out
+        )
+        assert "Traceback" not in captured.err
+        assert blocker.read_text() == "not a cache"
+
+    def test_no_cache_ignores_a_file_cache_dir(self, tmp_path, capsys):
+        path = tmp_path / "file"
+        path.write_text("")
+        argv = ["sweep", "maxreuse", "--quiet", "--no-cache",
+                "--cache-dir", str(path)]
+        assert cli_main(argv) == 0
+        assert "(cache disabled)" in capsys.readouterr().out
 
     def test_bad_cache_action_is_two(self, tmp_path):
         assert cli_main(["cache", "explode", "--cache-dir", str(tmp_path)]) == 2
@@ -95,48 +120,13 @@ def _put_records(root, sweep):
 
 
 class TestBackendPlumbing:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_backend_runs_and_stamps(self, backend, tmp_path, capsys):
-        argv = _sweep_argv(tmp_path, "--backend", backend, "--jobs", "2")
+    def test_warm_rerun_is_fully_cached(self, tmp_path, capsys):
+        argv = _sweep_argv(tmp_path, "--jobs", "2")
         assert cli_main(argv) == 0
-        assert "maxreuse: 0 cached, 1 computed" in capsys.readouterr().out
-        # The explicit backend is stamped into the cached entry's params.
-        [record] = _put_records(tmp_path, "maxreuse")
-        assert record["params"]["backend"] == backend
-
-    def test_backends_keep_separate_cache_namespaces(self, tmp_path, capsys):
-        for backend in ("serial", "process"):
-            assert cli_main(_sweep_argv(tmp_path, "--backend", backend)) == 0
         capsys.readouterr()
-        assert len(ResultCache(tmp_path).manifest_keys("maxreuse")) == 2
-
-    def test_auto_backend_leaves_points_unstamped(self, tmp_path, capsys):
-        assert cli_main(_sweep_argv(tmp_path)) == 0
-        capsys.readouterr()
+        # The pool that computed the point left no trace in its params.
         [record] = _put_records(tmp_path, "maxreuse")
         assert "backend" not in record["params"]
-
-    def test_backend_stamp_reaches_every_sweep_of_a_campaign(
-        self, tmp_path, capsys
-    ):
-        # lu is a 4-sweep campaign; the CLI stamps --backend onto each.
-        argv = ["sweep", "lu", "--backend", "serial",
-                "--cache-dir", str(tmp_path), "--quiet"]
-        assert cli_main(argv) == 0
-        capsys.readouterr()
-        sweeps = sorted(d.name for d in tmp_path.glob("lu-*"))
-        assert sweeps == [
-            "lu-costs", "lu-homogeneous", "lu-policies", "lu-simulation"
-        ]
-        for sweep in sweeps:
-            records = _put_records(tmp_path, sweep)
-            assert records
-            assert all(r["params"]["backend"] == "serial" for r in records)
-
-    def test_warm_rerun_is_fully_cached(self, tmp_path, capsys):
-        argv = _sweep_argv(tmp_path, "--backend", "process")
-        assert cli_main(argv) == 0
-        capsys.readouterr()
         assert cli_main(argv) == 0
         assert "maxreuse: 1 cached, 0 computed" in capsys.readouterr().out
 
@@ -343,7 +333,7 @@ class TestFaultToleranceFlags:
             ("--retries", "-1"),
             ("--timeout", "nan"),
             # Used to crash in the pool with "timestamp out of range".
-            ("--timeout", "inf", "--jobs", "2", "--backend", "process"),
+            ("--timeout", "inf", "--jobs", "2"),
             # Used to crash converting NaN to a point count.
             ("--prescreen", "nan"),
             # Used to run truncated to "prescreen kept 2 of 21 points".

@@ -82,6 +82,20 @@ class TestHashing:
         with pytest.raises(TypeError):
             canonical_params({"fn": lambda: None})
 
+    def test_canonical_params_rejects_multi_element_arrays(self):
+        """``ndarray.item()`` raises ``ValueError`` past one element; the
+        documented error is ``TypeError``."""
+        import numpy as np
+
+        with pytest.raises(TypeError, match="got ndarray"):
+            canonical_params({"x": np.array([1.0, 2.0])})
+
+    def test_numpy_scalars_render_as_python_scalars(self):
+        import numpy as np
+
+        params = {"a": np.float64(0.1), "b": np.int64(3), "c": np.array(2.5)}
+        assert canonical_params(params) == '{"a":0.1,"b":3,"c":2.5}'
+
     def test_code_version_is_short_hex(self):
         version = code_version()
         assert len(version) == 16
@@ -334,6 +348,17 @@ class TestCachedCall:
         assert cached_call("t", fn, 21, cache=cache) == 42
         assert calls == [21, 21]  # computed each time, never crashed
 
+    def test_unhashable_args_compute_uncached(self, tmp_path):
+        import numpy as np
+
+        cache = ResultCache(tmp_path)
+        calls = []
+        fn = lambda a: (calls.append(1), float(a.sum()))[1]  # noqa: E731
+        assert cached_call("t", fn, np.array([1.0, 2.0]), cache=cache) == 3.0
+        assert cached_call("t", fn, np.array([1.0, 2.0]), cache=cache) == 3.0
+        assert calls == [1, 1]
+        assert cache.stats().entries == 0
+
 
 class TestCampaignRegistry:
     def test_every_experiment_has_a_campaign(self):
@@ -346,6 +371,33 @@ class TestCampaignRegistry:
                 assert sweep.points, f"{name}:{sweep.name}"
                 for params in sweep.points:
                     json.dumps(params)  # points must be JSON-able data
+
+    def test_default_campaign_cache_keys_are_pinned(self):
+        """Every point of every default campaign — 13 experiments ×
+        scale {1, 8} × engine {fast, des, model} — keeps its sweep name,
+        cache key and canonical params byte for byte: one digest over
+        the sorted ``(sweep, key, params)`` lines, keyed against a fixed
+        code version.  A change here orphans every cached result."""
+        import hashlib
+
+        from repro.experiments import ALL_EXPERIMENTS
+
+        lines = sorted(
+            (sweep.name, point_key(sweep.name, params, code="X"),
+             canonical_params(params))
+            for name in ALL_EXPERIMENTS
+            for scale in (1, 8)
+            for engine in ("fast", "des", "model")
+            for sweep in campaign_for(name, scale=scale, engine=engine).sweeps
+            for params in sweep.points
+        )
+        assert len(lines) == 1734
+        digest = hashlib.sha256(
+            "".join("\t".join(line) + "\n" for line in lines).encode()
+        ).hexdigest()
+        assert digest == (
+            "df5bca1e2777b6d13f16f6afbe679a5215724c4f7072451788b098607067c2f7"
+        )
 
     def test_scale_forwarded_where_supported(self):
         scaled = campaign_for("fig10", scale=8)

@@ -33,7 +33,7 @@ def _sweep_cmd(cache_dir, *extra):
     return [
         sys.executable, "-m", "repro", "sweep", "fig10",
         "--cache-dir", str(cache_dir), "--scale", "8",
-        "--backend", "process", "--jobs", "2", "--quiet", *extra,
+        "--jobs", "2", "--quiet", *extra,
     ]
 
 
