@@ -19,11 +19,16 @@ CCR, utilisation and Gantt charts are derived.  When real
 performs the numerical block updates so tests can verify that the
 schedule really computes ``C + A·B``.
 
+A scheduler hands every backend the same plan: a list of
+:class:`~repro.engine.common.AgentSpec`, one per enrolled worker, each
+with a fixed chunk stream or a place on a shared demand-driven queue
+and a buffer-generation gap (``scheduler.agents(platform, shape)``).
 Two byte-identical backends run the timeline — the event-free fast
 scan of :mod:`repro.engine.fast` (default) and the discrete-event
-kernel (the reference oracle); select with
-``run_scheduler(..., engine="fast"|"des")``.  See
-``docs/performance.md``.
+kernel (the reference oracle) — and the analytic model of
+:mod:`repro.engine.model` estimates it; select with
+``run_scheduler(..., engine="fast"|"des"|"model")``.  See
+``docs/performance.md`` and ``docs/engines.md``.
 
 Both backends also accept a :class:`repro.scenarios.Scenario` for
 non-stationary platforms — time-varying rates, worker dropout,
@@ -32,28 +37,23 @@ background port traffic — and stay byte-identical under it
 """
 
 from repro.engine.chunks import Chunk, Phase, tile_chunks, toledo_chunks
+from repro.engine.common import AgentSpec, ChunkQueue
 from repro.engine.engine import ENGINES, Engine, run_scheduler
-from repro.engine.fast import FastEngine, FastEngineUnsupported, run_fast
-from repro.engine.model import (
-    ModelEngine,
-    ModelEngineUnsupported,
-    ModelEstimate,
-    run_model,
-)
+from repro.engine.fast import FastEngine, run_fast
+from repro.engine.model import ModelEstimate, run_model
 from repro.engine.model_batch import BatchItem, run_model_batch
 from repro.engine.trace import CommInterval, ComputeInterval, Trace
 
 __all__ = [
     "ENGINES",
+    "AgentSpec",
     "BatchItem",
     "Chunk",
+    "ChunkQueue",
     "CommInterval",
     "ComputeInterval",
     "Engine",
     "FastEngine",
-    "FastEngineUnsupported",
-    "ModelEngine",
-    "ModelEngineUnsupported",
     "ModelEstimate",
     "Phase",
     "Trace",

@@ -1,66 +1,80 @@
 """Shared helpers of the engine backends.
 
 The engines promise *byte-identical* observable behaviour — including
-error messages — so the strings, validations and launch scaffolding
-they share live here instead of being copied between
-:mod:`repro.engine.engine`, :mod:`repro.engine.fast` and
-:mod:`repro.engine.model`.
+error messages — so the plan types, strings and validations they share
+live here instead of being copied between :mod:`repro.engine.engine`,
+:mod:`repro.engine.fast` and :mod:`repro.engine.model`.
+
+A scheduler's *plan* is an ordered list of :class:`AgentSpec`: one per
+enrolled worker, each holding either the worker's fixed chunk stream
+or a place on a shared demand-driven :class:`ChunkQueue`, plus its
+buffer-generation gap.  Every engine consumes the same plan.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blocks.matrix import BlockMatrix
     from repro.blocks.shape import ProblemShape
+    from repro.engine.chunks import Chunk
 
 __all__ = [
     "AgentSpec",
-    "Launchpad",
+    "ChunkQueue",
     "bad_generation_gap",
     "memory_exceeded",
     "validate_block_data",
 ]
 
 
+class ChunkQueue:
+    """Shared FIFO of chunks for demand-driven dispatch."""
+
+    def __init__(self, chunks: Iterable[Chunk]):
+        self._chunks = list(chunks)
+        self._next = 0
+
+    def pop(self) -> Optional[Chunk]:
+        """Next chunk, or ``None`` when exhausted."""
+        if self._next >= len(self._chunks):
+            return None
+        chunk = self._chunks[self._next]
+        self._next += 1
+        return chunk
+
+    def __len__(self) -> int:
+        return len(self._chunks) - self._next
+
+    def drain(self) -> Iterator[Chunk]:
+        """Take every chunk not yet popped, as one iterator, in queue order."""
+        rest = self._chunks[self._next:]
+        self._next = len(self._chunks)
+        return iter(rest)
+
+
 class AgentSpec:
-    """What ``static_agent``/``demand_agent`` return instead of a generator
-    on the engines that replace the DES kernel (fast and model)."""
+    """One worker's part of a plan.
+
+    ``work`` is either the worker's fixed chunk list, processed in
+    order (kept as :attr:`chunks`), or a :class:`ChunkQueue` shared
+    with the other demand-driven agents (kept as :attr:`queue`).
+    ``gap`` is 2 for layouts with a spare A/B buffer generation and 1
+    otherwise; any other value raises :func:`bad_generation_gap`.
+    """
 
     __slots__ = ("widx", "chunks", "queue", "gap")
 
-    def __init__(self, widx, chunks, queue, gap):
+    def __init__(self, widx: int, work: Union[Sequence[Chunk], ChunkQueue], gap: int):
+        if gap not in (1, 2):
+            raise bad_generation_gap(gap)
         self.widx = widx
-        self.chunks = chunks
-        self.queue = queue
         self.gap = gap
-
-
-class Launchpad:
-    """Stand-in for ``Engine.env`` accepting agent descriptors only.
-
-    A raw generator process raises ``unsupported`` (the engine's own
-    exception class) with a message that begins with ``refusal``.
-    """
-
-    __slots__ = ("agents", "unsupported", "refusal")
-
-    def __init__(self, unsupported: type, refusal: str):
-        self.agents: list[AgentSpec] = []
-        self.unsupported = unsupported
-        self.refusal = refusal
-
-    def process(self, agent, name: str = "") -> AgentSpec:
-        if not isinstance(agent, AgentSpec):
-            raise self.unsupported(
-                f"{self.refusal} chunk agents "
-                "(static_agent/demand_agent); got a raw process "
-                f"{agent!r} — run with engine='des'"
-            )
-        self.agents.append(agent)
-        return agent
-
+        if isinstance(work, ChunkQueue):
+            self.chunks, self.queue = None, work
+        else:
+            self.chunks, self.queue = list(work), None
 
 def bad_generation_gap(gap: int) -> ValueError:
     """The error raised for a ``generation_gap`` other than 1 or 2."""

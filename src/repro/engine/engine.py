@@ -1,7 +1,8 @@
 """The engine proper: simulate a scheduler on a platform.
 
-Architecture: one simulation *agent* (a kernel process) per worker.
-Each agent processes its stream of chunks sequentially — receive the C
+Architecture: one simulation *agent* (a kernel process) per entry of
+the scheduler's plan (:class:`~repro.engine.common.AgentSpec`).  Each
+agent processes its stream of chunks sequentially — receive the C
 tile, stream phases under the buffer-generation gate, return the C tile
 — while all transfers contend for the master's one-port resource (FIFO).
 Static algorithms precompute per-worker chunk lists; demand-driven
@@ -16,19 +17,19 @@ so each phase's compute interval is ``[max(arrival, previous end),
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Generator, Iterable, Iterator, Optional, Protocol, Sequence
+from typing import Generator, Optional, Protocol, Sequence
 
 from repro.blocks.matrix import BlockMatrix
 from repro.blocks.shape import ProblemShape
 from repro.engine.chunks import Chunk, Phase
 from repro.engine.common import (
+    AgentSpec,
+    ChunkQueue,
     bad_generation_gap,
     memory_exceeded,
     validate_block_data,
 )
-from repro.engine.fast import FastEngineUnsupported, run_fast
+from repro.engine.fast import run_fast
 from repro.engine.model import ModelEstimate, run_model
 from repro.engine.trace import CommInterval, ComputeInterval, Trace
 from repro.platform.model import Platform
@@ -36,7 +37,7 @@ from repro.scenarios.model import BackgroundEvent, Scenario
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
 
-__all__ = ["ENGINES", "Engine", "ChunkQueue", "run_scheduler", "SchedulerProtocol"]
+__all__ = ["ENGINES", "Engine", "run_scheduler", "SchedulerProtocol"]
 
 #: Selectable simulation engines: the event-free fast timeline scan
 #: (default), the generator-based discrete-event kernel (the reference
@@ -46,38 +47,18 @@ __all__ = ["ENGINES", "Engine", "ChunkQueue", "run_scheduler", "SchedulerProtoco
 ENGINES = ("fast", "des", "model")
 
 
-class ChunkQueue:
-    """Shared FIFO of chunks for demand-driven dispatch."""
-
-    def __init__(self, chunks: Iterable[Chunk]):
-        self._chunks = list(chunks)
-        self._next = 0
-
-    def pop(self) -> Optional[Chunk]:
-        """Next chunk, or ``None`` when exhausted."""
-        if self._next >= len(self._chunks):
-            return None
-        chunk = self._chunks[self._next]
-        self._next += 1
-        return chunk
-
-    def __len__(self) -> int:
-        return len(self._chunks) - self._next
-
-    def drain(self) -> Iterator[Chunk]:
-        """Take every chunk not yet popped, as one iterator, in queue order."""
-        rest = self._chunks[self._next:]
-        self._next = len(self._chunks)
-        return iter(rest)
-
-
 class Engine:
-    """Simulation state shared by all agents of one run."""
+    """Simulation state shared by all agents of one run.
+
+    ``agents`` is the scheduler's plan: one kernel process is
+    registered per entry, in plan order.
+    """
 
     def __init__(
         self,
         platform: Platform,
         shape: ProblemShape,
+        agents: Sequence[AgentSpec] = (),
         data: Optional[tuple[BlockMatrix, BlockMatrix, BlockMatrix]] = None,
         two_port: bool = False,
         check_memory: bool = True,
@@ -103,16 +84,21 @@ class Engine:
         self._pending_free: list[list[tuple[float, int]]] = [[] for _ in range(p)]
         self.scenario = scenario
         self._varying = scenario is not None and scenario.has_rate_variation
+        if data is not None:
+            validate_block_data(data, shape)
         # The background-traffic process is registered before the
-        # scheduler's agents (``launch`` runs after construction), so
-        # its events sequence ahead of same-time agent events — the
-        # fast engine replicates this creation order exactly.
+        # plan's agents, so its events sequence ahead of same-time agent
+        # events — the fast engine replicates this creation order exactly.
         if scenario is not None and scenario.background:
             self.env.process(
                 self._background_agent(scenario.background), name="background"
             )
-        if data is not None:
-            validate_block_data(data, shape)
+        for spec in agents:
+            if spec.queue is None:
+                agent = self.static_agent(spec.widx, spec.chunks, spec.gap)
+            else:
+                agent = self.demand_agent(spec.widx, spec.queue, spec.gap)
+            self.env.process(agent, name=f"P{spec.widx + 1}")
 
     # -- memory bookkeeping (lazy release keeps peaks exact) -----------------
     def _release_expired(self, widx: int) -> None:
@@ -284,15 +270,19 @@ class Engine:
 
 
 class SchedulerProtocol(Protocol):
-    """What the engine requires of a scheduler.
+    """What the engines require of a scheduler.
 
-    ``launch(engine)`` must create the run's agents as kernel processes
-    (via ``engine.env.process``) and may keep references for reporting.
+    ``agents(platform, shape)`` returns the run's plan: one
+    :class:`~repro.engine.common.AgentSpec` per enrolled worker, in the
+    order the engines create them.  Every call builds a fresh plan (a
+    run drains the plan's shared queues).
     """
 
     name: str
 
-    def launch(self, engine: Engine) -> None:  # pragma: no cover - protocol
+    def agents(
+        self, platform: Platform, shape: ProblemShape
+    ) -> list[AgentSpec]:  # pragma: no cover - protocol
         ...
 
 
@@ -321,15 +311,10 @@ def run_scheduler(
     :class:`~repro.engine.model.ModelEstimate` (mirroring the trace's
     summary interface, within a validated error envelope — see
     ``docs/engines.md``) and rejects ``data`` since it executes
-    nothing.  The two simulating backends produce
-    byte-identical traces for chunk schedulers (see
-    ``docs/performance.md``); a scheduler that launches raw kernel
-    processes silently falls back to the DES (its ``launch`` runs again
-    on the kernel engine, so ``launch`` must be repeatable — all
-    in-tree schedulers are).  The fast attempt is guaranteed
-    side-effect free up to the fallback: ``run_fast`` withholds ``data``
-    until ``launch`` has succeeded, so a numeric ``C`` can never receive
-    updates from an attempt that was abandoned.
+    nothing.  Each backend runs the scheduler's one plan
+    (``scheduler.agents(platform, shape)``); the two simulating
+    backends produce byte-identical traces (see
+    ``docs/performance.md``).
 
     ``scenario`` makes the platform non-stationary (time-varying rates,
     dropout, background traffic; see :mod:`repro.scenarios` and
@@ -362,22 +347,17 @@ def run_scheduler(
                 f"block updates, expected {expected}"
             )
         return estimate
-    trace: Optional[Trace] = None
     if engine == "fast":
-        try:
-            trace = run_fast(
-                scheduler, platform, shape,
-                data=data, two_port=two_port, check_memory=check_memory,
-                scenario=scenario,
-            )
-        except FastEngineUnsupported:
-            trace = None  # raw kernel processes: re-launch on the DES
-    if trace is None:
-        des = Engine(
-            platform, shape, data=data, two_port=two_port,
-            check_memory=check_memory, scenario=scenario,
+        trace = run_fast(
+            scheduler, platform, shape,
+            data=data, two_port=two_port, check_memory=check_memory,
+            scenario=scenario,
         )
-        scheduler.launch(des)
+    else:
+        des = Engine(
+            platform, shape, scheduler.agents(platform, shape), data=data,
+            two_port=two_port, check_memory=check_memory, scenario=scenario,
+        )
         des.env.run()
         trace = des.trace
     if check_invariants:

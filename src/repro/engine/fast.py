@@ -36,13 +36,9 @@ The DES remains the reference oracle: the parity suite asserts
 trace-for-trace equality across all schedulers on randomized platforms,
 one-port and two-port.
 
-Schedulers need no changes: :class:`FastEngine` quacks like
-:class:`~repro.engine.engine.Engine` during ``launch`` —
-``static_agent``/``demand_agent`` return lightweight descriptors and
-``env.process`` registers them.  A scheduler that registers a raw
-generator process (custom kernel logic) raises
-:class:`FastEngineUnsupported`, and ``run_scheduler`` falls back to the
-DES by re-launching.
+:class:`FastEngine` runs the same plan as the DES — the scheduler's
+list of :class:`~repro.engine.common.AgentSpec` — with one state
+machine per entry, in plan order.
 """
 
 from __future__ import annotations
@@ -54,11 +50,8 @@ from typing import Optional, Sequence
 
 from repro.blocks.matrix import BlockMatrix
 from repro.blocks.shape import ProblemShape
-from repro.engine.chunks import Chunk
 from repro.engine.common import (
     AgentSpec,
-    Launchpad,
-    bad_generation_gap,
     memory_exceeded,
     validate_block_data,
 )
@@ -66,7 +59,7 @@ from repro.engine.trace import CommInterval, ComputeInterval, Trace
 from repro.platform.model import Platform
 from repro.scenarios.model import Scenario
 
-__all__ = ["FastEngine", "FastEngineUnsupported", "run_fast"]
+__all__ = ["FastEngine", "run_fast"]
 
 # Heap-entry kinds, packed into the low bits of ``(seq << 2) | kind`` so
 # entries are 3-tuples; ``seq`` is unique, so the agent never compares.
@@ -83,10 +76,6 @@ _BG = 3     # a background-traffic hold of the master's port
 _GAP = 0    # buffer-generation gate before the next phase request
 _FINAL = 1  # final-compute gate before the C-out request
 _BGREQ = 2  # background agent waking up to request its next hold
-
-
-class FastEngineUnsupported(TypeError):
-    """The scheduler drives raw kernel processes; use the DES engine."""
 
 
 class _Agent:
@@ -132,12 +121,13 @@ class _BgAgent:
 
 
 class FastEngine:
-    """Drop-in ``launch`` target mirroring :class:`Engine`'s surface."""
+    """One run of a plan, with :class:`Engine`'s constructor surface."""
 
     def __init__(
         self,
         platform: Platform,
         shape: ProblemShape,
+        agents: Sequence[AgentSpec],
         data: Optional[tuple[BlockMatrix, BlockMatrix, BlockMatrix]] = None,
         two_port: bool = False,
         check_memory: bool = True,
@@ -153,25 +143,12 @@ class FastEngine:
         self.data = data
         self.check_memory = check_memory
         self.two_port = two_port
-        self.env = Launchpad(
-            FastEngineUnsupported, "the fast engine only runs"
-        )
+        self.agents = agents
         self.trace = Trace()
         self.compute_done = [0.0] * platform.p
         self.scenario = scenario
         if data is not None:
             validate_block_data(data, shape)
-
-    # -- the agent factories schedulers call ------------------------------
-    def static_agent(
-        self, widx: int, chunks: Sequence[Chunk], generation_gap: int
-    ) -> AgentSpec:
-        """Descriptor for a worker processing a fixed chunk list."""
-        return AgentSpec(widx, list(chunks), None, generation_gap)
-
-    def demand_agent(self, widx: int, queue, generation_gap: int) -> AgentSpec:
-        """Descriptor for a worker draining a shared chunk queue."""
-        return AgentSpec(widx, None, queue, generation_gap)
 
     # -- the chronological scan ----------------------------------------------
     def run(self) -> Trace:
@@ -306,8 +283,6 @@ class FastEngine:
                     return
                 chunk = agent.chunks[agent.cursor]
                 agent.cursor += 1
-            if agent.gap not in (1, 2):
-                raise bad_generation_gap(agent.gap)
             agent.chunk = chunk
             agent.phases = chunk.phases
             agent.nph = len(chunk.phases)
@@ -364,8 +339,8 @@ class FastEngine:
         # to its first port request.  Grants flush per agent, exactly as
         # each Initialize burst would let its request event fire later.
         # The DES registers the scenario's background process before the
-        # scheduler's agents (Engine.__init__ precedes launch), so its
-        # first timeout / port request sequences ahead of theirs.
+        # plan's agents, so its first timeout / port request sequences
+        # ahead of theirs.
         if scenario is not None and scenario.background:
             bg = _BgAgent(scenario.background)
             first = bg.events[0].time
@@ -380,7 +355,7 @@ class FastEngine:
                 seq += 4
                 push(heap, (granted.duration, seq | _DONE, granted))
                 grants.clear()
-        agents = [_Agent(spec, workers[spec.widx]) for spec in self.env.agents]
+        agents = [_Agent(spec, workers[spec.widx]) for spec in self.agents]
         for agent in agents:
             start_chunk(agent, 0.0)
             if grants:
@@ -712,27 +687,8 @@ def run_fast(
     check_memory: bool = True,
     scenario: Optional[Scenario] = None,
 ) -> Trace:
-    """Launch ``scheduler`` on the fast engine and return its trace.
-
-    Raises :class:`FastEngineUnsupported` when the scheduler registers
-    raw kernel processes (callers fall back to the DES).  The exception
-    can only originate from ``launch``, and the engine is constructed
-    *without* the numeric ``data`` until ``launch`` has fully succeeded:
-    an abandoned fast attempt therefore cannot have applied any block
-    update to an in-place ``C``, so the DES re-run after a fallback
-    starts from pristine data.  (``launch`` itself must be free of
-    scheduler-state side effects to be re-runnable — true of every
-    in-tree scheduler, which rebuild chunk lists and queues from
-    scratch on each call.)
-    """
-    engine = FastEngine(
-        platform, shape, data=None, two_port=two_port,
-        check_memory=check_memory, scenario=scenario,
-    )
-    if data is not None:
-        # Validate up front (same error order as the DES, which checks in
-        # its constructor) but attach only after launch has succeeded.
-        validate_block_data(data, shape)
-    scheduler.launch(engine)
-    engine.data = data
-    return engine.run()
+    """Run ``scheduler``'s plan on the fast engine and return its trace."""
+    return FastEngine(
+        platform, shape, scheduler.agents(platform, shape), data=data,
+        two_port=two_port, check_memory=check_memory, scenario=scenario,
+    ).run()

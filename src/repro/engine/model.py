@@ -47,11 +47,10 @@ Contract
   ``tests/test_model_envelope.py`` — ≤10 % of the fast engine on
   stationary paper-scale points, looser at small n and under
   aggressive scenarios.
-* A scheduler that registers raw kernel processes raises
-  :class:`ModelEngineUnsupported`; unlike the fast engine there is no
-  silent DES fallback, because callers pick the model tier for its
-  cost profile and a 1000× slower silent fallback would defeat the
-  point.
+* The estimate replays the same plan the simulating engines run (the
+  scheduler's list of :class:`~repro.engine.common.AgentSpec`), so
+  chunk geometry, resource selection and assignment are never modelled
+  separately.
 """
 
 from __future__ import annotations
@@ -63,25 +62,11 @@ from typing import Iterator, Optional, Sequence
 
 from repro.blocks.shape import ProblemShape
 from repro.engine.chunks import Chunk
-from repro.engine.common import (
-    AgentSpec,
-    Launchpad,
-    bad_generation_gap,
-    memory_exceeded,
-)
+from repro.engine.common import AgentSpec, memory_exceeded
 from repro.platform.model import Platform
 from repro.scenarios.model import Scenario
 
-__all__ = [
-    "ModelEngine",
-    "ModelEngineUnsupported",
-    "ModelEstimate",
-    "run_model",
-]
-
-
-class ModelEngineUnsupported(TypeError):
-    """The scheduler drives raw kernel processes; use 'fast' or 'des'."""
+__all__ = ["ModelEstimate", "run_model"]
 
 
 # ---------------------------------------------------------------------------
@@ -198,39 +183,6 @@ class ModelEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Launch capture: quacks like Engine during ``scheduler.launch``.
-# ---------------------------------------------------------------------------
-class ModelEngine:
-    """Launch-time stand-in for :class:`~repro.engine.engine.Engine`.
-
-    Exposes exactly what scheduler ``launch`` implementations touch:
-    ``platform``, ``shape``, the two agent factories, and an ``env``
-    whose ``process`` collects agent descriptors.
-    """
-
-    __slots__ = ("platform", "shape", "env")
-
-    def __init__(self, platform: Platform, shape: ProblemShape):
-        self.platform = platform
-        self.shape = shape
-        self.env = Launchpad(
-            ModelEngineUnsupported, "the model engine only estimates"
-        )
-
-    def static_agent(
-        self, widx: int, chunks: Sequence[Chunk], generation_gap: int
-    ) -> AgentSpec:
-        if generation_gap not in (1, 2):
-            raise bad_generation_gap(generation_gap)
-        return AgentSpec(widx, list(chunks), None, generation_gap)
-
-    def demand_agent(self, widx: int, queue, generation_gap: int) -> AgentSpec:
-        if generation_gap not in (1, 2):
-            raise bad_generation_gap(generation_gap)
-        return AgentSpec(widx, None, queue, generation_gap)
-
-
-# ---------------------------------------------------------------------------
 # Closed-form per-chunk footprint.
 # ---------------------------------------------------------------------------
 def _chunk_stats(chunk: Chunk, gap: int) -> tuple[int, int, int, int, int, int]:
@@ -336,7 +288,7 @@ def _chunk_sources(agents: Sequence[AgentSpec]) -> list[Iterator[Chunk]]:
     """One chunk iterator per agent, in agent order.
 
     A static agent iterates its own list; all agents on one
-    :class:`~repro.engine.engine.ChunkQueue` share a single iterator
+    :class:`~repro.engine.common.ChunkQueue` share a single iterator
     over its remaining chunks, so the queue is drained exactly once and
     in the order the agents ask for work.
     """
@@ -637,23 +589,19 @@ def run_model(
 ) -> ModelEstimate:
     """Estimate ``scheduler`` on ``platform`` without simulating.
 
-    Launches the scheduler against a :class:`ModelEngine` (so chunk
-    geometry, resource selection and assignment run exactly as they
-    would for a real run), then replays the chunk streams through the
-    closed-form estimator.  ``check_memory`` raises when the analytic
-    peak-buffer *upper bound* exceeds a worker's ``m_i`` — conservative
-    by construction, matching capacity-planning use.
-
-    Raises :class:`ModelEngineUnsupported` for schedulers that launch
-    raw kernel processes — no DES fallback (see module docstring).
+    Builds the scheduler's plan (so chunk geometry, resource selection
+    and assignment run exactly as they would for a real run), then
+    replays its chunk streams through the closed-form estimator.
+    ``check_memory`` raises when the analytic peak-buffer *upper bound*
+    exceeds a worker's ``m_i`` — conservative by construction, matching
+    capacity-planning use.
     """
     if scenario is not None and scenario.platform != platform:
         raise ValueError(
             f"scenario {scenario.name!r} wraps platform "
             f"{scenario.platform.name!r}, not {platform.name!r}"
         )
-    engine = ModelEngine(platform, shape)
-    scheduler.launch(engine)
     return _estimate(
-        engine.env.agents, platform, shape, two_port, check_memory, scenario
+        scheduler.agents(platform, shape), platform, shape,
+        two_port, check_memory, scenario,
     )

@@ -31,8 +31,8 @@ class BatchItem:
     """One point of a batch evaluation.
 
     ``scheduler`` is a **factory** returning a fresh scheduler instance
-    per call (launch consumes scheduler-built queues), mirroring how
-    the experiment modules construct one scheduler per
+    per call (schedulers may keep per-plan state, as HoLM does),
+    mirroring how the experiment modules construct one scheduler per
     :func:`~repro.engine.engine.run_scheduler` call.
     """
 

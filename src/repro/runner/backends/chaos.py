@@ -121,8 +121,10 @@ class ChaosSpec:
                     f"unknown chaos key {key!r}; known: "
                     f"{', '.join(ChaosSpec.__dataclass_fields__)}"
                 )
-            if key in ("seed", "sticky"):
-                kwargs[key] = -1 if value == "permanent" else int(value)
+            if key == "sticky" and value == "permanent":
+                kwargs[key] = -1
+            elif key in ("seed", "sticky"):
+                kwargs[key] = int(value)
             else:
                 kwargs[key] = float(value)
         return ChaosSpec(**kwargs)

@@ -242,19 +242,6 @@ class ResultCache:
             jsonl_log.append(path, lines, fsync=True)
         return sum(len(lines) for lines in by_segment.values())
 
-    def get_many(self, sweep: str, keys: Iterable[str]) -> Dict[str, Any]:
-        """Bulk lookup; returns ``{key: value}`` for the hits only.
-
-        Misses are simply absent, so callers resolve a whole resume
-        wave with one call and compute the complement.
-        """
-        hits: Dict[str, Any] = {}
-        for key in keys:
-            value, hit = self.get(sweep, key)
-            if hit:
-                hits[key] = value
-        return hits
-
     def manifest_keys(self, sweep: str) -> Set[str]:
         """Keys stored for ``sweep``.
 

@@ -35,8 +35,9 @@ class PrescreenUnsupported(RuntimeError):
     """The sweep cannot be model-screened.
 
     Raised when a point function fails under ``engine="model"`` (e.g.
-    it never simulates, or its scheduler needs raw kernel processes) or
-    when no score can be extracted from the estimated rows.  Callers
+    it never simulates, or it executes numeric block updates, which the
+    model cannot) or when no score can be extracted from the estimated
+    rows.  Callers
     should fall back to running the sweep unfiltered.
     """
 

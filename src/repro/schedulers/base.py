@@ -11,6 +11,10 @@ Subclasses specify the memory layout through two hooks: ``chunk_param``
 (the tile side µ or σ derived from a worker's memory) and
 ``generation_gap`` (2 when the layout reserves a spare A/B generation
 for overlap, 1 otherwise), plus ``build_chunks`` for tile geometry.
+
+Either family turns these decisions into a *plan* with ``agents``: one
+:class:`~repro.engine.common.AgentSpec` per enrolled worker, which every
+engine (DES, fast, model) consumes as is.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Sequence
 
 from repro.blocks.shape import ProblemShape
 from repro.engine.chunks import Chunk
-from repro.engine.engine import ChunkQueue, Engine
+from repro.engine.common import AgentSpec, ChunkQueue
 from repro.platform.model import Platform
 
 __all__ = ["ChunkScheduler", "StaticChunkScheduler", "DemandChunkScheduler"]
@@ -47,8 +51,11 @@ class ChunkScheduler(ABC):
         return self.chunk_param(min(wk.m for wk in platform.workers))
 
     @abstractmethod
-    def launch(self, engine: Engine) -> None:
-        """Create the run's agents inside ``engine``."""
+    def agents(self, platform: Platform, shape: ProblemShape) -> list[AgentSpec]:
+        """The run's plan: one agent per enrolled worker, in creation order.
+
+        Each call builds a fresh plan (new chunk lists and queues).
+        """
 
 
 class StaticChunkScheduler(ChunkScheduler):
@@ -60,21 +67,20 @@ class StaticChunkScheduler(ChunkScheduler):
     ) -> dict[int, list[Chunk]]:
         """Map 0-based worker index → ordered chunk list."""
 
-    def launch(self, engine: Engine) -> None:
-        param = self.common_param(engine.platform)
-        chunks = self.build_chunks(engine.shape, param)
-        assignment = self.assign(engine.platform, engine.shape, chunks)
+    def agents(self, platform: Platform, shape: ProblemShape) -> list[AgentSpec]:
+        param = self.common_param(platform)
+        chunks = self.build_chunks(shape, param)
+        assignment = self.assign(platform, shape, chunks)
         assigned = sum(len(v) for v in assignment.values())
         if assigned != len(chunks):
             raise RuntimeError(
                 f"{self.name}: assigned {assigned} of {len(chunks)} chunks"
             )
-        for widx, worker_chunks in sorted(assignment.items()):
-            if worker_chunks:
-                engine.env.process(
-                    engine.static_agent(widx, worker_chunks, self.generation_gap),
-                    name=f"{self.name}-P{widx + 1}",
-                )
+        return [
+            AgentSpec(widx, worker_chunks, self.generation_gap)
+            for widx, worker_chunks in sorted(assignment.items())
+            if worker_chunks
+        ]
 
 
 class DemandChunkScheduler(ChunkScheduler):
@@ -88,12 +94,10 @@ class DemandChunkScheduler(ChunkScheduler):
         """
         return range(platform.p)
 
-    def launch(self, engine: Engine) -> None:
-        param = self.common_param(engine.platform)
-        chunks = self.build_chunks(engine.shape, param)
-        queue = ChunkQueue(chunks)
-        for widx in self.enrolled(engine.platform, engine.shape):
-            engine.env.process(
-                engine.demand_agent(widx, queue, self.generation_gap),
-                name=f"{self.name}-P{widx + 1}",
-            )
+    def agents(self, platform: Platform, shape: ProblemShape) -> list[AgentSpec]:
+        param = self.common_param(platform)
+        queue = ChunkQueue(self.build_chunks(shape, param))
+        return [
+            AgentSpec(widx, queue, self.generation_gap)
+            for widx in self.enrolled(platform, shape)
+        ]

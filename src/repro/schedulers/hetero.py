@@ -26,7 +26,7 @@ from repro.core.heterogeneous import (
     lookahead_selection,
 )
 from repro.engine.chunks import tile_grid
-from repro.engine.engine import Engine
+from repro.engine.common import AgentSpec
 from repro.platform.model import Platform
 
 __all__ = ["HeteroIncremental", "allocate_columns"]
@@ -100,12 +100,12 @@ class HeteroIncremental:
         self.last_selection = sel
         return sel
 
-    def launch(self, engine: Engine) -> None:
-        """Create one static agent per enrolled worker."""
-        platform, shape = engine.platform, engine.shape
+    def agents(self, platform: Platform, shape: ProblemShape) -> list[AgentSpec]:
+        """One static agent per enrolled worker."""
         selection = self.select(platform, shape)
         cols = allocate_columns(platform, shape, selection)
         mus = chunk_sizes(platform)
+        plan = []
         col_start = 0
         for widx in range(platform.p):
             if cols[widx] == 0:
@@ -114,7 +114,5 @@ class HeteroIncremental:
             col_start = col_span[1]
             # µ_i×µ_i tiles with single-k phases over the worker's columns.
             chunks = tile_grid(shape.r, col_span, shape.t, mus[widx], 1)
-            engine.env.process(
-                engine.static_agent(widx, chunks, self.generation_gap),
-                name=f"{self.name}-P{widx + 1}",
-            )
+            plan.append(AgentSpec(widx, chunks, self.generation_gap))
+        return plan

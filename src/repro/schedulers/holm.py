@@ -17,7 +17,7 @@ from repro.blocks.shape import ProblemShape
 from repro.core.homogeneous import plan_homogeneous
 from repro.core.layout import mu_overlap
 from repro.engine.chunks import Chunk, tile_chunks
-from repro.engine.engine import Engine
+from repro.engine.common import AgentSpec
 from repro.platform.model import Platform
 from repro.schedulers.base import StaticChunkScheduler
 
@@ -44,11 +44,11 @@ class HoLM(StaticChunkScheduler):
         # the Section 5 plan, computed in `assign`; default to overlap µ.
         return self._param
 
-    def launch(self, engine: Engine) -> None:  # type: ignore[override]
-        plan = plan_homogeneous(engine.platform, engine.shape)
+    def agents(self, platform: Platform, shape: ProblemShape) -> list[AgentSpec]:
+        plan = plan_homogeneous(platform, shape)
         self._param = plan.mu
         self._plan_workers = plan.workers
-        super().launch(engine)
+        return super().agents(platform, shape)
 
     def enrolled_count(self, platform: Platform, shape: ProblemShape) -> int:
         """Number of workers HoLM enrolls for this run."""
@@ -81,8 +81,8 @@ class ORROML(HoLM):
 
     name = "ORROML"
 
-    def launch(self, engine: Engine) -> None:
-        plan = plan_homogeneous(engine.platform, engine.shape)
+    def agents(self, platform: Platform, shape: ProblemShape) -> list[AgentSpec]:
+        plan = plan_homogeneous(platform, shape)
         self._param = plan.mu
-        self._plan_workers = engine.platform.p  # enroll everyone
-        StaticChunkScheduler.launch(self, engine)
+        self._plan_workers = platform.p  # enroll everyone
+        return StaticChunkScheduler.agents(self, platform, shape)

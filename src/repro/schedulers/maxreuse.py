@@ -25,7 +25,6 @@ from functools import lru_cache
 from repro.blocks.shape import ProblemShape
 from repro.core.layout import max_reuse_mu
 from repro.engine.chunks import Chunk, Phase
-from repro.engine.engine import Engine
 from repro.schedulers.base import StaticChunkScheduler
 
 __all__ = ["MaxReuse"]

@@ -120,8 +120,7 @@ def test_concurrent_appenders_lose_nothing(tmp_path):
     cache = ResultCache(tmp_path)
     keys = [f"aa{w:02d}{i:04d}" for w in range(workers) for i in range(n)]
     assert cache.manifest_keys(SWEEP) == set(keys)
-    assert cache.get_many(SWEEP, keys) == {
-        key: [int(key[2:4]), int(key[4:])] for key in keys
-    }
+    for key in keys:
+        assert cache.get(SWEEP, key) == ([int(key[2:4]), int(key[4:])], True)
     lines = (tmp_path / SWEEP / "aa.jsonl").read_text().split("\n")
     assert sum(1 for line in lines if line) == workers * n

@@ -16,7 +16,7 @@ from repro.engine.chunks import (
     toledo_chunks,
 )
 from repro.platform import Platform
-from repro.schedulers import BMM, HoLM, MaxReuse
+from repro.schedulers import BMM, HoLM, MaxReuse, all_section8_schedulers
 from repro.schedulers.hetero import HeteroIncremental, allocate_columns
 from repro.schedulers.maxreuse import _max_reuse_chunks
 
@@ -54,20 +54,6 @@ def reference_max_reuse(shape, mu):
             ]
             chunks.append(Chunk((r0, r1), (c0, c1), tuple(phases)))
     return chunks
-
-
-class _LaunchRecorder:
-    """Just enough of an engine to capture the chunks a scheduler launches."""
-
-    def __init__(self, platform, shape):
-        self.platform, self.shape, self.env = platform, shape, self
-        self.agents = {}
-
-    def static_agent(self, widx, chunks, gap):
-        self.agents[widx] = chunks
-
-    def process(self, agent, name):
-        pass
 
 
 #: Ragged r and s, t not divisible by σ, and r < µ.
@@ -203,6 +189,72 @@ class TestCheckChunkCover:
             check_chunk_cover(shape, [bad])
 
 
+def _plan_streams(plan):
+    """A plan as data: ``(widx, gap, work)`` per agent, where ``work`` is
+    a static agent's chunk list or the ordinal of its shared queue,
+    plus each distinct queue's chunks, drained once."""
+    streams, queues = [], []
+    for spec in plan:
+        if spec.queue is None:
+            streams.append((spec.widx, spec.gap, spec.chunks))
+            continue
+        ordinal = next(
+            (i for i, (q, _) in enumerate(queues) if q is spec.queue), None
+        )
+        if ordinal is None:
+            ordinal = len(queues)
+            queues.append((spec.queue, list(spec.queue.drain())))
+        streams.append((spec.widx, spec.gap, ordinal))
+    return streams, [chunks for _, chunks in queues]
+
+
+def _plan_cases():
+    """``{id: (scheduler factory, platform)}`` for every in-tree scheduler."""
+    platforms = {
+        "homogeneous": Platform.homogeneous(3, c=0.3, w=0.2, m=21),
+        "hetero": HETERO,
+    }
+    factories = [type(s) for s in all_section8_schedulers()] + [
+        lambda variant=variant: HeteroIncremental(variant)
+        for variant in ("global", "local", "lookahead")
+    ]
+    cases = {
+        f"{make().name}/{pname}": (make, platform)
+        for make in factories
+        for pname, platform in platforms.items()
+    }
+    # MaxReuse is the single-worker algorithm.
+    cases["MaxReuse/single"] = (MaxReuse, Platform.homogeneous(1, 0.3, 0.2, 21))
+    return cases
+
+
+PLAN_CASES = _plan_cases()
+
+
+class TestPlanCoversProduct:
+    """Every in-tree scheduler's plan computes the product exactly once."""
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize(
+        "make, platform", PLAN_CASES.values(), ids=PLAN_CASES.keys()
+    )
+    def test_plan_covers_product_once(self, make, platform, shape):
+        scheduler = make()
+        streams, queues = _plan_streams(scheduler.agents(platform, shape))
+        assert streams, "empty plan"
+        chunks = [c for _, _, work in streams if isinstance(work, list) for c in work]
+        for queue_chunks in queues:
+            chunks += queue_chunks
+        check_chunk_cover(shape, chunks)
+        assert all(gap in (1, 2) for _, gap, _ in streams)
+        assert all(0 <= widx < platform.p for widx, _, _ in streams)
+        static = [widx for widx, _, work in streams if isinstance(work, list)]
+        assert len(static) == len(set(static))
+        # Schedulers keep per-plan state (HoLM's tile side): a second
+        # plan from the same instance must repeat the first.
+        assert _plan_streams(scheduler.agents(platform, shape)) == (streams, queues)
+
+
 class TestBuildersMatchReference:
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     @pytest.mark.parametrize("side", [1, 2, 3, 4])
@@ -218,8 +270,7 @@ class TestBuildersMatchReference:
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_hetero_column_slices(self, shape):
         scheduler = HeteroIncremental("global")
-        recorder = _LaunchRecorder(HETERO, shape)
-        scheduler.launch(recorder)
+        plan = scheduler.agents(HETERO, shape)
         cols = allocate_columns(HETERO, shape, scheduler.last_selection)
         mus = chunk_sizes(HETERO)
         expected, start = {}, 0
@@ -229,7 +280,8 @@ class TestBuildersMatchReference:
                     shape.r, (start, start + n), shape.t, mus[widx], 1
                 )
                 start += n
-        assert recorder.agents == expected
+        assert {spec.widx: spec.chunks for spec in plan} == expected
+        assert all(spec.queue is None and spec.gap == 2 for spec in plan)
 
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     @pytest.mark.parametrize("mu", [1, 2, 3, 4])

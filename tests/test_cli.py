@@ -319,7 +319,11 @@ class TestFaultToleranceFlags:
 
     @pytest.mark.parametrize(
         "spec",
-        ["bogus=1", "hang=1,hang_s=nan", "hang=1,hang_s=inf", "drop=0.1"],
+        [
+            "bogus=1", "hang=1,hang_s=nan", "hang=1,hang_s=inf", "drop=0.1",
+            # "permanent" is a sticky count, not a seed.
+            "seed=permanent", "fail=0.5,seed=permanent",
+        ],
     )
     def test_bad_chaos_spec_is_two(self, tmp_path, capsys, spec):
         assert cli_main(_sweep_argv(tmp_path, "--chaos", spec)) == 2

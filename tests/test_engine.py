@@ -13,7 +13,7 @@ from repro.core.layout import (
     toledo_split,
 )
 from repro.engine import Engine, run_scheduler, tile_chunks
-from repro.engine.engine import ChunkQueue
+from repro.engine.common import ChunkQueue
 from repro.platform import Platform
 from repro.schedulers import (
     BMM,

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from repro.blocks import ProblemShape, make_product_instance
-from repro.engine import Engine, run_scheduler
-from repro.engine.fast import FastEngineUnsupported, run_fast
+from repro.engine import AgentSpec, run_scheduler
 from repro.platform import Platform
 from repro.schedulers import (
     BMM,
@@ -134,13 +133,11 @@ class TestEdgeCaseParity:
         platform = Platform.homogeneous(1, c=1.0, w=1.0, m=10)
 
         class Oversized(HoLM):
-            def launch(self, engine):
+            def agents(self, platform, shape):
                 from repro.engine import tile_chunks
 
                 # mu=4 tile needs 16 C buffers > 10.
-                engine.env.process(
-                    engine.static_agent(0, tile_chunks(shape, 4), 2)
-                )
+                return [AgentSpec(0, tile_chunks(shape, 4), 2)]
 
             name = "Oversized"
 
@@ -194,7 +191,7 @@ class TestEdgeCaseParity:
                 run_scheduler(BadGap(), platform, shape, engine=engine)
 
 
-class TestDispatchAndFallback:
+class TestDispatch:
     def test_unknown_engine_rejected(self):
         platform = Platform.homogeneous(1, c=0.5, w=0.25, m=21)
         with pytest.raises(ValueError, match="unknown engine"):
@@ -203,69 +200,6 @@ class TestDispatchAndFallback:
                 engine="warp",
             )
 
-    def test_raw_process_scheduler_unsupported_by_fast(self):
-        """run_fast refuses raw kernel generators outright."""
-        platform = Platform.homogeneous(1, c=1.0, w=0.5, m=50)
-        shape = ProblemShape(r=2, s=2, t=2, q=2)
-
-        class RawProcess:
-            name = "raw"
-
-            def launch(self, engine):
-                def agent():
-                    yield engine.env.timeout(1.0)
-
-                engine.env.process(agent())
-
-        with pytest.raises(FastEngineUnsupported):
-            run_fast(RawProcess(), platform, shape)
-
-    def test_raw_process_scheduler_falls_back_to_des(self):
-        """engine="fast" transparently re-launches raw-process
-        schedulers (here: one using a kernel interrupt) on the DES."""
-        from repro.sim.core import Interrupt
-
-        platform = Platform.homogeneous(1, c=1.0, w=0.5, m=50)
-        shape = ProblemShape(r=2, s=2, t=2, q=2)
-
-        class Interrupting(HoLM):
-            """Static HoLM run plus a watchdog process that starts and
-            interrupts a dummy sleeper — exercising kernel features the
-            fast engine cannot host."""
-
-            name = "Interrupting"
-            interrupted = False
-
-            def launch(self, engine):
-                if isinstance(engine, Engine):
-                    outer = self
-
-                    def sleeper():
-                        try:
-                            yield engine.env.timeout(1e9)
-                        except Interrupt:
-                            outer.interrupted = True
-
-                    def watchdog(victim):
-                        yield engine.env.timeout(1.0)
-                        victim.interrupt("deadline")
-
-                    victim = engine.env.process(sleeper())
-                    engine.env.process(watchdog(victim))
-                    super().launch(engine)
-                else:
-                    # On the fast engine the raw processes cannot run.
-                    def dummy():
-                        yield None
-
-                    engine.env.process(dummy())
-
-        scheduler = Interrupting()
-        trace = run_scheduler(scheduler, platform, shape, engine="fast")
-        reference = run_scheduler(HoLM(), platform, shape, engine="des")
-        assert scheduler.interrupted
-        assert trace.comms == reference.comms
-        assert trace.computes == reference.computes
 
 
 class TestExperimentRowParity:
@@ -468,57 +402,3 @@ class TestScenarioParity:
                 scenario=scenario,
             )
             assert np.array_equal(c_des.array, c_fast.array), cls.name
-
-
-class TestFallbackDataIntegrity:
-    """The fast→DES fallback must never double-apply numeric updates."""
-
-    def test_fallback_with_data_yields_correct_C(self):
-        """Regression: a raw-process scheduler with data= attached must
-        produce a numerically correct C after the DES fallback — the
-        abandoned fast attempt may not have touched it."""
-        platform = Platform.homogeneous(2, c=1.0, w=0.5, m=50)
-        shape = ProblemShape(r=3, s=3, t=2, q=2)
-
-        class RawTail(HoLM):
-            """Chunk agents first, then a raw process: the fast launch
-            registers real work before discovering it must bail."""
-
-            name = "RawTail"
-
-            def launch(self, engine):
-                super().launch(engine)
-
-                def tick():
-                    yield engine.env.timeout(1.0)
-
-                engine.env.process(tick())
-
-        a, b, c0 = make_product_instance(shape, seed=11)
-        c_fallback = c0.copy()
-        trace = run_scheduler(
-            RawTail(), platform, shape, data=(a, b, c_fallback), engine="fast"
-        )
-        expected = a.array @ b.array + c0.array
-        assert np.allclose(c_fallback.array, expected)
-        assert trace.total_updates == shape.total_updates
-
-    def test_fast_attempt_sees_none_data(self):
-        """Structural guarantee: until launch succeeds, the fast engine
-        holds no reference to the numeric data at all."""
-        from repro.engine.fast import run_fast
-
-        platform = Platform.homogeneous(1, c=1.0, w=0.5, m=50)
-        shape = ProblemShape(r=2, s=2, t=2, q=2)
-        seen = {}
-
-        class Recorder(HoLM):
-            name = "Recorder"
-
-            def launch(self, engine):
-                seen["data"] = engine.data
-                super().launch(engine)
-
-        a, b, c0 = make_product_instance(shape, seed=3)
-        run_fast(Recorder(), platform, shape, data=(a, b, c0.copy()))
-        assert seen["data"] is None

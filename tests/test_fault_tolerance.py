@@ -178,12 +178,13 @@ class TestChaosSpec:
             fail=0.2, hang=0.1, crash=0.05, hang_s=2.0, seed=7, sticky=3
         )
         assert ChaosSpec.parse("fail=0.5,sticky=permanent").sticky == -1
+        assert ChaosSpec.parse("seed=-1").seed == -1
         assert not ChaosSpec.parse("").active
 
     @pytest.mark.parametrize(
         "arg",
         ["fail", "bogus=1", "fail=2.0", "sticky=0", "hang_s=nan", "hang_s=inf",
-         "drop=0.1"],
+         "drop=0.1", "seed=permanent"],
     )
     def test_parse_rejects(self, arg):
         with pytest.raises(ValueError):

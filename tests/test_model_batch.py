@@ -14,7 +14,6 @@ import pytest
 
 from repro.blocks import ProblemShape
 from repro.engine import BatchItem, run_model_batch, run_scheduler
-from repro.engine.model import ModelEngineUnsupported
 from repro.platform import Platform, perturbed, scaled_bandwidth
 from repro.scenarios import Scenario
 from repro.schedulers import HoLM, section8_scheduler
@@ -23,16 +22,11 @@ SHAPE = ProblemShape(r=14, s=36, t=40)
 BASE = Platform.homogeneous(6, c=1.0, w=0.5, m=24)
 
 
-class RawProcess(HoLM):
-    """A scheduler the model tier rejects: it launches a raw process."""
+class BadGap(HoLM):
+    """A scheduler whose plan no engine accepts: gap 3 is no layout."""
 
-    name = "RawProcess"
-
-    def launch(self, engine):
-        def agent():
-            yield
-
-        engine.env.process(agent(), name="raw")
+    name = "BadGap"
+    generation_gap = 3
 
 
 def _item(algo, platform=BASE, shape=SHAPE, **kw):
@@ -85,9 +79,8 @@ class TestBatchLoop:
         assert counters == {"vectorized": 0, "scalar": 0}
 
     def test_first_failing_item_propagates(self):
-        """No silent fallback tier: the model engine's rejection of the
-        first bad item surfaces as-is, ahead of a later item's own
-        error, and nothing after it runs."""
+        """The first bad item's error surfaces as-is, ahead of a later
+        item's own error, and nothing after it runs."""
         evaluated = []
 
         def counted(algo):
@@ -99,12 +92,12 @@ class TestBatchLoop:
         tiny = Platform.homogeneous(2, c=1.0, w=0.5, m=2)
         items = [
             BatchItem(counted("HoLM"), BASE, SHAPE, engine="model"),
-            BatchItem(RawProcess, BASE, SHAPE, engine="model"),
+            BatchItem(BadGap, BASE, SHAPE, engine="model"),
             BatchItem(counted("ODDOML"), tiny, SHAPE, engine="model"),
         ]
         with pytest.raises(ValueError, match="too small"):
             _scalar(items[2])
         evaluated.clear()
-        with pytest.raises(ModelEngineUnsupported):
+        with pytest.raises(ValueError, match="generation_gap"):
             run_model_batch(items)
         assert evaluated == ["HoLM"]

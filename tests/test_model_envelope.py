@@ -33,12 +33,7 @@ import pytest
 
 from repro.analysis import summarize_trace
 from repro.blocks import ProblemShape, make_product_instance
-from repro.engine import (
-    ModelEngineUnsupported,
-    run_model,
-    run_scheduler,
-    tile_chunks,
-)
+from repro.engine import AgentSpec, run_model, run_scheduler, tile_chunks
 from repro.platform import Platform, Worker, table2_platform, ut_cluster_platform
 from repro.scenarios import Scenario
 from repro.schedulers import (
@@ -294,24 +289,6 @@ class TestContract:
                 HoLM(), platform, shape, data=data, engine="model"
             )
 
-    def test_raw_process_raises_unsupported(self):
-        """No silent DES fallback: the caller chose the model tier for
-        its cost profile, so an inestimable scheduler is an error."""
-        shape = ProblemShape(r=4, s=4, t=2, q=2)
-        platform = Platform.homogeneous(2, c=1.0, w=1.0, m=200)
-
-        class RawProcess(HoLM):
-            name = "RawProcess"
-
-            def launch(self, engine):
-                def agent():
-                    yield
-
-                engine.env.process(agent(), name="raw")
-
-        with pytest.raises(ModelEngineUnsupported):
-            run_model(RawProcess(), platform, shape)
-
     def test_memory_cap_enforced(self):
         shape = ProblemShape(r=4, s=4, t=2, q=2)
         platform = Platform.homogeneous(2, c=1.0, w=1.0, m=10)
@@ -319,11 +296,9 @@ class TestContract:
         class Oversized(HoLM):
             name = "Oversized"
 
-            def launch(self, engine):
+            def agents(self, platform, shape):
                 # mu=4 tile needs 16 C buffers > 10.
-                engine.env.process(
-                    engine.static_agent(0, tile_chunks(shape, 4), 2)
-                )
+                return [AgentSpec(0, tile_chunks(shape, 4), 2)]
 
         with pytest.raises(RuntimeError, match="memory exceeded"):
             run_model(Oversized(), platform, shape)
@@ -336,10 +311,10 @@ class TestContract:
         class OversizedSecond(HoLM):
             name = "OversizedSecond"
 
-            def launch(self, engine):
+            def agents(self, platform, shape):
                 # A 1x1 tile fits; the mu=4 tile after it does not.
                 chunks = [tile_chunks(shape, 1)[0], tile_chunks(shape, 4)[0]]
-                engine.env.process(engine.static_agent(0, chunks, 2))
+                return [AgentSpec(0, chunks, 2)]
 
         # The check fires when the oversized chunk starts, after the
         # first chunk's C tile has returned at t=7.

@@ -25,8 +25,7 @@ import numpy as np
 import pytest
 
 from repro.blocks import ProblemShape
-from repro.engine import run_scheduler, tile_chunks
-from repro.engine.engine import ChunkQueue
+from repro.engine import AgentSpec, ChunkQueue, run_scheduler, tile_chunks
 from repro.platform import Platform, Worker, perturbed, ut_cluster_platform
 from repro.scenarios import Scenario
 from repro.schedulers import SECTION8_SCHEDULERS, section8_scheduler
@@ -83,11 +82,9 @@ class MixedGapQueue(DemandChunkScheduler):
     def build_chunks(self, shape, param):
         return tile_chunks(shape, param)
 
-    def launch(self, engine) -> None:
-        chunks = self.build_chunks(engine.shape, self.chunk_param(0))
-        queue = ChunkQueue(chunks)
-        engine.env.process(engine.demand_agent(0, queue, 1))
-        engine.env.process(engine.demand_agent(1, queue, 2))
+    def agents(self, platform, shape):
+        queue = ChunkQueue(self.build_chunks(shape, self.chunk_param(0)))
+        return [AgentSpec(0, queue, 1), AgentSpec(1, queue, 2)]
 
 
 def _cases():
@@ -158,6 +155,8 @@ def test_stationary_loop_matches_general_loop(case_id):
 def test_shared_queue_is_drained_once():
     platform = Platform.homogeneous(2, c=1.0, w=3.0, m=100)
     shape = ProblemShape(r=7, s=8, t=3, q=2)
+    first, second = MixedGapQueue().agents(platform, shape)
+    assert first.queue is second.queue and (first.gap, second.gap) == (1, 2)
     stationary = run_scheduler(MixedGapQueue(), platform, shape, engine="model")
     general = run_scheduler(
         MixedGapQueue(), platform, shape, engine="model",

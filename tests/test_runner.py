@@ -606,9 +606,9 @@ class TestManifest:
         a.put("s", "ab03", {}, 3)
         for cache in (a, b):
             assert cache.manifest_keys("s") == {"ab01", "ab02", "ab03"}
-            assert cache.get_many("s", ["ab01", "ab02", "ab03"]) == {
-                "ab01": 1, "ab02": 2, "ab03": 3,
-            }
+            assert [cache.get("s", k) for k in ("ab01", "ab02", "ab03")] == [
+                (1, True), (2, True), (3, True),
+            ]
         assert len(list((tmp_path / "s").iterdir())) == 1
 
     def test_clear_counts_do_not_stat(self, tmp_path):
@@ -741,7 +741,8 @@ class TestManifestCompaction:
         assert cache.manifest_keys("s") == {"k0", "k1"}
         cache.quarantined("s")
         cache.stats()
-        cache.get_many("s", ["k0", "k1"])
+        cache.get("s", "k0")
+        cache.get("s", "k1")
         assert {p: p.read_bytes() for p in (tmp_path / "s").iterdir()} == before
 
     def test_small_journals_never_churn(self, tmp_path):
@@ -780,8 +781,8 @@ class TestManifestCompaction:
 
 
 class TestBulkIO:
-    """put_many/get_many: a resolved batch costs one journal append
-    and one fsync per shard touched, never one per point."""
+    """put_many: a resolved batch costs one journal append and one
+    fsync per shard touched, never one per point."""
 
     ENTRIES = [
         ("ab0000", {"i": 0}, 0),
@@ -822,13 +823,6 @@ class TestBulkIO:
             k for k, _, _ in self.ENTRIES
         )
 
-    def test_get_many_returns_hits_only(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put_many("s", self.ENTRIES)
-        keys = [k for k, _, _ in self.ENTRIES]
-        hits = cache.get_many("s", keys + ["ab9999", "ee0000"])
-        assert hits == {k: v for k, _, v in self.ENTRIES}
-
     def test_stats_fold_is_memoized_on_snapshot(self, tmp_path, monkeypatch):
         """Repeated reads of an unchanged segment cost one stat, not a
         re-read+re-fold (the code_version() trick)."""
@@ -851,24 +845,19 @@ class TestBulkIO:
         assert cache.stats().entries == first.entries + 1
 
 
-def _raw_process_point(params):
-    """A point whose scheduler registers a raw kernel process, which
-    only the DES can run."""
-    from repro.blocks import ProblemShape
+def _numeric_point(params):
+    """A point that multiplies real matrices, which only the simulating
+    engines can do."""
+    from repro.blocks import ProblemShape, make_product_instance
     from repro.engine import run_scheduler
     from repro.platform import Platform
     from repro.schedulers import HoLM
 
-    class RawProcess(HoLM):
-        def launch(self, engine):
-            def agent():
-                yield
-
-            engine.env.process(agent(), name="raw")
-
+    shape = ProblemShape(r=4, s=4, t=2, q=2)
     trace = run_scheduler(
-        RawProcess(), Platform.homogeneous(2, c=1.0, w=1.0, m=200),
-        ProblemShape(r=4, s=4, t=2, q=2), engine=params.get("engine", "fast"),
+        HoLM(), Platform.homogeneous(2, c=1.0, w=1.0, m=200), shape,
+        data=make_product_instance(shape, seed=params["x"]),
+        engine=params.get("engine", "fast"),
     )
     return {"makespan_s": trace.makespan}
 
@@ -920,7 +909,7 @@ class TestPrescreen:
         from repro.runner import PrescreenUnsupported, prescreen_sweep
 
         sweep = Sweep(
-            name="raw", run_fn=_raw_process_point,
+            name="numeric", run_fn=_numeric_point,
             points=({"x": 0}, {"x": 1}),
         )
         with pytest.raises(PrescreenUnsupported, match="engine='model'"):
