@@ -72,15 +72,18 @@ def test_cache_scale_100k(tmp_path, benchmark):
 
     # Cold info read: O(segments) folds.
     fresh = ResultCache(tmp_path)
+    t0 = time.perf_counter()
     stats = benchmark.pedantic(
         fresh.stats, rounds=1, iterations=1, warmup_rounds=0
     )
+    round_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     fresh.stats()
     warm_s = time.perf_counter() - t0
     assert stats.entries == N_ENTRIES
     assert dict(stats.shards_per_sweep)["scale"] == len(segments)
-    cold_s = benchmark.stats.stats.min
+    # Under --benchmark-disable the plugin runs the round untimed.
+    cold_s = benchmark.stats.stats.min if benchmark.stats else round_s
     assert cold_s < INFO_BUDGET_S, (
         f"cold stats() took {cold_s:.2f}s over {N_ENTRIES} entries "
         f"(budget {INFO_BUDGET_S:g}s) — index read is no longer O(shards)"

@@ -1,11 +1,17 @@
-"""Setup shim.
+"""Setup shim: the package's build metadata.
 
-The build metadata lives in ``pyproject.toml``.  This file exists so that
-``pip install -e .`` works on minimal environments that lack the
-``wheel`` package (pip then falls back to the legacy ``setup.py
-develop`` code path, which has no wheel dependency).
+``src/repro`` is the one package, laid out under ``src/``.  A plain
+``setup.py`` (no ``pyproject.toml``) keeps ``pip install -e .`` working
+on minimal environments that lack the ``wheel`` package (pip then falls
+back to the legacy ``setup.py develop`` code path, which has no wheel
+dependency).
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

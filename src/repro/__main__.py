@@ -9,7 +9,6 @@ Usage::
     python -m repro sweep all --jobs 8 --scale 8
     python -m repro sweep fig10 --engine des    # force the DES oracle
     python -m repro sweep fig10 --engine model  # analytic estimates only
-    python -m repro sweep fig10 --prescreen 5   # model-rank, simulate top 5
     python -m repro sweep fig10 --resume        # finish a killed sweep
     python -m repro sweep robustness --scenario dropout:0.5
     python -m repro sweep fig10 --retries 2 --timeout 60      # fault tolerant
@@ -63,7 +62,7 @@ def _print_experiment_list() -> None:
         "\nSubcommands:\n"
         "  sweep NAME [--jobs N] [--resume] [--keep-going] [--no-cache]\n"
         "             [--cache-dir D] [--scale K] [--engine fast|des|model]\n"
-        "             [--prescreen K] [--scenario KIND[:SEVERITY]]\n"
+        "             [--scenario KIND[:SEVERITY]]\n"
         "             [--retries N] [--timeout S] [--max-failures M]\n"
         "             [--chaos SPEC] [--retry-quarantined]\n"
         "             run NAME's campaign through the parallel cached runner\n"
@@ -135,13 +134,6 @@ def _cmd_sweep(argv: list[str]) -> int:
              "validated error envelope — see docs/engines.md)",
     )
     parser.add_argument(
-        "--prescreen", type=float, default=None, metavar="K",
-        help="rank every sweep point with the analytic model engine first "
-             "and fully simulate only the K best (an integer count, or a "
-             "fraction in (0,1) of each sweep).  Sweeps the model cannot "
-             "screen run unfiltered with a warning",
-    )
-    parser.add_argument(
         "--scenario", default=None, metavar="KIND[:SEVERITY]",
         help="narrow scenario-aware campaigns (e.g. 'sweep robustness') to "
              "one non-stationarity family: drift, dropout, congestion, "
@@ -208,13 +200,6 @@ def _cmd_sweep(argv: list[str]) -> int:
 
     if args.resume and args.no_cache:
         print("bad arguments: --resume needs the cache (drop --no-cache)")
-        return 2
-    if args.prescreen is not None and not (
-        0 < args.prescreen < 1
-        or (args.prescreen >= 1 and args.prescreen.is_integer())
-    ):
-        print("bad arguments: --prescreen must be an integer count or a "
-              "fraction in (0,1)")
         return 2
     if args.scale is not None and args.scale < 1:
         print("bad arguments: --scale must be a positive integer")
@@ -293,33 +278,6 @@ def _cmd_sweep(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"bad arguments: {exc}")
         return 2
-
-    if args.prescreen is not None:
-        from dataclasses import replace
-
-        from repro.runner import PrescreenUnsupported, prescreen_sweep
-
-        screened = []
-        for campaign in campaigns:
-            sweeps = []
-            for swp in campaign.sweeps:
-                try:
-                    result = prescreen_sweep(swp, keep=args.prescreen)
-                except PrescreenUnsupported as exc:
-                    print(
-                        f"[{swp.name}] prescreen skipped: {exc}",
-                        file=sys.stderr,
-                    )
-                    sweeps.append(swp)
-                else:
-                    print(
-                        f"[{swp.name}] prescreen kept {result.kept} of "
-                        f"{len(result.scored)} points",
-                        file=sys.stderr,
-                    )
-                    sweeps.append(result.sweep)
-            screened.append(replace(campaign, sweeps=tuple(sweeps)))
-        campaigns = screened
 
     import os
 

@@ -28,7 +28,7 @@ from repro.runner.backends import (
     create_backend,
     resolve_backend,
 )
-from repro.runner.backends import LAZY as _LAZY_BACKENDS
+from repro.runner.backends import LAZY as _LAZY
 from repro.runner.cache import (
     CacheStats,
     ResultCache,
@@ -67,13 +67,10 @@ __all__ = [
     "FailureReport",
     "PointOutcome",
     "PointTimeout",
-    "PrescreenResult",
-    "PrescreenUnsupported",
     "ProcessBackend",
     "Progress",
     "ResultCache",
     "RetryPolicy",
-    "ScoredPoint",
     "SerialBackend",
     "Sweep",
     "SweepPointError",
@@ -84,27 +81,15 @@ __all__ = [
     "code_version",
     "create_backend",
     "default_cache_dir",
-    "default_score",
     "point_key",
-    "prescreen_sweep",
     "resolve_backend",
     "run_campaign",
     "run_sweep",
     "stamp_points",
 ]
 
-#: Names served on first use: name -> defining module.
-_LAZY = {
-    **_LAZY_BACKENDS,
-    **dict.fromkeys(
-        ("PrescreenResult", "PrescreenUnsupported", "ScoredPoint",
-         "default_score", "prescreen_sweep"),
-        "repro.runner.prescreen",
-    ),
-}
 
-
-def __getattr__(name: str):  # backend classes and prescreen load on first use
+def __getattr__(name: str):  # backend classes load on first use
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -352,7 +352,10 @@ class ResultCache:
         """Delete all results (or one sweep's); returns the count removed.
 
         Whole sweep directories go, so anything an older layout left
-        beside the segments goes with them.
+        beside the segments goes with them.  A directory counts as a
+        sweep only if it holds a segment or is empty: anything else
+        under the root (say a source tree behind a mistyped
+        ``--cache-dir``) is left alone.
         """
         if sweep is not None:
             targets = [self.root / sweep]
@@ -362,6 +365,8 @@ class ResultCache:
             targets = []
         removed = 0
         for target in targets:
+            if not self._segments(target.name) and any(target.glob("*")):
+                continue
             removed += len(self.manifest_keys(target.name))
             shutil.rmtree(target, ignore_errors=True)
         self._memo.clear()

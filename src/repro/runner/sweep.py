@@ -59,8 +59,7 @@ def stamp_points(
     """Stamp shared knob values into every point of a sweep.
 
     The uniform way cross-cutting knobs reach the points: experiment
-    declarations stamp the simulation ``engine``, and the prescreen
-    stamps ``engine="model"`` onto the points it ranks.  The knob lands
+    declarations stamp the simulation ``engine``.  The knob lands
     in each point mapping, so it reaches the pure per-point function,
     participates in the cache key, and crosses process boundaries like
     any other parameter.  ``None`` values are skipped (knob not

@@ -102,14 +102,10 @@ class TestRegistry:
             "    backend = runner.create_backend(name, jobs=2)\n"
             "    out['built'][name] = backend.name\n"
             "    backend.close()\n"
-            "from repro.runner import (ChaosSpec,\n"
-            "    ProcessBackend, prescreen_sweep, PrescreenUnsupported)\n"
+            "from repro.runner import ChaosSpec, ProcessBackend\n"
             "from repro.runner.backends import chaos, process\n"
-            "from repro.runner import prescreen\n"
             "out['same'] = [ChaosSpec is chaos.ChaosSpec,\n"
-            "    ProcessBackend is process.ProcessBackend,\n"
-            "    prescreen_sweep is prescreen.prescreen_sweep,\n"
-            "    PrescreenUnsupported is prescreen.PrescreenUnsupported]\n"
+            "    ProcessBackend is process.ProcessBackend]\n"
             "import repro.simple.thrifty\n"
             "from repro.simple import thrifty\n"
             "out['thrifty'] = thrifty is sys.modules['repro.simple.thrifty'].thrifty\n"
@@ -134,7 +130,7 @@ class TestRegistry:
             "available: chaos, process, serial"
         )
         assert out["built"] == {name: name for name in names}
-        assert out["same"] == [True] * 4
+        assert out["same"] == [True] * 2
         assert out["thrifty"] is True
 
 

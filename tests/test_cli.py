@@ -36,15 +36,18 @@ class TestExitCodes:
         assert cli_main(["sweep", "nonsense"]) == 2
         assert "unknown experiment" in capsys.readouterr().out
 
-    def test_bad_backend_is_two(self, tmp_path, capsys):
-        """``--jobs`` alone selects the backend: ``--backend`` is no
-        option, whatever its value, and nothing is computed."""
-        for backend in ("quantum", "serial", "process"):
-            argv = _sweep_argv(tmp_path, "--backend", backend)
-            assert cli_main(argv) == 2
-            assert "unrecognized arguments: --backend" in (
-                capsys.readouterr().err
-            )
+    def test_removed_option_is_two(self, tmp_path, capsys):
+        """Retired options are no options, whatever their value, and
+        nothing is computed: ``--jobs`` alone selects the backend, and
+        no ``--prescreen`` model-ranks the points first."""
+        for option, value in (
+            ("--backend", "quantum"), ("--backend", "serial"),
+            ("--backend", "process"), ("--prescreen", "5"),
+        ):
+            assert cli_main(_sweep_argv(tmp_path, option, value)) == 2
+            captured = capsys.readouterr()
+            assert f"unrecognized arguments: {option}" in captured.err
+            assert "Traceback" not in captured.err
         assert not list(tmp_path.rglob("*.jsonl"))
 
     def test_resume_without_cache_is_two(self, tmp_path, capsys):
@@ -186,10 +189,21 @@ class TestCacheCommand:
         assert "entries   : 5" in capsys.readouterr().out
 
     def test_clear(self, tmp_path, capsys):
+        """Sweep directories go; a directory that holds no segment and is
+        not empty (a source tree behind a mistyped ``--cache-dir``) stays."""
         ResultCache(tmp_path).put("s", "k", {}, 1)
+        (tmp_path / "empty").mkdir()
+        files = {"src/a.py": "x = 1\n", "docs/b.md": "# b\n", "README": "r"}
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
         assert cli_main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         assert "removed 1" in capsys.readouterr().out
         assert ResultCache(tmp_path).stats().entries == 0
+        assert not (tmp_path / "s").exists()
+        assert not (tmp_path / "empty").exists()
+        for name, text in files.items():
+            assert (tmp_path / name).read_text() == text
 
     def test_compact_folds_dead_history(self, tmp_path, capsys):
         cache = ResultCache(tmp_path)
@@ -338,13 +352,8 @@ class TestFaultToleranceFlags:
             ("--timeout", "nan"),
             # Used to crash in the pool with "timestamp out of range".
             ("--timeout", "inf", "--jobs", "2"),
-            # Used to crash converting NaN to a point count.
-            ("--prescreen", "nan"),
-            # Used to run truncated to "prescreen kept 2 of 21 points".
-            ("--prescreen", "2.5"),
         ],
-        ids=["retries=-1", "timeout=nan", "timeout=inf", "prescreen=nan",
-             "prescreen=2.5"],
+        ids=["retries=-1", "timeout=nan", "timeout=inf"],
     )
     def test_bad_number_is_two(self, tmp_path, capsys, extra):
         assert cli_main(_sweep_argv(tmp_path, *extra)) == 2
@@ -501,10 +510,9 @@ class TestStartupCost:
         """Backends load by name on first use, ``repro.core`` re-exports
         nothing and ``fig04`` builds its instances inside its point
         function: a warm ``--jobs 1`` sweep loads none of the pools,
-        ``socket``, the prescreen, the LP code or ``repro.simple``."""
+        ``socket``, the LP code or ``repro.simple``."""
         unused = (
-            "multiprocessing", "socket",
-            "repro.runner.prescreen", "repro.runner.backends.process",
+            "multiprocessing", "socket", "repro.runner.backends.process",
             "repro.runner.backends.chaos",
             "repro.core.bounds",
             "repro.core.homogeneous", "repro.core.heterogeneous",

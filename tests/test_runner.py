@@ -845,92 +845,6 @@ class TestBulkIO:
         assert cache.stats().entries == first.entries + 1
 
 
-def _numeric_point(params):
-    """A point that multiplies real matrices, which only the simulating
-    engines can do."""
-    from repro.blocks import ProblemShape, make_product_instance
-    from repro.engine import run_scheduler
-    from repro.platform import Platform
-    from repro.schedulers import HoLM
-
-    shape = ProblemShape(r=4, s=4, t=2, q=2)
-    trace = run_scheduler(
-        HoLM(), Platform.homogeneous(2, c=1.0, w=1.0, m=200), shape,
-        data=make_product_instance(shape, seed=params["x"]),
-        engine=params.get("engine", "fast"),
-    )
-    return {"makespan_s": trace.makespan}
-
-
-class TestPrescreen:
-    """prescreen_sweep: model-rank every point, keep the best few."""
-
-    @staticmethod
-    def _model_scores(sweep):
-        return [
-            sweep.run_fn({**params, "engine": "model"})["makespan_s"]
-            for params in sweep.points
-        ]
-
-    @pytest.mark.parametrize("keep, kept", [(3, 3), (0.25, 6)])
-    def test_keeps_the_best_by_count_or_fraction(self, keep, kept):
-        from repro.runner import prescreen_sweep
-
-        sweep = fig10.sweep(scale=8)
-        scores = self._model_scores(sweep)
-        best = sorted(range(len(scores)), key=lambda i: (scores[i], i))[:kept]
-        result = prescreen_sweep(sweep, keep=keep)
-        assert result.kept == kept
-        assert result.dropped == len(sweep.points) - kept
-        assert [sp.score for sp in result.scored] == sorted(scores)
-        assert result.sweep.points == tuple(
-            sweep.points[i] for i in sorted(best)
-        )
-
-    def test_kept_points_are_the_original_mappings(self):
-        from repro.runner import prescreen_sweep
-
-        sweep = fig10.sweep(scale=8)
-        keys = {point_key("fig10", p, "k") for p in sweep.points}
-        result = prescreen_sweep(sweep, keep=5)
-        for params in result.sweep.points:
-            assert any(params is original for original in sweep.points)
-            assert "engine" not in params or params["engine"] == "fast"
-            assert point_key("fig10", params, "k") in keys
-
-    @pytest.mark.parametrize("keep", [0, -1, 2.5, float("nan")])
-    def test_bad_keep_is_rejected(self, keep):
-        from repro.runner import prescreen_sweep
-
-        with pytest.raises(ValueError, match="keep must be"):
-            prescreen_sweep(fig10.sweep(scale=8), keep=keep)
-
-    def test_sweep_that_cannot_run_under_the_model_raises(self):
-        from repro.runner import PrescreenUnsupported, prescreen_sweep
-
-        sweep = Sweep(
-            name="numeric", run_fn=_numeric_point,
-            points=({"x": 0}, {"x": 1}),
-        )
-        with pytest.raises(PrescreenUnsupported, match="engine='model'"):
-            prescreen_sweep(sweep, keep=1)
-
-    def test_cli_prescreen_prints_the_kept_rows(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        from repro.__main__ import main as cli_main
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        argv = ["sweep", "fig10", "--scale", "8", "--prescreen", "3"]
-        assert cli_main(argv) == 0
-        out = capsys.readouterr().out
-        table = out.split("Figure 10:", 1)[1].split("\n\n", 1)[0]
-        lines = table.strip().splitlines()
-        assert lines[1].startswith("workload") and set(lines[2]) <= {"-", " "}
-        assert len(lines[3:]) == 3
-        assert "fig10: 0 cached, 3 computed" in out
-
-
 class TestSweepShards:
     def test_shards_count_the_shard_directories_written(self, tmp_path):
         cache = ResultCache(tmp_path)
