@@ -26,6 +26,7 @@ from repro.runner import (
     point_key,
     run_campaign,
     run_sweep,
+    stamp_points,
 )
 
 
@@ -172,6 +173,83 @@ class TestResultCache:
         assert cache.clear() == 1
         assert cache.stats().entries == 0
 
+
+class TestClearLeavesWhatIsNotASweep:
+    """``clear`` removes a directory only if it holds a segment
+    (``??.jsonl``) or is empty: a mistyped cache root must not lose
+    whatever else lives there."""
+
+    @pytest.mark.parametrize(
+        "files",
+        [
+            {"a.py": "x = 1\n", "b.md": "# b\n"},
+            {"sub/x.txt": "x"},
+            {".env": "KEY=1\n"},
+            {"notes.jsonl": "{}\n", "abc.jsonl": "{}\n"},
+            {"sub/ab.jsonl": '{"op":"put","key":"ab","result":1}\n'},
+        ],
+        ids=["files", "nested-only", "dotfile-only", "not-a-segment-name",
+             "segment-one-level-down"],
+    )
+    def test_directory_without_a_segment_stays(self, tmp_path, files):
+        cache = ResultCache(tmp_path)
+        cache.put("s", "k", {}, 1)
+        for name, text in files.items():
+            path = tmp_path / "foreign" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        assert cache.clear() == 1
+        assert cache.clear("foreign") == 0
+        assert not (tmp_path / "s").exists()
+        for name, text in files.items():
+            assert (tmp_path / "foreign" / name).read_text() == text
+
+    def test_empty_directory_goes(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        assert ResultCache(tmp_path).clear("empty") == 0
+        assert not (tmp_path / "empty").exists()
+
+    def test_missing_root_is_left_missing(self, tmp_path):
+        root = tmp_path / "nope"
+        assert ResultCache(root).clear() == 0
+        assert not root.exists()
+
+    def test_linked_directory_keeps_its_target(self, tmp_path):
+        """A symlink under the root is never followed into: the directory
+        it points at keeps its segments."""
+        elsewhere = ResultCache(tmp_path / "elsewhere")
+        elsewhere.put("s", "k", {}, 1)
+        root = tmp_path / "root"
+        root.mkdir()
+        (root / "link").symlink_to(tmp_path / "elsewhere" / "s")
+        ResultCache(root).clear()
+        assert elsewhere.manifest_keys("s") == {"k"}
+        assert elsewhere.get("s", "k") == (1, True)
+
+
+class TestStampPoints:
+    def test_knob_lands_in_every_point(self):
+        points = ({"x": 1}, {"x": 2})
+        stamped = stamp_points(points, engine="model")
+        assert stamped == ({"x": 1, "engine": "model"},
+                           {"x": 2, "engine": "model"})
+        assert points == ({"x": 1}, {"x": 2})
+
+    def test_none_knobs_leave_the_points_as_they_are(self):
+        points = [{"x": 1}, {"x": 2}]
+        stamped = stamp_points(points, engine=None)
+        assert stamped == tuple(points)
+        assert all(a is b for a, b in zip(stamped, points))
+
+    def test_knob_overrides_the_point_value(self):
+        stamped = stamp_points(({"x": 1, "engine": "des"},), engine="fast")
+        assert stamped == ({"x": 1, "engine": "fast"},)
+
+    def test_knob_is_part_of_the_cache_key(self):
+        (fast,) = stamp_points(({"x": 1},), engine="fast")
+        (model,) = stamp_points(({"x": 1},), engine="model")
+        assert point_key("s", fast, "c") != point_key("s", model, "c")
+        assert point_key("s", fast, "c") != point_key("s", {"x": 1}, "c")
 
 class TestRunSweep:
     def test_cold_run_computes_every_point(self, tmp_path):
