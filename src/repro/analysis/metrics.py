@@ -37,11 +37,11 @@ class TraceSummary:
 def summarize_trace(trace: Trace) -> TraceSummary:
     """Condense a trace into a :class:`TraceSummary`.
 
-    Vectorised over the trace's memoized column arrays (shared with the
-    invariant checks).  The naive property-by-property route re-walks
-    the interval lists once per metric (and once per worker for the
-    utilisations), which at sweep scale costs as much as the simulation
-    itself.
+    Vectorised over the trace's column views (shared with the invariant
+    checks); it never builds the interval lists.  The naive
+    property-by-property route re-walks the intervals once per metric
+    (and once per worker for the utilisations), which at sweep scale
+    costs as much as the simulation itself.
 
     Also accepts a :class:`~repro.engine.model.ModelEstimate` (anything
     with a ``to_summary``): the model engine has no interval lists, so
@@ -51,10 +51,8 @@ def summarize_trace(trace: Trace) -> TraceSummary:
     to_summary = getattr(trace, "to_summary", None)
     if to_summary is not None:
         return to_summary()
-    comms = trace.comms
-    computes = trace.computes
-    if comms:
-        _, c_start, c_end, c_blocks, c_port = trace.comm_columns()
+    _, c_start, c_end, c_blocks, c_port = trace.comm_columns()
+    if c_end.size:
         comm_blocks = int(c_blocks.sum())
         on_port0 = c_port == 0
         port0_busy = float(np.sum(c_end[on_port0] - c_start[on_port0]))
@@ -63,8 +61,8 @@ def summarize_trace(trace: Trace) -> TraceSummary:
         comm_blocks = 0
         port0_busy = 0.0
         last_comm = 0.0
-    if computes:
-        k_worker, k_start, k_end, k_updates = trace.compute_columns()
+    k_worker, k_start, k_end, k_updates = trace.compute_columns()
+    if k_end.size:
         updates = int(k_updates.sum())
         busy = np.bincount(k_worker, weights=k_end - k_start)
         did_update = np.bincount(k_worker, weights=k_updates) > 0

@@ -47,9 +47,13 @@ class ChunkQueue:
     def __len__(self) -> int:
         return len(self._chunks) - self._next
 
+    def pending(self) -> list[Chunk]:
+        """The chunks not yet popped, in queue order; the queue is unchanged."""
+        return self._chunks[self._next:]
+
     def drain(self) -> Iterator[Chunk]:
         """Take every chunk not yet popped, as one iterator, in queue order."""
-        rest = self._chunks[self._next:]
+        rest = self.pending()
         self._next = len(self._chunks)
         return iter(rest)
 

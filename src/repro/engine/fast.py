@@ -44,6 +44,7 @@ machine per entry, in plan order.
 from __future__ import annotations
 
 import gc
+from array import array
 from collections import deque
 from heapq import heappop, heappush
 from typing import Optional, Sequence
@@ -55,7 +56,7 @@ from repro.engine.common import (
     memory_exceeded,
     validate_block_data,
 )
-from repro.engine.trace import CommInterval, ComputeInterval, Trace
+from repro.engine.trace import Trace
 from repro.platform.model import Platform
 from repro.scenarios.model import Scenario
 
@@ -76,6 +77,8 @@ _BG = 3     # a background-traffic hold of the master's port
 _GAP = 0    # buffer-generation gate before the next phase request
 _FINAL = 1  # final-compute gate before the C-out request
 _BGREQ = 2  # background agent waking up to request its next hold
+# Staged comm values (six per interval) that flush at a chunk start.
+_FLUSH_AT = 6 * 1024
 
 
 class _Agent:
@@ -83,7 +86,7 @@ class _Agent:
 
     __slots__ = (
         "widx", "gap", "chunks", "cursor", "queue", "c", "w",
-        "chunk", "phases", "nph", "ab_labels", "upd_labels",
+        "chunk", "phases", "nph", "ab_ids", "upd_ids",
         "end1", "end2",
         "pidx", "stage", "wait_kind", "start", "duration", "blocks",
     )
@@ -158,7 +161,7 @@ class FastEngine:
         inline, hot state lives in local lists indexed by worker, and
         the phase→phase steady state (the overwhelming majority of
         events) runs without a Python-level call beyond the heap
-        primitives and ``tuple.__new__``.
+        primitives and the record staging below.
 
         Port grants are *deferred to the end of the current burst* and
         then, when no other heap entry shares the current timestamp,
@@ -173,8 +176,21 @@ class FastEngine:
         workers = self.platform.workers
         p = self.platform.p
         trace = self.trace
-        comms = trace.comms
-        computes = trace.computes
+        # Intervals are staged as flat rows (one list.extend each), then
+        # copied into the trace's columns, sized once for the whole plan.
+        comm_cols, compute_cols = trace.reserve(
+            *_interval_counts(self.agents, self.scenario)
+        )
+        filled = [0, 0]
+        comm_buf: list = []
+        compute_buf: list = []
+        record_comm = comm_buf.extend
+        record_compute = compute_buf.extend
+        label_id = trace.label_id
+        cin_id = label_id("send", "C-in")
+        cout_id = label_id("recv", "C-out")
+        # Label ids per chunk label sequence, interned once per run.
+        chunk_label_ids: dict[tuple, tuple[list[int], list[int]]] = {}
         compute_done = self.compute_done
         check_memory = self.check_memory
         recv_pid = 1 if self.two_port else 0
@@ -207,9 +223,6 @@ class FastEngine:
         grants: list[_Agent] = []
         push = heappush
         pop = heappop
-        tnew = tuple.__new__
-        _CI = CommInterval
-        _KI = ComputeInterval
         # The kernel's global scheduling counter, stepped by 4 with the
         # entry kind packed in the low bits: entries stay 3-tuples and
         # heap comparisons never reach the agent.
@@ -272,8 +285,20 @@ class FastEngine:
             else:
                 port_queue[0].append(agent)
 
+        def flush(cut: bool = False) -> None:
+            # Copy the staged rows into the columns; ``cut`` also drops any
+            # reserved rows past them (a run stopped by an error).
+            for i, cols, buf in (0, comm_cols, comm_buf), (1, compute_cols, compute_buf):
+                lo = filled[i]
+                filled[i] = hi = lo + len(buf) // len(cols)
+                for k, col in enumerate(cols):
+                    col[lo:None if cut else hi] = array(col.typecode, buf[k::len(cols)])
+                buf.clear()
+
         def start_chunk(agent: _Agent, now: float) -> None:
             # Next chunk (or retire the agent); then the C-in request.
+            if len(comm_buf) >= _FLUSH_AT:
+                flush()
             if agent.queue is not None:
                 chunk = agent.queue.pop()
                 if chunk is None:
@@ -286,8 +311,13 @@ class FastEngine:
             agent.chunk = chunk
             agent.phases = chunk.phases
             agent.nph = len(chunk.phases)
-            agent.ab_labels = chunk.ab_labels
-            agent.upd_labels = chunk.upd_labels
+            ids = chunk_label_ids.get(chunk.ab_labels)
+            if ids is None:  # upd labels follow from the same k ranges
+                ids = chunk_label_ids[chunk.ab_labels] = (
+                    [label_id("send", label) for label in chunk.ab_labels],
+                    [label_id("", label) for label in chunk.upd_labels],
+                )
+            agent.ab_ids, agent.upd_ids = ids
             blocks = chunk.c_blocks
             widx = agent.widx
             used = mem_used[widx]
@@ -327,9 +357,9 @@ class FastEngine:
             else:
                 request_cout(agent, now)
 
-        # The scan allocates millions of small tuples and frees none of
-        # them until the trace is dropped; pausing generational GC for
-        # its duration avoids pointless collection passes.
+        # The scan allocates many small tuples (heap entries, pending
+        # frees, staged records); pausing generational GC for its
+        # duration avoids pointless collection passes.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -392,12 +422,8 @@ class FastEngine:
                     if stage == _PHASE:
                         j = agent.pidx
                         blocks = agent.blocks
-                        comms.append(
-                            tnew(_CI, (
-                                widx + 1, "send", agent.start, now, blocks,
-                                agent.ab_labels[j], 0,
-                            ))
-                        )
+                        record_comm((widx + 1, agent.start, now, blocks, 0,
+                                     agent.ab_ids[j]))
                         waiters = port_queue[0]
                         if waiters:
                             nxt = waiters.popleft()
@@ -415,11 +441,8 @@ class FastEngine:
                         else:
                             end = start + updates * agent.w
                         compute_done[widx] = end
-                        computes.append(
-                            tnew(_KI, (
-                                widx + 1, start, end, updates, agent.upd_labels[j],
-                            ))
-                        )
+                        record_compute((widx + 1, start, end, updates,
+                                        agent.upd_ids[j]))
                         pending_free[widx].append((end, blocks))
                         if has_data:
                             chunk = agent.chunk
@@ -483,12 +506,8 @@ class FastEngine:
                         else:
                             end_of_phases(agent, now)
                     elif stage == _CIN:
-                        comms.append(
-                            tnew(_CI, (
-                                widx + 1, "send", agent.start, now, agent.blocks,
-                                "C-in", 0,
-                            ))
-                        )
+                        record_comm((widx + 1, agent.start, now, agent.blocks,
+                                     0, cin_id))
                         waiters = port_queue[0]
                         if waiters:
                             nxt = waiters.popleft()
@@ -502,12 +521,8 @@ class FastEngine:
                         else:
                             end_of_phases(agent, now)
                     elif stage == _COUT:  # chunk complete: free C tile, next chunk
-                        comms.append(
-                            tnew(_CI, (
-                                widx + 1, "recv", agent.start, now, agent.blocks,
-                                "C-out", recv_pid,
-                            ))
-                        )
+                        record_comm((widx + 1, agent.start, now, agent.blocks,
+                                     recv_pid, cout_id))
                         waiters = port_queue[recv_pid]
                         if waiters:
                             nxt = waiters.popleft()
@@ -529,9 +544,8 @@ class FastEngine:
                         start_chunk(agent, now)
                     else:  # _BG — background hold over: release, next event
                         ev = agent.events[agent.cursor]
-                        comms.append(
-                            tnew(_CI, (0, "send", agent.start, now, 0, ev.label, 0))
-                        )
+                        record_comm((0, agent.start, now, 0, 0,
+                                     label_id("send", ev.label)))
                         waiters = port_queue[0]
                         if waiters:
                             nxt = waiters.popleft()
@@ -668,6 +682,7 @@ class FastEngine:
                         grants.clear()
 
         finally:
+            flush(cut=True)
             if gc_was_enabled:
                 gc.enable()
 
@@ -676,6 +691,18 @@ class FastEngine:
             if peaks[widx]:
                 memory_peak[widx + 1] = peaks[widx]
         return trace
+
+
+def _interval_counts(agents: Sequence[AgentSpec], scenario) -> tuple[int, int]:
+    """Comm and compute intervals a full run of the plan records: per
+    chunk a C-in, a transfer and a computation per phase, and a C-out;
+    one hold per background event."""
+    queues = dict.fromkeys(a.queue for a in agents if a.queue is not None)
+    chunks = [ch for a in agents if a.queue is None for ch in a.chunks]
+    chunks += [ch for queue in queues for ch in queue.pending()]
+    phases = sum(len(ch.phases) for ch in chunks)
+    holds = len(scenario.background) if scenario is not None else 0
+    return phases + 2 * len(chunks) + holds, phases
 
 
 def run_fast(

@@ -12,18 +12,17 @@ communication volume, CCR, port/worker utilisation, enrolled workers)
 and checks the model's structural invariants (port holds never overlap,
 per-worker computations never overlap).
 
-Interval counts scale with the problem's block count, so the metric
-and invariant paths are vectorised: the numeric columns of both
-interval lists are extracted once (via C-level ``itemgetter`` maps into
-``np.fromiter``), memoized against the list lengths, and every
-aggregate reduces in numpy.
+Interval counts scale with the problem's block count, so each interval
+kind is stored as columns in stdlib ``array`` buffers (``'d'`` start and
+end; ``'q'`` worker, blocks or updates, port and an index into a
+``(direction, label)`` table).  Metrics and invariant checks reduce
+zero-copy numpy views of them; interval tuples are built only on read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from array import array
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,9 +32,9 @@ __all__ = ["CommInterval", "ComputeInterval", "Trace"]
 class CommInterval(NamedTuple):
     """One master-port hold.
 
-    A ``NamedTuple`` rather than a dataclass: engines allocate one per
-    transfer in their innermost loop, and tuple construction is several
-    times cheaper than a frozen-dataclass ``__init__``.
+    The value form of one row of a :class:`Trace`'s comm columns: the
+    DES and the LU simulator record through it, and ``Trace.comms``
+    rebuilds these from the columns on demand.
 
     Attributes:
         worker: 1-based worker index.
@@ -67,36 +66,17 @@ class ComputeInterval(NamedTuple):
     label: str = ""
 
 
-def _columns(
-    intervals: Sequence[tuple], spec: tuple[tuple[int, type], ...]
-) -> tuple[np.ndarray, ...]:
-    """Extract numeric columns from a list of interval tuples."""
-    n = len(intervals)
-    return tuple(
-        np.fromiter(map(itemgetter(idx), intervals), dtype, count=n)
-        for idx, dtype in spec
-    )
-
-
-#: (field index, dtype) specs of the numeric columns.
-_COMM_SPEC = (
-    (0, np.int64),    # worker
-    (2, np.float64),  # start
-    (3, np.float64),  # end
-    (4, np.int64),    # blocks
-    (6, np.int64),    # port
-)
-_COMPUTE_SPEC = (
-    (0, np.int64),    # worker
-    (1, np.float64),  # start
-    (2, np.float64),  # end
-    (3, np.int64),    # updates
-)
+def _views(cols) -> tuple[np.ndarray, ...]:
+    """Read-only numpy views sharing the columns' buffers."""
+    return tuple(np.frombuffer(memoryview(c).toreadonly(), c.typecode) for c in cols)
 
 
 def _assert_no_overlap(groups, starts, ends, intervals, what: str) -> None:
-    """Assert no two same-group intervals overlap (beyond 1e-9 slack)."""
-    if len(intervals) < 2:
+    """Assert no two same-group intervals overlap (beyond 1e-9 slack).
+
+    ``intervals()`` builds the interval list, only to name a violation.
+    """
+    if len(groups) < 2:
         return
     order = np.lexsort((ends, starts, groups))
     g = groups[order]
@@ -105,34 +85,66 @@ def _assert_no_overlap(groups, starts, ends, intervals, what: str) -> None:
     bad = np.nonzero((g[1:] == g[:-1]) & (s[1:] < e[:-1] - 1e-9))[0]
     if bad.size:
         i = int(bad[0])
-        prev = intervals[int(order[i])]
-        nxt = intervals[int(order[i + 1])]
+        listed = intervals()
+        prev = listed[int(order[i])]
+        nxt = listed[int(order[i + 1])]
         raise AssertionError(f"{what.format(int(g[i]))}: {prev} then {nxt}")
 
 
-@dataclass
 class Trace:
-    """Timed record of one engine run."""
+    """Timed record of one engine run, stored as typed columns.
 
-    comms: list[CommInterval] = field(default_factory=list)
-    computes: list[ComputeInterval] = field(default_factory=list)
-    memory_peak: dict[int, int] = field(default_factory=dict)
-    #: column caches, keyed by the list length they were built from
-    _comm_cols: Optional[tuple] = field(
-        default=None, repr=False, compare=False
-    )
-    _compute_cols: Optional[tuple] = field(
-        default=None, repr=False, compare=False
-    )
+    The numpy views of :meth:`comm_columns`/:meth:`compute_columns` share
+    the buffers: while one is alive the trace cannot grow (``array``
+    raises ``BufferError``), so take them after recording.
+    """
+
+    __slots__ = ("memory_peak", "_labels", "_label_ids", "_comm", "_compute")
+
+    def __init__(self) -> None:
+        self.memory_peak: dict[int, int] = {}
+        self._labels: list[tuple[str, str]] = []
+        self._label_ids: dict[tuple[str, str], int] = {}
+        self.reserve(0, 0)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.comms, self.computes, self.memory_peak) == (
+            other.comms, other.computes, other.memory_peak
+        )
 
     # -- recording -----------------------------------------------------------
+    def label_id(self, direction: str, label: str) -> int:
+        """Index of ``(direction, label)`` in the trace's label table."""
+        key = (direction, label)
+        idx = self._label_ids.get(key)
+        if idx is None:
+            idx = self._label_ids[key] = len(self._labels)
+            self._labels.append(key)
+        return idx
+
+    def reserve(self, comms: int, computes: int) -> tuple[tuple, tuple]:
+        """Give an empty trace this many zero rows of each kind.
+
+        Returns the comm columns (worker, start, end, blocks, port, label
+        id) and compute columns (worker, start, end, updates, label id)
+        for a writer to fill in place and cut to the rows it wrote.
+        """
+        self._comm = tuple(array(code, [0]) * comms for code in "qddqqq")
+        self._compute = tuple(array(code, [0]) * computes for code in "qddqq")
+        return self._comm, self._compute
+
     def add_comm(self, interval: CommInterval) -> None:
         """Append a communication interval."""
-        self.comms.append(interval)
+        worker, direction, start, end, blocks, label, port = interval
+        label = self.label_id(direction, label)
+        _append(self._comm, (worker, start, end, blocks, port, label))
 
     def add_compute(self, interval: ComputeInterval) -> None:
         """Append a computation interval."""
-        self.computes.append(interval)
+        worker, start, end, updates, label = interval
+        _append(self._compute, (worker, start, end, updates, self.label_id("", label)))
 
     def note_memory(self, worker: int, blocks_in_use: int) -> None:
         """Record a worker's instantaneous buffer usage (keeps the max)."""
@@ -140,39 +152,39 @@ class Trace:
         if blocks_in_use > cur:
             self.memory_peak[worker] = blocks_in_use
 
-    # -- column extraction -------------------------------------------------
-    def comm_columns(self) -> tuple[np.ndarray, ...]:
-        """``(worker, start, end, blocks, port)`` arrays of the comms.
+    # -- intervals -------------------------------------------------------------
+    @property
+    def comms(self) -> list[CommInterval]:
+        """The comm intervals, in order (a fresh list on every read)."""
+        labels = self._labels
+        return [
+            CommInterval(w, labels[k][0], s, e, b, labels[k][1], p)
+            for w, s, e, b, p, k in zip(*self._comm)
+        ]
 
-        Memoized against ``len(self.comms)`` — recording more intervals
-        invalidates the cache, mutating existing ones in place is
-        unsupported (intervals are immutable tuples anyway).
-        """
-        cached = self._comm_cols
-        n = len(self.comms)
-        if cached is None or cached[0] != n:
-            cached = (n, _columns(self.comms, _COMM_SPEC))
-            self._comm_cols = cached
-        return cached[1]
+    @property
+    def computes(self) -> list[ComputeInterval]:
+        """The compute intervals, in order (a fresh list on every read)."""
+        labels = self._labels
+        return [
+            ComputeInterval(w, s, e, u, labels[k][1])
+            for w, s, e, u, k in zip(*self._compute)
+        ]
+
+    # -- column access -------------------------------------------------------
+    def comm_columns(self) -> tuple[np.ndarray, ...]:
+        """``(worker, start, end, blocks, port)`` arrays of the comms."""
+        return _views(self._comm[:5])
 
     def compute_columns(self) -> tuple[np.ndarray, ...]:
         """``(worker, start, end, updates)`` arrays of the computes."""
-        cached = self._compute_cols
-        n = len(self.computes)
-        if cached is None or cached[0] != n:
-            cached = (n, _columns(self.computes, _COMPUTE_SPEC))
-            self._compute_cols = cached
-        return cached[1]
+        return _views(self._compute[:4])
 
     # -- metrics -----------------------------------------------------------------
     @property
     def makespan(self) -> float:
         """Time the last communication or computation finishes."""
-        last_comm = float(self.comm_columns()[2].max()) if self.comms else 0.0
-        last_comp = (
-            float(self.compute_columns()[2].max()) if self.computes else 0.0
-        )
-        return max(last_comm, last_comp)
+        return max(_last(self.comm_columns()[2]), _last(self.compute_columns()[2]))
 
     @property
     def work_makespan(self) -> float:
@@ -184,26 +196,18 @@ class Trace:
         not delay the computation itself.  On traces without background
         intervals the two are identical.
         """
-        if self.comms:
-            worker, _, end, _, _ = self.comm_columns()
-            real = end[worker > 0]
-            last_comm = float(real.max()) if real.size else 0.0
-        else:
-            last_comm = 0.0
-        last_comp = (
-            float(self.compute_columns()[2].max()) if self.computes else 0.0
-        )
-        return max(last_comm, last_comp)
+        worker, _, end, _, _ = self.comm_columns()
+        return max(_last(end[worker > 0]), _last(self.compute_columns()[2]))
 
     @property
     def comm_blocks(self) -> int:
         """Total blocks moved through the master."""
-        return int(self.comm_columns()[3].sum()) if self.comms else 0
+        return int(self.comm_columns()[3].sum())
 
     @property
     def total_updates(self) -> int:
         """Total block updates computed."""
-        return int(self.compute_columns()[3].sum()) if self.computes else 0
+        return int(self.compute_columns()[3].sum())
 
     @property
     def ccr(self) -> float:
@@ -216,15 +220,12 @@ class Trace:
     @property
     def enrolled_workers(self) -> tuple[int, ...]:
         """Sorted indices of workers that computed at least one update."""
-        if not self.computes:
-            return ()
         worker, _, _, updates = self.compute_columns()
-        return tuple(int(w) for w in np.unique(worker[updates > 0]))
+        # Not np.unique: it imports numpy.ma (~1 MB) on its first call.
+        return tuple(sorted(set(worker[updates > 0].tolist())))
 
     def port_busy_time(self, port: int = 0) -> float:
         """Total time the given port was held."""
-        if not self.comms:
-            return 0.0
         _, start, end, _, ports = self.comm_columns()
         mask = ports == port
         return float(np.sum(end[mask] - start[mask]))
@@ -236,8 +237,6 @@ class Trace:
 
     def worker_busy_time(self, worker: int) -> float:
         """Total compute time of one worker."""
-        if not self.computes:
-            return 0.0
         workers, start, end, _ = self.compute_columns()
         mask = workers == worker
         return float(np.sum(end[mask] - start[mask]))
@@ -253,14 +252,28 @@ class Trace:
 
         Raises ``AssertionError`` listing the first violation found.
         """
-        if self.comms:
-            _, start, end, _, ports = self.comm_columns()
-            _assert_no_overlap(
-                ports, start, end, self.comms, "port {} overlap"
-            )
-        if self.computes:
-            workers, start, end, _ = self.compute_columns()
-            _assert_no_overlap(
-                workers, start, end, self.computes,
-                "worker {} compute overlap",
-            )
+        _, start, end, _, ports = self.comm_columns()
+        _assert_no_overlap(
+            ports, start, end, lambda: self.comms, "port {} overlap"
+        )
+        workers, start, end, _ = self.compute_columns()
+        _assert_no_overlap(
+            workers, start, end, lambda: self.computes,
+            "worker {} compute overlap",
+        )
+
+
+def _append(cols: tuple, row: tuple) -> None:
+    """Append one row to the columns, all or nothing."""
+    try:
+        for col, value in zip(cols, row):
+            col.append(value)
+    except BaseException:  # e.g. BufferError while a view is alive
+        for col in cols:
+            del col[min(map(len, cols)):]
+        raise
+
+
+def _last(ends: np.ndarray) -> float:
+    """Latest of some end times (0.0 when there are none)."""
+    return float(ends.max()) if ends.size else 0.0

@@ -7,6 +7,7 @@ worker ``Pi`` costs ``X * c_i`` seconds of master-port time; executing
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -38,8 +39,12 @@ class Worker:
     def __post_init__(self) -> None:
         if self.index < 1:
             raise ValueError(f"worker index must be >= 1, got {self.index}")
-        if self.c <= 0 or self.w <= 0:
-            raise ValueError(f"c and w must be positive (c={self.c}, w={self.w})")
+        # Written so NaN fails too: a NaN rate would poison the engines'
+        # heap comparisons and every makespan without an error.
+        if not (0 < self.c < math.inf and 0 < self.w < math.inf):
+            raise ValueError(
+                f"c and w must be positive finite (c={self.c}, w={self.w})"
+            )
         if self.m < 1:
             raise ValueError(f"memory must be >= 1 block, got {self.m}")
 
@@ -160,8 +165,8 @@ def perturbed(
     comparable band.  Memory capacities are left untouched (they are
     deterministic hardware facts).
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     import numpy as np
 
     workers = tuple(
@@ -183,8 +188,8 @@ def scaled_bandwidth(platform: Platform, factor: float) -> Platform:
     ranking, so scheduler decisions are usually unchanged for nearby
     factors.
     """
-    if factor <= 0:
-        raise ValueError(f"bandwidth factor must be positive, got {factor}")
+    if not 0 < factor < math.inf:
+        raise ValueError(f"bandwidth factor must be positive finite, got {factor}")
     if factor == 1.0:
         return platform
     workers = tuple(replace(wk, c=wk.c * factor) for wk in platform.workers)

@@ -13,6 +13,7 @@ from repro.platform import (
     calibrate,
     memory_mb_to_blocks,
     perturbed,
+    scaled_bandwidth,
     table1_platform,
     table2_platform,
     ut_cluster_platform,
@@ -39,6 +40,14 @@ class TestWorker:
     )
     def test_invalid_workers(self, kwargs):
         with pytest.raises(ValueError):
+            Worker(**kwargs)
+
+    @pytest.mark.parametrize("field", ["c", "w"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rates_rejected(self, field, value):
+        kwargs = dict(index=1, c=1.0, w=1.0, m=10)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="positive finite"):
             Worker(**kwargs)
 
 
@@ -109,11 +118,31 @@ class TestPerturbed:
         with pytest.raises(ValueError):
             perturbed(base, np.random.default_rng(0), sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        base = Platform.homogeneous(2, 1, 1, 5)
+        with pytest.raises(ValueError, match="finite"):
+            perturbed(base, np.random.default_rng(0), sigma=sigma)
+
     def test_seeded_jitter_reproducible(self):
         base = Platform.homogeneous(3, 1.0, 1.0, 9)
         a = perturbed(base, np.random.default_rng(7))
         b = perturbed(base, np.random.default_rng(7))
         assert [w.c for w in a] == [w.c for w in b]
+
+
+class TestScaledBandwidth:
+    def test_scales_every_link(self):
+        base = Platform.homogeneous(2, c=1.0, w=2.0, m=50)
+        assert [wk.c for wk in scaled_bandwidth(base, 2.0)] == [2.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "factor", [0.0, -1.0, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_bad_factor_rejected(self, factor):
+        base = Platform.homogeneous(2, 1, 1, 5)
+        with pytest.raises(ValueError, match="bandwidth factor"):
+            scaled_bandwidth(base, factor)
 
 
 class TestCalibration:
