@@ -6,12 +6,9 @@ pytest-benchmark (so regressions in simulation speed are visible),
 prints the same rows/series the paper reports, and asserts the paper's
 qualitative claims on the output.
 
-Results are memoized in the sweep result cache (the same one
-``python -m repro sweep`` uses), so a repeated benchmark run is warm:
-every experiment row is served from disk instead of re-simulated.
-Pass ``--repro-no-cache`` to force cold measurements, or point
-``$REPRO_CACHE_DIR`` somewhere else.  Any code change invalidates the
-cache automatically (keys embed a digest of the package sources).
+Every benchmark measures the computation itself: the harness never
+reads or writes the sweep result cache, so a figure is always a
+simulation's time, never a disk read's.
 
 Two suite-wide knobs forward into every experiment entry point whose
 signature accepts them:
@@ -39,20 +36,11 @@ from __future__ import annotations
 
 import inspect
 
-from repro.runner import cached_call
-
-_use_cache = True
 _engine: str | None = None
 _scale: int | None = None
 
 
 def pytest_addoption(parser):
-    parser.addoption(
-        "--repro-no-cache",
-        action="store_true",
-        default=False,
-        help="bypass the sweep result cache (force cold benchmark runs)",
-    )
     parser.addoption(
         "--engine",
         choices=("fast", "des", "model"),
@@ -72,8 +60,7 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
-    global _use_cache, _engine, _scale
-    _use_cache = not config.getoption("--repro-no-cache")
+    global _engine, _scale
     _engine = config.getoption("--engine")
     _scale = config.getoption("--scale")
 
@@ -92,18 +79,14 @@ def at_paper_scale() -> bool:
 
 
 def one_shot(benchmark, fn, *args, **kwargs):
-    """Benchmark ``fn`` with a single measured round, cache-backed.
+    """Benchmark ``fn`` with one warm-up round, then one measured round.
 
     The experiment simulations are deterministic; a single round gives
     a stable wall-clock figure without multiplying multi-second
-    simulations.  With the cache enabled (default) the round serves
-    previously computed results from disk; results that are not
-    JSON-serialisable (e.g. trace objects) are computed fresh each run.
-    With ``--repro-no-cache`` (the measurement mode the CI engine
-    comparison uses) one warmup round precedes the measured round, so
-    the figure reflects steady-state sweep throughput — in-process memo
-    caches primed, exactly as a real multi-point sweep runs — rather
-    than interpreter cold-start.
+    simulations.  The warm-up round makes the figure reflect
+    steady-state sweep throughput — in-process memo caches primed,
+    exactly as a real multi-point sweep runs — rather than interpreter
+    cold-start.
 
     The suite-wide ``--engine`` / ``--scale`` overrides are injected
     into ``kwargs`` whenever ``fn``'s signature accepts the parameter.
@@ -116,18 +99,7 @@ def one_shot(benchmark, fn, *args, **kwargs):
         kwargs["engine"] = _engine
     if _scale is not None and "scale" in accepted:
         kwargs["scale"] = _scale
-    qualname = getattr(fn, "__qualname__", fn.__name__)
-    # Closures/lambdas capture state invisible to the cache key (only the
-    # qualname and call arguments are hashed) — never serve them stale.
-    if _use_cache and "<" not in qualname:
-        tag = f"{fn.__module__}.{qualname}"
-        target = lambda *a, **kw: cached_call(tag, fn, *a, **kw)  # noqa: E731
-    else:
-        target = fn
     return benchmark.pedantic(
-        target, args=args, kwargs=kwargs,
-        rounds=1, iterations=1,
-        # Warming up a cache-enabled run would write the cache entry and
-        # then measure a disk hit; warm up only true cold measurements.
-        warmup_rounds=0 if _use_cache else 1,
+        fn, args=args, kwargs=kwargs,
+        rounds=1, iterations=1, warmup_rounds=1,
     )

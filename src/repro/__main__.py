@@ -279,28 +279,10 @@ def _cmd_sweep(argv: list[str]) -> int:
         print(f"bad arguments: {exc}")
         return 2
 
-    import os
-
     from repro.runner import (
         CircuitOpenError, SweepPointError, code_version, resolve_backend,
     )
     from repro.runner.sweep import _error_summary
-
-    # Point functions may consult the store themselves via cached_call
-    # (e.g. the robustness baselines), and worker processes only see
-    # the environment — so --cache-dir/--no-cache are exported for the
-    # duration of the invocation (and restored afterwards), keeping
-    # every cache touch under the flags the user gave.
-    saved_env = {
-        k: os.environ.get(k) for k in ("REPRO_CACHE_DIR", "REPRO_CACHE_DISABLE")
-    }
-    if cache is not None:
-        os.environ["REPRO_CACHE_DIR"] = str(cache.root)
-        # An inherited kill switch must not silently defeat the store
-        # this invocation explicitly asked for.
-        os.environ.pop("REPRO_CACHE_DISABLE", None)
-    else:
-        os.environ["REPRO_CACHE_DISABLE"] = "1"
 
     # One backend instance for the whole invocation: the process pool
     # keeps its warm workers across every sweep and campaign of
@@ -401,11 +383,6 @@ def _cmd_sweep(argv: list[str]) -> int:
             signal_module.signal(signal_module.SIGTERM, prev_sigterm)
         if owned:
             exec_backend.close()
-        for key, value in saved_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
     if failing_points:
         print(
             f"{failed + quarantined} point(s) did not produce results:",

@@ -31,15 +31,6 @@ OBMM) absorb drift and dropout far better than the static assignments
 (HoLM, ORROML, OMMOML) — work migrates away from degraded workers by
 construction — while congestion and brownout hit everyone roughly in
 proportion to their port utilisation.
-
-One deliberate deviation from the runner's "library calls write
-nothing" rule: the stationary baselines are persisted through
-:func:`repro.runner.cached_call` even when the sweep itself runs
-cache-less, because re-simulating a baseline per process is the single
-largest waste in this experiment and the whole point of sharing it
-across pools, backends and runs.  Set ``$REPRO_CACHE_DIR`` to relocate
-that store or ``$REPRO_CACHE_DISABLE=1`` to turn it off (the CLI's
-``--cache-dir``/``--no-cache`` export exactly these).
 """
 
 from __future__ import annotations
@@ -49,7 +40,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.analysis.tables import format_table
 from repro.platform.named import ut_cluster_platform
-from repro.runner import Campaign, Sweep, cached_call, run_sweep, stamp_points
+from repro.runner import Campaign, Sweep, run_sweep, stamp_points
 from repro.workloads import SECTION8_ALGORITHMS, fig10_workloads
 
 __all__ = ["ALGORITHMS", "KINDS", "SEVERITIES", "run", "main", "sweep", "campaign"]
@@ -80,38 +71,24 @@ def _scheduler_and_platform(algorithm: str, p: int, memory_mb: float, q: int):
     return section8_scheduler(algorithm), platform
 
 
-def _stationary_makespan(
+@lru_cache(maxsize=None)
+def _baseline_makespan(
     algorithm: str, p: int, memory_mb: float, q: int, scale: int, engine: str
 ) -> float:
-    """Simulate one algorithm's stationary baseline (uncached kernel)."""
+    """Stationary work makespan of one algorithm, memoized per process.
+
+    The baseline is identical across a point's whole (kind × severity)
+    grid — only these six scalars matter — so the ``lru_cache`` runs one
+    simulation per algorithm in each process.  It is never written to
+    the result store, which only :func:`repro.runner.run_sweep` in the
+    calling process reads or writes.
+    """
     from repro.engine import run_scheduler
 
     scheduler, platform = _scheduler_and_platform(algorithm, p, memory_mb, q)
     shape = fig10_workloads(scale)[0].shape(q)
     trace = run_scheduler(scheduler, platform, shape, engine=engine)
     return trace.work_makespan
-
-
-@lru_cache(maxsize=None)
-def _baseline_makespan(
-    algorithm: str, p: int, memory_mb: float, q: int, scale: int, engine: str
-) -> float:
-    """Stationary work makespan of one algorithm, memoized at two levels.
-
-    The baseline is identical across a point's whole (kind × severity)
-    grid — only these six scalars matter.  The ``lru_cache`` keeps it
-    hot within one process; underneath, :func:`repro.runner.cached_call`
-    persists it in the sweep result cache (``$REPRO_CACHE_DIR`` or the
-    default location, keyed by these scalars plus the package code
-    version), so every worker of the process pool, a respawned worker,
-    and later runs all reuse one simulation per algorithm instead of
-    recomputing it per process.
-    """
-    return cached_call(
-        "robustness-baseline",
-        _stationary_makespan,
-        algorithm, p, memory_mb, q, scale, engine,
-    )
 
 
 def _point(params: Mapping) -> dict:

@@ -45,6 +45,8 @@ class Worker:
             raise ValueError(
                 f"c and w must be positive finite (c={self.c}, w={self.w})"
             )
+        if not isinstance(self.m, int) or isinstance(self.m, bool):
+            raise TypeError(f"m must be an int, got {type(self.m).__name__}")
         if self.m < 1:
             raise ValueError(f"memory must be >= 1 block, got {self.m}")
 

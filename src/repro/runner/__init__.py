@@ -9,12 +9,12 @@ interchangeable :class:`~repro.runner.backends.ExecutionBackend`
 with results memoized in a content-addressed on-disk
 :class:`ResultCache` of append-only per-shard segments that are both
 its index and its data.  ``python -m repro sweep <name>`` is the
-CLI front-end; ``benchmarks/conftest.py`` reuses the same cache through
-:func:`cached_call`.  A :class:`RetryPolicy` adds the fault-tolerance
-layer — bounded retries with deterministic backoff, per-point
-timeouts, a ``max_failures`` circuit breaker, and cache-level
-quarantine of known-permanent failures — proven against the
-deterministic :class:`~repro.runner.backends.ChaosBackend` fault
+CLI front-end, and :func:`run_sweep` in the calling process is the
+only code that reads or writes the store.  A :class:`RetryPolicy` adds
+the fault-tolerance layer — bounded retries with deterministic
+backoff, per-point timeouts, a ``max_failures`` circuit breaker, and
+cache-level quarantine of known-permanent failures — proven against
+the deterministic :class:`~repro.runner.backends.ChaosBackend` fault
 injector.  See ``docs/runner.md`` for the architecture.
 """
 
@@ -29,12 +29,7 @@ from repro.runner.backends import (
     resolve_backend,
 )
 from repro.runner.backends import LAZY as _LAZY
-from repro.runner.cache import (
-    CacheStats,
-    ResultCache,
-    cached_call,
-    default_cache_dir,
-)
+from repro.runner.cache import CacheStats, ResultCache, default_cache_dir
 from repro.runner.hashing import canonical_params, code_version, point_key
 from repro.runner.sweep import (
     FAILED,
@@ -76,7 +71,6 @@ __all__ = [
     "SweepPointError",
     "SweepResult",
     "TaskResult",
-    "cached_call",
     "canonical_params",
     "code_version",
     "create_backend",

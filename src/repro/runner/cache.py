@@ -43,9 +43,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Set, Tuple
 
 from repro.runner import jsonl_log
-from repro.runner.hashing import point_key
 
-__all__ = ["CacheStats", "ResultCache", "cached_call", "default_cache_dir"]
+__all__ = ["CacheStats", "ResultCache", "default_cache_dir"]
 
 
 class _Fold(NamedTuple):
@@ -58,16 +57,6 @@ class _Fold(NamedTuple):
 
 
 _EMPTY = _Fold({}, {}, 0, 0)
-
-
-def _cache_disabled() -> bool:
-    """Whether ``$REPRO_CACHE_DISABLE`` asks to bypass the store.
-
-    Conventional 'off' spellings (unset, empty, ``0``, ``false``,
-    ``no``) leave the cache on.
-    """
-    value = os.environ.get("REPRO_CACHE_DISABLE", "")
-    return value.strip().lower() not in ("", "0", "false", "no")
 
 
 def default_cache_dir() -> Path:
@@ -371,49 +360,3 @@ class ResultCache:
             shutil.rmtree(target, ignore_errors=True)
         self._memo.clear()
         return removed
-
-
-def cached_call(
-    tag: str,
-    fn,
-    *args: Any,
-    cache: ResultCache | None = None,
-    code: str | None = None,
-    **kwargs: Any,
-):
-    """Memoize ``fn(*args, **kwargs)`` in the sweep cache.
-
-    Used by the benchmark harness (so repeated ``pytest benchmarks/``
-    runs are warm) and by point functions that share expensive
-    sub-results across points and processes, e.g. the robustness
-    sweep's stationary baselines.  Results that are not JSON-serialisable
-    (e.g. trace objects) are computed normally and simply not cached.
-
-    When no explicit ``cache`` is given the store lives at
-    :func:`default_cache_dir` (``$REPRO_CACHE_DIR``), and setting
-    ``$REPRO_CACHE_DISABLE`` (to anything but ``0``/``false``/``no``)
-    bypasses the store — the CLI exports both for the duration of a
-    ``sweep`` invocation, so ``--cache-dir``/``--no-cache`` also
-    govern the ``cached_call`` lookups made inside worker processes.
-    An explicitly passed ``cache`` always wins over the kill switch.
-    """
-    if cache is None and _cache_disabled():
-        return fn(*args, **kwargs)
-    cache = cache or ResultCache()
-    try:
-        params = {"tag": tag, "args": list(args), "kwargs": kwargs}
-        key = point_key("bench", params, code)
-    except TypeError:
-        return fn(*args, **kwargs)
-    value, hit = cache.get("bench", key)
-    if hit:
-        return value
-    value = fn(*args, **kwargs)
-    try:
-        cache.put("bench", key, params, value)
-    except (TypeError, OSError):
-        # Not JSON-able, or the store is unwritable (read-only shared
-        # cache): degrade to compute-without-caching, never crash a
-        # point function over its memo store.
-        pass
-    return value

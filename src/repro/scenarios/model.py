@@ -138,8 +138,10 @@ class BackgroundEvent:
     label: str = "background"
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"background event time must be >= 0, got {self.time}")
+        if not 0 <= self.time < math.inf:
+            raise ValueError(
+                f"background event time must be finite and >= 0, got {self.time}"
+            )
         if not (self.duration > 0 and math.isfinite(self.duration)):
             raise ValueError(
                 f"background duration must be positive finite, got {self.duration}"

@@ -1,8 +1,7 @@
 """Suite-wide fixtures.
 
-Every test gets a throwaway sweep-cache location: code under test may
-reach the default store through ``cached_call`` (e.g. the robustness
-baselines) from this process *or* from forked worker pools, and
+Every test gets a throwaway sweep-cache location: CLI runs without
+``--cache-dir`` use the default store (``$REPRO_CACHE_DIR``), and
 nothing a test does should read from — or leak into — the developer's
 real ``~/.cache/repro-sweeps``.
 """
@@ -27,13 +26,10 @@ def _hermetic_sweep_cache(tmp_path_factory, monkeypatch):
     monkeypatch.setenv(
         "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("sweep-cache"))
     )
-    monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
     yield
-    # The robustness baselines are memoized at two levels: the lru_cache
-    # sits *above* cached_call, so a warm in-process memo from one test
-    # would let a later test skip the disk store its fresh
-    # REPRO_CACHE_DIR was supposed to observe.  Keep the per-test cache
-    # swap honest by dropping the in-process level with it.
+    # The robustness baselines are memoized in-process (an lru_cache):
+    # drop that memo too, so no test inherits simulations another test
+    # ran and each one observes the work it causes itself.
     robustness = sys.modules.get("repro.experiments.robustness")
     if robustness is not None:
         robustness._baseline_makespan.cache_clear()

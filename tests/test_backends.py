@@ -144,11 +144,10 @@ class TestByteIdentity:
         assert json.dumps(result.rows) == json.dumps(reference.rows)
 
     @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
-    def test_every_experiment_smoke_scale(self, name, tmp_path, monkeypatch):
+    def test_every_experiment_smoke_scale(self, name):
         """Serial and process rows match on every registered
         experiment (smoke scale, truncated to the first points of each
         sweep to keep the matrix fast)."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "baseline-cache"))
         campaign = campaign_for(name, scale=8)
         sweeps = tuple(
             Sweep(

@@ -50,6 +50,16 @@ class TestWorker:
         with pytest.raises(ValueError, match="positive finite"):
             Worker(**kwargs)
 
+    @pytest.mark.parametrize(
+        "m", [float("nan"), float("inf"), 2.5, True, np.int64(40)],
+        ids=["nan", "inf", "2.5", "True", "np.int64"],
+    )
+    def test_non_int_memory_rejected(self, m):
+        """A non-int m used to construct and fail only later, deep in
+        the layout code (or pass as ``True`` == 1 block)."""
+        with pytest.raises(TypeError, match="m must be an int"):
+            Worker(1, c=1.0, w=1.0, m=m)
+
 
 class TestPlatform:
     def test_homogeneous_builder(self):

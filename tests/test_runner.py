@@ -20,7 +20,6 @@ from repro.runner import (
     Campaign,
     ResultCache,
     Sweep,
-    cached_call,
     canonical_params,
     code_version,
     point_key,
@@ -358,84 +357,6 @@ class TestFig10Acceptance:
         warm = run_sweep(warm_sweep, jobs=4, cache=cache)
         assert warm.hits == len(sweep.points) and warm.misses == 0
         assert json.dumps(warm.rows) == json.dumps(serial_rows)
-
-
-class TestCachedCall:
-    def test_memoizes(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        calls = []
-        fn = lambda x: (calls.append(x), x * 2)[1]  # noqa: E731
-        assert cached_call("t", fn, 21, cache=cache) == 42
-        assert cached_call("t", fn, 21, cache=cache) == 42
-        assert calls == [21]
-
-    def test_unserializable_results_pass_through(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        fn = lambda: object()  # noqa: E731
-        first = cached_call("t", fn, cache=cache)
-        second = cached_call("t", fn, cache=cache)
-        assert first is not second  # computed each time, never cached
-        assert cache.stats().entries == 0
-
-    def test_disable_env_bypasses_store(self, tmp_path, monkeypatch):
-        """$REPRO_CACHE_DISABLE (the CLI's --no-cache export) must keep
-        default-store cached_call from reading or writing anything."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
-        calls = []
-        fn = lambda x: (calls.append(x), x * 2)[1]  # noqa: E731
-        assert cached_call("t", fn, 21) == 42
-        assert cached_call("t", fn, 21) == 42
-        assert calls == [21, 21]  # computed twice
-        assert ResultCache(tmp_path).stats().entries == 0  # nothing written
-
-    def test_disable_env_off_spellings_keep_cache_on(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        calls = []
-        fn = lambda x: (calls.append(x), x * 2)[1]  # noqa: E731
-        for off in ("0", "false", "no", ""):
-            monkeypatch.setenv("REPRO_CACHE_DISABLE", off)
-            assert cached_call("t", fn, 21) == 42
-        assert calls == [21]  # first call cached, the rest were hits
-
-    def test_explicit_cache_wins_over_disable_env(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
-        cache = ResultCache(tmp_path)
-        calls = []
-        fn = lambda x: (calls.append(x), x * 2)[1]  # noqa: E731
-        assert cached_call("t", fn, 21, cache=cache) == 42
-        assert cached_call("t", fn, 21, cache=cache) == 42
-        assert calls == [21]  # memoized: the explicit store is used
-
-    def test_unwritable_store_degrades_to_compute(self, tmp_path, monkeypatch):
-        """A read-only shared store must not crash point functions that
-        memoize through cached_call — compute-without-caching instead."""
-
-        def no_put(self, *a, **k):
-            raise PermissionError("read-only store")
-
-        monkeypatch.setattr(ResultCache, "put", no_put)
-        cache = ResultCache(tmp_path)
-        calls = []
-        fn = lambda x: (calls.append(x), x * 2)[1]  # noqa: E731
-        assert cached_call("t", fn, 21, cache=cache) == 42
-        assert cached_call("t", fn, 21, cache=cache) == 42
-        assert calls == [21, 21]  # computed each time, never crashed
-
-    def test_unhashable_args_compute_uncached(self, tmp_path):
-        import numpy as np
-
-        cache = ResultCache(tmp_path)
-        calls = []
-        fn = lambda a: (calls.append(1), float(a.sum()))[1]  # noqa: E731
-        assert cached_call("t", fn, np.array([1.0, 2.0]), cache=cache) == 3.0
-        assert cached_call("t", fn, np.array([1.0, 2.0]), cache=cache) == 3.0
-        assert calls == [1, 1]
-        assert cache.stats().entries == 0
 
 
 class TestCampaignRegistry:

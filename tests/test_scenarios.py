@@ -121,6 +121,13 @@ class TestScenarioModel:
         with pytest.raises(ValueError, match="positive"):
             BackgroundEvent(1.0, 0.0)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), -1.0])
+    def test_background_time_must_be_finite_and_nonnegative(self, time):
+        """NaN slipped past a bare ``time < 0`` check and placed a hold
+        at an undefined time; inf made the trace's makespan infinite."""
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            BackgroundEvent(time, 1.0)
+
     def test_factor_count_must_match_platform(self, platform):
         with pytest.raises(ValueError, match="cover all"):
             Scenario(platform, c_factors=(StepTimeline.constant(),))
@@ -333,6 +340,17 @@ class TestRobustnessExperiment:
             )
         # dropping out half the cluster at full severity must bite
         assert max(r["degradation"] for r in rows) > 1.5
+
+    def test_library_run_writes_nothing(self):
+        """``run()`` passes no cache, so not even the stationary
+        baselines may reach the default store."""
+        import os
+        from pathlib import Path
+
+        from repro.experiments import robustness
+
+        robustness.run(scale=8, kinds=("dropout",), severities=(0.25,))
+        assert not any(Path(os.environ["REPRO_CACHE_DIR"]).iterdir())
 
     def test_scenario_params_enter_cache_key(self):
         from repro.experiments import robustness
