@@ -9,6 +9,7 @@ never re-invokes the per-point function.
 import json
 import os
 import subprocess
+import time
 import sys
 from pathlib import Path
 
@@ -18,8 +19,12 @@ import repro
 from repro.experiments import campaign_for, fig10
 from repro.runner import (
     Campaign,
+    CircuitOpenError,
     ResultCache,
+    RetryPolicy,
     Sweep,
+    SweepPointError,
+    TaskResult,
     canonical_params,
     code_version,
     point_key,
@@ -853,3 +858,269 @@ class TestSweepShards:
         again = run_sweep(_counting_sweep(tmp_path, n=8), cache=cache, code="v")
         assert again.shards == 0  # nothing fresh was written
         assert run_sweep(_counting_sweep(tmp_path, n=8)).shards == 0
+
+
+#: Point ``x`` of the scripted sweep fails on every attempt below
+#: ``_FAILS_UNTIL[x]``: points 1 and 4 are transient failures, 6 and 7
+#: permanent ones.  Point 2 is served from the cache.
+_FAILS_UNTIL = {1: 1, 4: 2, 6: 99, 7: 99}
+
+
+class _ScriptedStream:
+    """A backend result stream that logs when the runner closes it."""
+
+    def __init__(self, log, results):
+        self.log, self.results = log, iter(results)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self.results)
+
+    def close(self):
+        self.log.append(("close",))
+
+
+class _ScriptedBackend:
+    """Spy backend: logs every ``map`` call and answers from the script;
+    a point computed on attempt ``a`` took ``a + 0.5`` seconds."""
+
+    name = "scripted"
+    jobs = 1
+
+    def __init__(self, log):
+        self.log = log
+
+    def map(self, fn, items, **kwargs):
+        self.log.append(("map", [p["x"] for p in items], kwargs))
+        attempt = kwargs.get("attempt", 0)
+        results = []
+        for params in items:
+            x = params["x"]
+            if attempt < _FAILS_UNTIL.get(x, 0):
+                error = f"RuntimeError: x={x} attempt={attempt}"
+                results.append(TaskResult(None, attempt + 0.5, error=error))
+            else:
+                results.append(TaskResult([10 * x], attempt + 0.5))
+        return _ScriptedStream(self.log, results)
+
+    def close(self):
+        self.log.append(("backend-close",))
+
+
+def _unreachable_point(params):
+    raise AssertionError("the scripted backend never calls the point")
+
+
+class TestSweepEventOrder:
+    """The exact interleaving of progress events, cache writes, backend
+    calls and retry sleeps, under every retry policy shape."""
+
+    POINTS = tuple({"x": x} for x in range(9))
+    KEYS = [point_key("order", p, "v") for p in POINTS]
+
+    @pytest.fixture
+    def cache(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("order", self.KEYS[2], self.POINTS[2], [20])
+        return cache
+
+    @pytest.fixture
+    def log(self, monkeypatch):
+        log = []
+        real_put, real_quarantine = ResultCache.put, ResultCache.quarantine
+
+        def put(cache, sweep, key, params, value):
+            log.append(("put", self.KEYS.index(key)))
+            real_put(cache, sweep, key, params, value)
+
+        def quarantine(cache, sweep, key, params, error):
+            log.append(("quarantine", self.KEYS.index(key)))
+            real_quarantine(cache, sweep, key, params, error)
+
+        monkeypatch.setattr(ResultCache, "put", put)
+        monkeypatch.setattr(ResultCache, "quarantine", quarantine)
+        monkeypatch.setattr(time, "sleep", lambda s: log.append(("sleep", s)))
+        return log
+
+    def _run(self, cache, log, **kwargs):
+        def progress(ev):
+            assert (ev.sweep, ev.total) == ("order", 9)
+            assert ev.params == self.POINTS[ev.index]
+            log.append(("ev", ev.index, ev.cached, ev.status, ev.seconds))
+
+        sweep = Sweep(name="order", run_fn=_unreachable_point, points=self.POINTS)
+        return run_sweep(
+            sweep, cache=cache, progress=progress, code="v",
+            backend=_ScriptedBackend(log), **kwargs,
+        )
+
+    def _shards(self, *indices):
+        return len({self.KEYS[i][:2] for i in indices})
+
+    #: Round 0 of every policy with retries: the whole sweep streams in
+    #: declaration order, cached point 2 in place, failures queued.
+    ROUND0_RETRYING = [
+        ("map", [0, 1, 3, 4, 5, 6, 7, 8], {}),
+        ("put", 0), ("ev", 0, False, "ok", 0.5),
+        ("ev", 1, False, "retry", 0.5),
+        ("ev", 2, True, "ok", 0.0),
+        ("put", 3), ("ev", 3, False, "ok", 0.5),
+        ("ev", 4, False, "retry", 0.5),
+        ("put", 5), ("ev", 5, False, "ok", 0.5),
+        ("ev", 6, False, "retry", 0.5),
+        ("ev", 7, False, "retry", 0.5),
+        ("put", 8), ("ev", 8, False, "ok", 0.5),
+    ]
+
+    def test_retries_keep(self, cache, log):
+        policy = RetryPolicy(retries=2, backoff=0.01)
+        result = self._run(cache, log, retry=policy, on_error="keep")
+        assert log == self.ROUND0_RETRYING + [
+            ("sleep", policy.delay(1, "order")),
+            ("close",),
+            ("map", [1, 4, 6, 7], {"timeout": None, "attempt": 1}),
+            ("put", 1), ("ev", 1, False, "ok", 1.5),
+            ("ev", 4, False, "retry", 1.5),
+            ("ev", 6, False, "retry", 1.5),
+            ("ev", 7, False, "retry", 1.5),
+            ("sleep", policy.delay(2, "order")),
+            ("close",),
+            ("map", [4, 6, 7], {"timeout": None, "attempt": 2}),
+            ("put", 4), ("ev", 4, False, "ok", 2.5),
+            ("quarantine", 6), ("ev", 6, False, "error", 2.5),
+            ("quarantine", 7), ("ev", 7, False, "error", 2.5),
+            ("close",),
+        ]
+        assert [(o.status, o.cached, o.seconds) for o in result.outcomes] == [
+            ("ok", False, 0.5), ("ok", False, 1.5), ("ok", True, 0.0),
+            ("ok", False, 0.5), ("ok", False, 2.5), ("ok", False, 0.5),
+            ("error", False, 2.5), ("error", False, 2.5), ("ok", False, 0.5),
+        ]
+        assert [o.error for o in result.outcomes if o.error] == [
+            "RuntimeError: x=6 attempt=2", "RuntimeError: x=7 attempt=2",
+        ]
+        assert result.rows == [0, 10, 20, 30, 40, 50, 80]
+        assert result.shards == self._shards(0, 1, 3, 4, 5, 8)
+        assert set(cache.quarantined("order")) == {self.KEYS[6], self.KEYS[7]}
+
+    def test_breaker_trips_mid_round(self, cache, log):
+        policy = RetryPolicy(retries=1, backoff=0.01, max_failures=2)
+        with pytest.raises(CircuitOpenError) as info:
+            self._run(cache, log, retry=policy, on_error="keep")
+        assert log == self.ROUND0_RETRYING + [
+            ("sleep", policy.delay(1, "order")),
+            ("close",),
+            ("map", [1, 4, 6, 7], {"timeout": None, "attempt": 1}),
+            ("put", 1), ("ev", 1, False, "ok", 1.5),
+            ("quarantine", 4), ("ev", 4, False, "error", 1.5),
+            ("quarantine", 6), ("ev", 6, False, "error", 1.5),
+            ("close",),
+        ]
+        assert info.value.report.to_dict() == {
+            "sweep": "order", "total": 9, "resolved": 8, "max_failures": 2,
+            "failures": [
+                {"params": {"x": 4}, "error": "RuntimeError: x=4 attempt=1",
+                 "attempts": 2},
+                {"params": {"x": 6}, "error": "RuntimeError: x=6 attempt=1",
+                 "attempts": 2},
+            ],
+        }
+
+    def test_no_retries_keep(self, cache, log):
+        result = self._run(
+            cache, log, retry=RetryPolicy(retries=0), on_error="keep"
+        )
+        assert log == [
+            ("map", [0, 1, 3, 4, 5, 6, 7, 8], {}),
+            ("put", 0), ("ev", 0, False, "ok", 0.5),
+            ("ev", 1, False, "error", 0.5),
+            ("ev", 2, True, "ok", 0.0),
+            ("put", 3), ("ev", 3, False, "ok", 0.5),
+            ("ev", 4, False, "error", 0.5),
+            ("put", 5), ("ev", 5, False, "ok", 0.5),
+            ("ev", 6, False, "error", 0.5),
+            ("ev", 7, False, "error", 0.5),
+            ("put", 8), ("ev", 8, False, "ok", 0.5),
+            ("close",),
+        ]
+        assert [o.status for o in result.outcomes] == [
+            "ok", "error", "ok", "ok", "error", "ok", "error", "error", "ok",
+        ]
+        assert result.rows == [0, 20, 30, 50, 80]
+        assert result.shards == self._shards(0, 3, 5, 8)
+        assert cache.quarantined("order") == {}
+
+    def test_retries_raise(self, cache, log):
+        policy = RetryPolicy(retries=2, backoff=0.01)
+        with pytest.raises(SweepPointError) as info:
+            self._run(cache, log, retry=policy)
+        assert log == self.ROUND0_RETRYING + [
+            ("sleep", policy.delay(1, "order")),
+            ("close",),
+            ("map", [1, 4, 6, 7], {"timeout": None, "attempt": 1}),
+            ("put", 1), ("ev", 1, False, "ok", 1.5),
+            ("ev", 4, False, "retry", 1.5),
+            ("ev", 6, False, "retry", 1.5),
+            ("ev", 7, False, "retry", 1.5),
+            ("sleep", policy.delay(2, "order")),
+            ("close",),
+            ("map", [4, 6, 7], {"timeout": None, "attempt": 2}),
+            ("put", 4), ("ev", 4, False, "ok", 2.5),
+            ("close",),
+        ]
+        assert info.value.params == {"x": 6}
+        assert info.value.error == "RuntimeError: x=6 attempt=2"
+        assert cache.quarantined("order") == {}
+
+    def test_resume_skips_quarantined_in_place(self, cache, log):
+        policy = RetryPolicy(retries=1, backoff=0.01)
+        first = self._run(cache, log, retry=policy, on_error="keep", resume=True)
+        assert log == self.ROUND0_RETRYING + [
+            ("sleep", policy.delay(1, "order")),
+            ("close",),
+            ("map", [1, 4, 6, 7], {"timeout": None, "attempt": 1}),
+            ("put", 1), ("ev", 1, False, "ok", 1.5),
+            ("quarantine", 4), ("ev", 4, False, "error", 1.5),
+            ("quarantine", 6), ("ev", 6, False, "error", 1.5),
+            ("quarantine", 7), ("ev", 7, False, "error", 1.5),
+            ("close",),
+        ]
+        assert first.errors == 3 and first.shards == self._shards(0, 1, 3, 5, 8)
+        log.clear()
+        again = self._run(cache, log, retry=policy, on_error="keep", resume=True)
+        assert log == [
+            ("map", [], {}),
+            ("ev", 0, True, "ok", 0.0),
+            ("ev", 1, True, "ok", 0.0),
+            ("ev", 2, True, "ok", 0.0),
+            ("ev", 3, True, "ok", 0.0),
+            ("ev", 4, False, "quarantined", 0.0),
+            ("ev", 5, True, "ok", 0.0),
+            ("ev", 6, False, "quarantined", 0.0),
+            ("ev", 7, False, "quarantined", 0.0),
+            ("ev", 8, True, "ok", 0.0),
+            ("close",),
+        ]
+        assert [o.status for o in again.outcomes] == [
+            "ok", "ok", "ok", "ok", "quarantined", "ok", "quarantined",
+            "quarantined", "ok",
+        ]
+        assert [o.error for o in again.outcomes if o.error] == [
+            "RuntimeError: x=4 attempt=1", "RuntimeError: x=6 attempt=1",
+            "RuntimeError: x=7 attempt=1",
+        ]
+        assert again.rows == [0, 10, 20, 30, 50, 80]
+        assert (again.hits, again.misses, again.shards) == (6, 0, 0)
+
+    def test_inert_default(self, cache, log):
+        with pytest.raises(SweepPointError) as info:
+            self._run(cache, log)
+        assert log == [
+            ("map", [0, 1, 3, 4, 5, 6, 7, 8], {}),
+            ("put", 0), ("ev", 0, False, "ok", 0.5),
+            ("close",),
+        ]
+        assert info.value.params == {"x": 1}
+        assert info.value.__cause__ is None
