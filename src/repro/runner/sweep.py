@@ -117,8 +117,8 @@ class RetryPolicy:
     max_failures: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if not (type(self.retries) is int and self.retries >= 0):
+            raise ValueError(f"retries must be an int >= 0, got {self.retries!r}")
         if not (0 <= self.backoff < math.inf and 0 <= self.backoff_cap < math.inf):
             raise ValueError("backoff and backoff_cap must be finite and >= 0")
         if not 0.0 <= self.jitter <= 1.0:
@@ -129,9 +129,11 @@ class RetryPolicy:
             raise ValueError(
                 f"timeout must be positive finite, got {self.timeout}"
             )
-        if self.max_failures is not None and self.max_failures < 1:
+        if self.max_failures is not None and not (
+            type(self.max_failures) is int and self.max_failures >= 1
+        ):
             raise ValueError(
-                f"max_failures must be >= 1, got {self.max_failures}"
+                f"max_failures must be an int >= 1, got {self.max_failures!r}"
             )
 
     @property
@@ -452,6 +454,143 @@ def _close(computed) -> None:
         close()
 
 
+@dataclass
+class _SweepRun:
+    """One sweep's mutable state while :func:`run_sweep` drives it."""
+
+    sweep: Sweep
+    cache: Optional[ResultCache]
+    progress: Optional[Callable[[Progress], None]]
+    on_error: str
+    policy: RetryPolicy
+    keys: List[str]  # "" for every point when running cache-less
+    # each point's final outcome (None until it has one); resolve() fills it
+    resolved: List[Optional[PointOutcome]] = field(default_factory=list)
+    failures: List[Dict[str, Any]] = field(default_factory=list)  # permanent
+    retrying: List[int] = field(default_factory=list)  # the next round's points
+
+    def resolve(self, resume: bool, retry_quarantined: bool) -> List[int]:
+        """Resolve quarantined and cached points; return the rest."""
+        cache, name = self.cache, self.sweep.name
+        quarantined = (  # resume=True comes with a cache
+            cache.quarantined(name) if resume and not retry_quarantined else {}
+        )
+        for params, key in zip(self.sweep.points, self.keys):
+            outcome = None
+            if key in quarantined:
+                # A known-permanent failure from a previous run: resolve it
+                # as quarantined instead of burning its full retry budget
+                # again.  --retry-quarantined opts back in.
+                outcome = PointOutcome(
+                    params, key, None, False, 0.0,
+                    status="quarantined", error=quarantined[key].get("error"),
+                )
+            elif cache:
+                value, hit = cache.get(name, key)
+                if hit:
+                    outcome = PointOutcome(params, key, value, True, 0.0)
+            self.resolved.append(outcome)
+        return [idx for idx, outcome in enumerate(self.resolved) if outcome is None]
+
+    def emit(self, idx: int, status: str, seconds: float, cached: bool = False) -> None:
+        if self.progress:
+            self.progress(
+                Progress(
+                    sweep=self.sweep.name,
+                    index=idx,
+                    total=len(self.keys),
+                    params=self.sweep.points[idx],
+                    cached=cached,
+                    seconds=seconds,
+                    status=status,
+                )
+            )
+
+    def accept(self, idx: int, task, attempt: int) -> None:
+        """Store, requeue or fail point ``idx`` after attempt ``attempt``.
+
+        The runner's crash-consistency rule: a point's cache put
+        happens before its progress event, so every point a user has
+        seen reported survives a kill and is never recomputed by
+        ``--resume``.
+        """
+        params, key = self.sweep.points[idx], self.keys[idx]
+        if task.error is None:
+            value = _normalize(task.value)
+            if self.cache:
+                self.cache.put(self.sweep.name, key, params, value)
+            self.resolved[idx] = PointOutcome(params, key, value, False, task.seconds)
+            self.emit(idx, "ok", task.seconds)
+        elif attempt < self.policy.retries:
+            self.retrying.append(idx)
+            self.emit(idx, "retry", task.seconds)
+        elif self.on_error == "raise":
+            raise SweepPointError(
+                self.sweep.name, params, task.error
+            ) from task.exception
+        else:
+            self.resolved[idx] = PointOutcome(
+                params, key, None, False, task.seconds,
+                status="error", error=task.error,
+            )
+            error = _error_summary(task.error)
+            if self.cache and self.policy.retries > 0:
+                # The point failed every attempt of an explicit retry
+                # budget: quarantine it so resumes stop paying for it.
+                # (Without a retry policy nothing is journalled — failed
+                # points stay uncached and resume recomputes them, the
+                # historic behaviour.)
+                self.cache.quarantine(self.sweep.name, key, params, error)
+            self.failures.append(
+                {"params": dict(params), "error": error, "attempts": attempt + 1}
+            )
+            self.emit(idx, "error", task.seconds)
+            limit = self.policy.max_failures
+            if limit is not None and len(self.failures) >= limit:
+                raise CircuitOpenError(
+                    FailureReport(
+                        sweep=self.sweep.name,
+                        total=len(self.keys),
+                        resolved=sum(1 for o in self.resolved if o is not None),
+                        max_failures=limit,
+                        failures=tuple(self.failures),
+                    )
+                )
+
+    def next_round(self, round_no: int) -> Tuple[List[int], float]:
+        """The points queued for retry round ``round_no``, and its delay."""
+        queued, self.retrying = self.retrying, []
+        return queued, self.policy.delay(round_no, self.sweep.name)
+
+    def finish(self, start: float) -> SweepResult:
+        """The sweep's result, aggregated in declaration order."""
+        result = SweepResult(
+            name=self.sweep.name,
+            outcomes=self.resolved,
+            title=self.sweep.title,
+            shards=len({o.key[:2] for o in self.resolved
+                        if o.key and not o.cached and o.status == "ok"}),
+        )
+        # Aggregates are positional, so they always see the full-length
+        # values list — failed points (on_error="keep") appear as the
+        # :data:`FAILED` sentinel in their slots rather than silently
+        # shifting later values into earlier ones.  The default aggregation
+        # drops the holes; a custom aggregate that cannot digest them falls
+        # back to the successful values unaggregated (a partial sweep has
+        # no trustworthy table).
+        values = [
+            o.value if o.status == "ok" else FAILED for o in result.outcomes
+        ]
+        try:
+            result.rows = self.sweep.rows(values)
+        except Exception:
+            if not (result.errors or result.quarantined):
+                raise
+            result.rows = [v for v in values if v is not FAILED]
+        result.elapsed = time.perf_counter() - start
+        return result
+
+
 def run_sweep(
     sweep: Sweep,
     jobs: int = 1,
@@ -502,9 +641,9 @@ def run_sweep(
             ``max_failures`` circuit breaker.  ``None`` (the default)
             is the inert policy: the runner behaves, byte for byte,
             as if the fault-tolerance layer did not exist.
-        retry_quarantined: on a ``resume`` run, re-attempt points the
-            cache has quarantined as known-permanent failures instead
-            of skipping them (a success clears the quarantine record).
+        retry_quarantined: re-attempt the points the cache has
+            quarantined instead of skipping them (a success clears the
+            quarantine record).  Requires ``resume``.
 
     Point results reach ``sweep.aggregate`` in declaration order no
     matter which points were cached or which backend ran the rest, so
@@ -517,191 +656,51 @@ def run_sweep(
     """
     if resume and cache is None:
         raise ValueError("resume=True requires a cache")
+    if retry_quarantined and not resume:
+        raise ValueError("retry_quarantined=True requires resume=True")
     if on_error not in ("raise", "keep"):
         raise ValueError(f"on_error must be 'raise' or 'keep', got {on_error!r}")
-    policy = retry or RetryPolicy()
     start = time.perf_counter()
-    total = len(sweep.points)
     if cache and code is None:
         # Resolve the code version once per sweep: one cheap re-stat of
         # the package sources, and every point of the sweep is keyed
         # against the same snapshot.
         code = code_version()
-    keys = [point_key(sweep.name, p, code) for p in sweep.points] if cache else []
-    resolved: List[Optional[PointOutcome]] = [None] * total
-
-    quarantined = (
-        cache.quarantined(sweep.name)
-        if (cache and resume and not retry_quarantined)
-        else {}
+    keys = (
+        [point_key(sweep.name, p, code) for p in sweep.points]
+        if cache else [""] * len(sweep.points)
     )
-    missing: List[int] = []
-    for idx, params in enumerate(sweep.points):
-        if cache and keys[idx] in quarantined:
-            # A known-permanent failure from a previous run: resolve it
-            # as quarantined instead of burning its full retry budget
-            # again.  --retry-quarantined opts back in.
-            resolved[idx] = PointOutcome(
-                params, keys[idx], None, False, 0.0,
-                status="quarantined",
-                error=quarantined[keys[idx]].get("error"),
-            )
-            continue
-        if cache:
-            value, hit = cache.get(sweep.name, keys[idx])
-            if hit:
-                resolved[idx] = PointOutcome(params, keys[idx], value, True, 0.0)
-                continue
-        missing.append(idx)
-
+    policy = retry or RetryPolicy()
+    run = _SweepRun(sweep, cache, progress, on_error, policy, keys)
+    todo = run.resolve(resume, retry_quarantined)
     exec_backend, owned = resolve_backend(backend, jobs)
-    result = SweepResult(name=sweep.name, title=sweep.title)
-    touched_shards: set = set()  # cache shard prefixes fresh puts land in
-
-    def emit(idx: int, outcome: PointOutcome) -> None:
-        if progress:
-            progress(
-                Progress(
-                    sweep=sweep.name,
-                    index=idx,
-                    total=total,
-                    params=outcome.params,
-                    cached=outcome.cached,
-                    seconds=outcome.seconds,
-                    status=outcome.status,
-                )
-            )
-
-    def emit_retry(idx: int, task) -> None:
-        if progress:
-            progress(
-                Progress(
-                    sweep=sweep.name,
-                    index=idx,
-                    total=total,
-                    params=sweep.points[idx],
-                    cached=False,
-                    seconds=task.seconds,
-                    status="retry",
-                )
-            )
-
-    def succeed(idx: int, task) -> None:
-        params, key = sweep.points[idx], keys[idx] if cache else ""
-        value = _normalize(task.value)
-        if cache:
-            cache.put(sweep.name, key, params, value)
-            touched_shards.add(key[:2])
-        outcome = PointOutcome(params, key, value, False, task.seconds)
-        resolved[idx] = outcome
-        emit(idx, outcome)
-
-    failures: List[Dict[str, Any]] = []
-
-    def fail(idx: int, task, attempts: int) -> None:
-        """A point is out of attempts: keep, raise, or trip the breaker."""
-        params, key = sweep.points[idx], keys[idx] if cache else ""
-        if on_error == "raise":
-            raise SweepPointError(
-                sweep.name, params, task.error
-            ) from task.exception
-        outcome = PointOutcome(
-            params, key, None, False, task.seconds,
-            status="error", error=task.error,
-        )
-        resolved[idx] = outcome
-        if cache and policy.retries > 0:
-            # The point failed every attempt of an explicit retry
-            # budget: quarantine it so resumes stop paying for it.
-            # (Without a retry policy nothing is journalled — failed
-            # points stay uncached and resume recomputes them, the
-            # historic behaviour.)
-            cache.quarantine(sweep.name, key, params, _error_summary(task.error))
-        failures.append(
-            {"params": dict(params), "error": _error_summary(task.error),
-             "attempts": attempts}
-        )
-        emit(idx, outcome)
-        if policy.max_failures is not None and len(failures) >= policy.max_failures:
-            raise CircuitOpenError(
-                FailureReport(
-                    sweep=sweep.name,
-                    total=total,
-                    resolved=sum(1 for o in resolved if o is not None),
-                    max_failures=policy.max_failures,
-                    failures=tuple(failures),
-                )
-            )
-
-    miss_points = [sweep.points[i] for i in missing]
-    computed = _map(
-        exec_backend, sweep.run_fn, miss_points, policy.timeout, 0
-    )
+    computed = None
     try:
-        pending: List[int] = []
-        for idx in range(total):
-            outcome = resolved[idx]
-            if outcome is not None:
-                emit(idx, outcome)
-                continue
-            task = next(computed)
-            if task.error is None:
-                succeed(idx, task)
-            elif policy.retries > 0:
-                pending.append(idx)
-                emit_retry(idx, task)
-            else:
-                fail(idx, task, attempts=1)
-        for round_no in range(1, policy.retries + 1):
-            if not pending:
-                break
-            delay = policy.delay(round_no, sweep.name)
-            if delay > 0:
-                time.sleep(delay)
-            _close(computed)
+        for attempt in range(policy.retries + 1):
+            if attempt:
+                todo, delay = run.next_round(attempt)
+                if not todo:
+                    break
+                if delay > 0:
+                    time.sleep(delay)
+                _close(computed)
             computed = _map(
-                exec_backend,
-                sweep.run_fn,
-                [sweep.points[i] for i in pending],
-                policy.timeout,
-                round_no,
+                exec_backend, sweep.run_fn, [sweep.points[i] for i in todo],
+                policy.timeout, attempt,
             )
-            still_failing: List[int] = []
-            for idx in pending:
-                task = next(computed)
-                if task.error is None:
-                    succeed(idx, task)
-                elif round_no < policy.retries:
-                    still_failing.append(idx)
-                    emit_retry(idx, task)
+            # Round 0 streams the whole sweep in declaration order, cached
+            # and quarantined points in place; retry rounds walk the queue.
+            for idx in todo if attempt else range(len(keys)):
+                outcome = run.resolved[idx]
+                if outcome is None:
+                    run.accept(idx, next(computed), attempt)
                 else:
-                    fail(idx, task, attempts=round_no + 1)
-            pending = still_failing
+                    run.emit(idx, outcome.status, outcome.seconds, outcome.cached)
     finally:
         _close(computed)  # tear down a mid-sweep pool on error paths
         if owned:
             exec_backend.close()
-    result.outcomes.extend(resolved)
-    # Aggregates are positional, so they always see the full-length
-    # values list — failed points (on_error="keep") appear as the
-    # :data:`FAILED` sentinel in their slots rather than silently
-    # shifting later values into earlier ones.  The default aggregation
-    # drops the holes; a custom aggregate that cannot digest them falls
-    # back to the successful values unaggregated (a partial sweep has
-    # no trustworthy table).
-    values = [
-        o.value if o.status == "ok" else FAILED for o in result.outcomes
-    ]
-    if result.errors == 0 and result.quarantined == 0:
-        result.rows = sweep.rows(values)
-    else:
-        try:
-            result.rows = sweep.rows(values)
-        except Exception:
-            result.rows = [v for v in values if v is not FAILED]
-    result.shards = len(touched_shards)
-    result.elapsed = time.perf_counter() - start
-    return result
+    return run.finish(start)
 
 
 def run_campaign(

@@ -118,6 +118,11 @@ class TestRetryPolicy:
             {"retries": 1, "backoff": float("inf")},
             {"retries": 1, "backoff": float("inf"), "backoff_cap": float("inf")},
             {"retries": 1, "backoff_cap": float("-inf")},
+            {"retries": float("nan")},
+            {"retries": 2.5},
+            {"retries": True},
+            {"max_failures": float("nan")},
+            {"max_failures": 1.5},
         ],
     )
     def test_validation(self, kwargs):

@@ -698,6 +698,13 @@ class TestResume:
         with pytest.raises(ValueError, match="requires a cache"):
             run_sweep(_counting_sweep(tmp_path), resume=True)
 
+    def test_retry_quarantined_requires_resume(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(ValueError, match="requires resume=True"):
+            run_sweep(_counting_sweep(tmp_path), cache=cache,
+                      retry_quarantined=True)
+        assert _calls(tmp_path / "calls.txt") == 0
+
 
 class TestManifestCompaction:
     """Folding dead segment history away, crash-safely, and only when
