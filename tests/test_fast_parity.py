@@ -9,6 +9,7 @@ integer-valued parameters that force massive event-time ties — across
 every scheduler family.
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -402,3 +403,86 @@ class TestScenarioParity:
                 scenario=scenario,
             )
             assert np.array_equal(c_des.array, c_fast.array), cls.name
+
+
+def _digest_runs():
+    """The seeded run matrix behind :class:`TestPinnedTraceDigest`.
+
+    Yields ``(scheduler, platform, shape, kwargs)`` for: random
+    homogeneous and heterogeneous platforms with real and tie-heavy
+    integer rates, one-port and two-port, under the seven Section 8
+    schedulers, the three ``HeteroIncremental`` variants and MaxReuse,
+    and the seven again under a random scenario; two tie-heavy two-port
+    platforms; the 21 Figure 10 points at scale 8; and every scenario
+    kind at two severities on four algorithms.
+    """
+    from repro.platform.named import ut_cluster_platform
+    from repro.scenarios import SCENARIO_KINDS, build_scenario, scenario_spec
+    from repro.workloads import fig10_workloads
+
+    for integral in (False, True):
+        rng = random.Random(2024 + integral)
+        for _ in range(24):
+            platform = random_platform(rng, rng.randint(1, 5), integral)
+            shape = ProblemShape(
+                r=rng.randint(1, 9), s=rng.randint(1, 9),
+                t=rng.randint(1, 7), q=2,
+            )
+            kwargs = {"two_port": rng.random() < 0.5}
+            for cls in ALL_SEVEN:
+                yield cls(), platform, shape, kwargs
+            for variant in ("global", "local", "lookahead"):
+                yield HeteroIncremental(variant), platform, shape, kwargs
+            yield MaxReuse(), platform.subset((1,)), shape, kwargs
+            scenario = random_scenario(rng, platform, integral)
+            for cls in ALL_SEVEN:
+                yield cls(), platform, shape, dict(kwargs, scenario=scenario)
+
+    # Two-port C-out bursts that grant both ports while another entry
+    # shares the instant: the only multi-grant flush that takes the hop.
+    for platform, shape in (
+        (Platform.homogeneous(3, c=1.0, w=3.0, m=21),
+         ProblemShape(r=9, s=5, t=6, q=2)),
+        (Platform.heterogeneous([3.0, 3.0, 1.0], [3.0, 3.0, 2.0], [35, 60, 35]),
+         ProblemShape(r=8, s=5, t=3, q=2)),
+    ):
+        for cls in ALL_SEVEN:
+            yield cls(), platform, shape, {"two_port": True}
+
+    cluster = ut_cluster_platform(p=8, memory_mb=512.0, q=80)
+    workloads = fig10_workloads(8)
+    for workload in workloads:
+        for cls in ALL_SEVEN:
+            yield cls(), cluster, workload.shape(80), {}
+
+    shape = workloads[0].shape(80)
+    for cls in (HoLM, ORROML, ODDOML, OBMM):
+        horizon = run_scheduler(cls(), cluster, shape).work_makespan
+        for kind in SCENARIO_KINDS:
+            for severity in (0.5, 1.0):
+                spec = scenario_spec(kind, severity, horizon=horizon, seed=3)
+                scenario = build_scenario(cluster, spec)
+                yield cls(), cluster, shape, {"scenario": scenario}
+
+
+class TestPinnedTraceDigest:
+    """One SHA-256 over every fast-engine trace of a seeded run matrix.
+
+    The parity suites pay for a DES run per case; this digest pins the
+    scan's output alone, cheaply, so a refactor of the fast engine that
+    moves a single interval, float or memory peak fails here first.
+    """
+
+    DIGEST = "2c3a267a8f95fc0ddc5e9ab470217933b2632e8d1bc6791b95cbde3f31c7ba1c"
+    RUNS = 955
+
+    def test_fast_engine_traces_are_pinned(self):
+        h = hashlib.sha256()
+        runs = 0
+        for scheduler, platform, shape, kwargs in _digest_runs():
+            trace = run_scheduler(scheduler, platform, shape, engine="fast", **kwargs)
+            h.update(repr((
+                trace.comms, trace.computes, sorted(trace.memory_peak.items()),
+            )).encode())
+            runs += 1
+        assert (runs, h.hexdigest()) == (self.RUNS, self.DIGEST)
