@@ -19,11 +19,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blocks.matrix import BlockMatrix
     from repro.blocks.shape import ProblemShape
     from repro.engine.chunks import Chunk
+    from repro.platform.model import Platform
+    from repro.scenarios.model import Scenario
 
 __all__ = [
     "AgentSpec",
     "ChunkQueue",
     "bad_generation_gap",
+    "check_scenario_platform",
     "memory_exceeded",
     "validate_block_data",
 ]
@@ -83,6 +86,17 @@ class AgentSpec:
 def bad_generation_gap(gap: int) -> ValueError:
     """The error raised for a ``generation_gap`` other than 1 or 2."""
     return ValueError(f"generation_gap must be 1 or 2, got {gap}")
+
+
+def check_scenario_platform(
+    scenario: "Optional[Scenario]", platform: "Platform"
+) -> None:
+    """Reject a ``scenario`` that wraps a platform other than ``platform``."""
+    if scenario is not None and scenario.platform != platform:
+        raise ValueError(
+            f"scenario {scenario.name!r} wraps platform "
+            f"{scenario.platform.name!r}, not {platform.name!r}"
+        )
 
 
 def memory_exceeded(widx: int, used: int, cap: int, now: float) -> RuntimeError:

@@ -26,6 +26,7 @@ from repro.engine.common import (
     AgentSpec,
     ChunkQueue,
     bad_generation_gap,
+    check_scenario_platform,
     memory_exceeded,
     validate_block_data,
 )
@@ -64,11 +65,7 @@ class Engine:
         check_memory: bool = True,
         scenario: Optional[Scenario] = None,
     ):
-        if scenario is not None and scenario.platform != platform:
-            raise ValueError(
-                f"scenario {scenario.name!r} wraps platform "
-                f"{scenario.platform.name!r}, not {platform.name!r}"
-            )
+        check_scenario_platform(scenario, platform)
         self.platform = platform
         self.shape = shape
         self.data = data

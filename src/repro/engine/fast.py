@@ -53,6 +53,7 @@ from repro.blocks.matrix import BlockMatrix
 from repro.blocks.shape import ProblemShape
 from repro.engine.common import (
     AgentSpec,
+    check_scenario_platform,
     memory_exceeded,
     validate_block_data,
 )
@@ -66,17 +67,15 @@ __all__ = ["FastEngine", "run_fast"]
 # entries are 3-tuples; ``seq`` is unique, so the agent never compares.
 _HOP = 0   # a granted port request firing (the kernel's request event)
 _DONE = 1  # a transfer completion (the kernel's transfer timeout)
-_WAIT = 2  # a generation-gate / final-compute timeout opening
+_WAIT = 2  # a generation-gate / final-compute / background wake-up timeout
 
-# Agent stages: what the pending _DONE means for this agent.
+# Agent stages: what the pending _DONE means for this agent, and what
+# its _WAIT starts (the phase behind a buffer-generation gate, the C-out
+# behind the final compute, the background agent's next hold).
 _CIN = 0    # C tile inbound
 _PHASE = 1  # an A/B phase delivery
 _COUT = 2   # C tile outbound
 _BG = 3     # a background-traffic hold of the master's port
-# Wait kinds.
-_GAP = 0    # buffer-generation gate before the next phase request
-_FINAL = 1  # final-compute gate before the C-out request
-_BGREQ = 2  # background agent waking up to request its next hold
 # Staged comm values (six per interval) that flush at a chunk start.
 _FLUSH_AT = 6 * 1024
 
@@ -88,7 +87,7 @@ class _Agent:
         "widx", "gap", "chunks", "cursor", "queue", "c", "w",
         "chunk", "phases", "nph", "ab_ids", "upd_ids",
         "end1", "end2",
-        "pidx", "stage", "wait_kind", "start", "duration", "blocks",
+        "pidx", "stage", "start", "duration", "blocks",
     )
 
     def __init__(self, spec: AgentSpec, worker):
@@ -112,14 +111,13 @@ class _BgAgent:
     hold durations are absolute seconds, not ``c``-scaled).
     """
 
-    __slots__ = ("events", "cursor", "stage", "wait_kind", "start", "duration",
-                 "widx")
+    __slots__ = ("events", "cursor", "stage", "start", "duration", "widx")
 
     def __init__(self, events):
         self.events = events
         self.cursor = 0
         self.stage = _BG
-        self.wait_kind = _BGREQ
+        self.duration = events[0].duration
         self.widx = -1  # read (and ignored) by the shared dispatch paths
 
 
@@ -136,11 +134,7 @@ class FastEngine:
         check_memory: bool = True,
         scenario: Optional[Scenario] = None,
     ):
-        if scenario is not None and scenario.platform != platform:
-            raise ValueError(
-                f"scenario {scenario.name!r} wraps platform "
-                f"{scenario.platform.name!r}, not {platform.name!r}"
-            )
+        check_scenario_platform(scenario, platform)
         self.platform = platform
         self.shape = shape
         self.data = data
@@ -158,10 +152,17 @@ class FastEngine:
         """Advance the timeline to completion; returns the trace.
 
         One monolithic event loop: the three occurrence kinds dispatch
-        inline, hot state lives in local lists indexed by worker, and
-        the phase→phase steady state (the overwhelming majority of
-        events) runs without a Python-level call beyond the heap
-        primitives and the record staging below.
+        inline and hot state lives in local lists indexed by worker.
+        Each step of the chunk protocol is written once.  Every transfer
+        completion releases its port at the top of the dispatch.  Every
+        phase delivery — after the previous phase, after a generation
+        gate opens, after the C-in — sets a flag and runs the one inline
+        claim-and-request block at the end of the dispatch, so the
+        phase→phase steady state (the overwhelming majority of events)
+        runs without a Python-level call beyond the heap primitives and
+        the record staging below.  The C-in claim lives in
+        ``start_chunk``; the cold port requests (C-in, C-out, background
+        holds) share ``request``.
 
         Port grants are *deferred to the end of the current burst* and
         then, when no other heap entry shares the current timestamp,
@@ -194,6 +195,9 @@ class FastEngine:
         compute_done = self.compute_done
         check_memory = self.check_memory
         recv_pid = 1 if self.two_port else 0
+        # The port each stage's transfer holds: the receive port for a
+        # C-out (the send port itself unless two-port), else port 0.
+        stage_port = (0, 0, recv_pid, 0)
         q = self.shape.q
         data = self.data
         has_data = data is not None
@@ -228,62 +232,15 @@ class FastEngine:
         # heap comparisons never reach the agent.
         seq = 0
 
-        def request_phase(agent: _Agent, j: int, now: float) -> None:
-            # Deliver phase j: claim buffers, then request the send port.
-            ph = agent.phases[j]
-            in_blocks = ph[1] + ph[2]  # a_blocks + b_blocks
-            widx = agent.widx
-            used = mem_used[widx]
-            pend = pending_free[widx]
-            if pend:
-                lim = now + 1e-12
-                i = 0
-                while i < len(pend) and pend[i][0] <= lim:
-                    used -= pend[i][1]
-                    i += 1
-                if i:
-                    del pend[:i]
-            used += in_blocks
-            mem_used[widx] = used
-            if used > peaks[widx]:
-                peaks[widx] = used
-                # A capacity violation is necessarily a new peak, so the
-                # online check (same message as the DES) lives here.
-                if check_memory and used > caps[widx]:
-                    raise memory_exceeded(widx, used, caps[widx], now)
-            agent.stage = _PHASE
-            agent.pidx = j
-            agent.blocks = in_blocks
-            agent.duration = in_blocks * agent.c
-            if port_free[0]:
-                port_free[0] = False
+        def request(agent, pid: int, now: float) -> None:
+            # Take port ``pid`` (granted at the end of the burst) or
+            # queue FIFO for it.
+            if port_free[pid]:
+                port_free[pid] = False
                 agent.start = now
                 grants.append(agent)
             else:
-                port_queue[0].append(agent)
-
-        def request_cout(agent: _Agent, now: float) -> None:
-            blocks = agent.chunk.c_blocks
-            agent.stage = _COUT
-            agent.blocks = blocks
-            agent.duration = blocks * agent.c
-            if port_free[recv_pid]:
-                port_free[recv_pid] = False
-                agent.start = now
-                grants.append(agent)
-            else:
-                port_queue[recv_pid].append(agent)
-
-        def request_bg(agent: _BgAgent, now: float) -> None:
-            # The background agent claims the master's port for its next
-            # scheduled hold (duration is absolute, never c-scaled).
-            agent.duration = agent.events[agent.cursor].duration
-            if port_free[0]:
-                port_free[0] = False
-                agent.start = now
-                grants.append(agent)
-            else:
-                port_queue[0].append(agent)
+                port_queue[pid].append(agent)
 
         def flush(cut: bool = False) -> None:
             # Copy the staged rows into the columns; ``cut`` also drops any
@@ -339,23 +296,21 @@ class FastEngine:
             agent.stage = _CIN
             agent.blocks = blocks
             agent.duration = blocks * agent.c
-            if port_free[0]:
-                port_free[0] = False
-                agent.start = now
-                grants.append(agent)
-            else:
-                port_queue[0].append(agent)
+            request(agent, 0, now)
 
         def end_of_phases(agent: _Agent, now: float) -> None:
             nonlocal wait_agent, wait_time
             # All phases delivered: wait out the final compute, then C-out.
+            blocks = agent.chunk.c_blocks
+            agent.stage = _COUT
+            agent.blocks = blocks
+            agent.duration = blocks * agent.c
             final = compute_done[agent.widx]
             if final > now:
-                agent.wait_kind = _FINAL
                 wait_agent = agent
                 wait_time = now + (final - now)
             else:
-                request_cout(agent, now)
+                request(agent, recv_pid, now)
 
         # The scan allocates many small tuples (heap entries, pending
         # frees, staged records); pausing generational GC for its
@@ -374,16 +329,14 @@ class FastEngine:
         if scenario is not None and scenario.background:
             bg = _BgAgent(scenario.background)
             first = bg.events[0].time
+            seq += 4
             if first > 0.0:
-                seq += 4
                 push(heap, (first, seq | _WAIT, bg))
             else:
                 # The heap is still empty (nothing precedes the first
                 # process), so the grant always fuses to its completion.
-                request_bg(bg, 0.0)
-                granted = grants[0]
-                seq += 4
-                push(heap, (granted.duration, seq | _DONE, granted))
+                request(bg, 0, 0.0)
+                push(heap, (bg.duration, seq | _DONE, bg))
                 grants.clear()
         agents = [_Agent(spec, workers[spec.widx]) for spec in self.agents]
         for agent in agents:
@@ -404,6 +357,7 @@ class FastEngine:
         pending_kind = _DONE
         wait_agent: Optional[_Agent] = None
         wait_time = 0.0
+        deliver = False
         try:
             while heap or pending is not None:
                 if pending is None:
@@ -419,18 +373,20 @@ class FastEngine:
                 if kind == _DONE:
                     stage = agent.stage
                     widx = agent.widx
+                    # Release the transfer's port.
+                    pid = stage_port[stage]
+                    waiters = port_queue[pid]
+                    if waiters:
+                        nxt = waiters.popleft()
+                        nxt.start = now
+                        grants.append(nxt)
+                    else:
+                        port_free[pid] = True
                     if stage == _PHASE:
                         j = agent.pidx
                         blocks = agent.blocks
                         record_comm((widx + 1, agent.start, now, blocks, 0,
                                      agent.ab_ids[j]))
-                        waiters = port_queue[0]
-                        if waiters:
-                            nxt = waiters.popleft()
-                            nxt.start = now
-                            grants.append(nxt)
-                        else:
-                            port_free[0] = True
                         ph = agent.phases[j]
                         start = compute_done[widx]
                         if now > start:
@@ -469,140 +425,60 @@ class FastEngine:
                                 # fire time is now + (gate - now), replicated so
                                 # ties resolve identically under float rounding.
                                 agent.pidx = j
-                                agent.wait_kind = _GAP
                                 wait_agent = agent
                                 wait_time = now + (gate - now)
                             else:
-                                # Inlined request_phase (hot path): deliver phase j.
-                                # ``pend`` is non-empty (a free was appended for the
-                                # phase just computed) and ``stage`` is already _PHASE.
-                                ph = agent.phases[j]
-                                in_blocks = ph[1] + ph[2]
-                                used = mem_used[widx]
-                                pend = pending_free[widx]
-                                lim = now + 1e-12
-                                i = 0
-                                n = len(pend)
-                                while i < n and pend[i][0] <= lim:
-                                    used -= pend[i][1]
-                                    i += 1
-                                if i:
-                                    del pend[:i]
-                                used += in_blocks
-                                mem_used[widx] = used
-                                if used > peaks[widx]:
-                                    peaks[widx] = used
-                                    if check_memory and used > caps[widx]:
-                                        raise memory_exceeded(widx, used, caps[widx], now)
-                                agent.pidx = j
-                                agent.blocks = in_blocks
-                                agent.duration = in_blocks * agent.c
-                                if port_free[0]:
-                                    port_free[0] = False
-                                    agent.start = now
-                                    grants.append(agent)
-                                else:
-                                    port_queue[0].append(agent)
+                                deliver = True
                         else:
                             end_of_phases(agent, now)
                     elif stage == _CIN:
                         record_comm((widx + 1, agent.start, now, agent.blocks,
                                      0, cin_id))
-                        waiters = port_queue[0]
-                        if waiters:
-                            nxt = waiters.popleft()
-                            nxt.start = now
-                            grants.append(nxt)
-                        else:
-                            port_free[0] = True
                         agent.end1 = agent.end2 = 0.0
                         if agent.nph:
-                            request_phase(agent, 0, now)
+                            agent.stage = _PHASE
+                            j = 0
+                            deliver = True
                         else:
                             end_of_phases(agent, now)
                     elif stage == _COUT:  # chunk complete: free C tile, next chunk
                         record_comm((widx + 1, agent.start, now, agent.blocks,
                                      recv_pid, cout_id))
-                        waiters = port_queue[recv_pid]
-                        if waiters:
-                            nxt = waiters.popleft()
-                            nxt.start = now
-                            grants.append(nxt)
-                        else:
-                            port_free[recv_pid] = True
-                        used = mem_used[widx]
-                        pend = pending_free[widx]
-                        if pend:
-                            lim = now + 1e-12
-                            i = 0
-                            while i < len(pend) and pend[i][0] <= lim:
-                                used -= pend[i][1]
-                                i += 1
-                            if i:
-                                del pend[:i]
-                        mem_used[widx] = used - agent.blocks
+                        # Free the C tile only.  Due frees settle lazily at
+                        # the next claim: ``mem_used`` is read only right
+                        # after the expiry that precedes every buffer claim
+                        # (the inline phase delivery and ``start_chunk``), so
+                        # the integers, peaks and error messages are the same.
+                        mem_used[widx] -= agent.blocks
                         start_chunk(agent, now)
-                    else:  # _BG — background hold over: release, next event
+                    else:  # _BG — background hold over: next event
                         ev = agent.events[agent.cursor]
                         record_comm((0, agent.start, now, 0, 0,
                                      label_id("send", ev.label)))
-                        waiters = port_queue[0]
-                        if waiters:
-                            nxt = waiters.popleft()
-                            nxt.start = now
-                            grants.append(nxt)
-                        else:
-                            port_free[0] = True
                         agent.cursor += 1
                         if agent.cursor < len(agent.events):
-                            when = agent.events[agent.cursor].time
-                            if when > now:
-                                # Kernel: timeout(when - now) scheduled in
-                                # this burst (wait_kind is always _BGREQ).
+                            ev = agent.events[agent.cursor]
+                            agent.duration = ev.duration
+                            if ev.time > now:
+                                # Kernel: timeout(ev.time - now) scheduled
+                                # in this burst.
                                 wait_agent = agent
-                                wait_time = now + (when - now)
+                                wait_time = now + (ev.time - now)
                             else:
                                 # Overdue (delayed behind a long hold):
                                 # re-request within the same burst.
-                                request_bg(agent, now)
+                                request(agent, 0, now)
                 elif kind == _WAIT:
-                    if agent.wait_kind == _GAP:
+                    # The stage says what the wake-up starts: a phase
+                    # delivery once its generation gate opens, the C-out
+                    # once the final compute is over, or a background hold.
+                    stage = agent.stage
+                    if stage == _PHASE:
                         j = agent.pidx
                         widx = agent.widx
-                        # Inlined request_phase (hot path): deliver phase j.
-                        # ``pend`` is non-empty (a free was appended for the
-                        # phase just computed) and ``stage`` is already _PHASE.
-                        ph = agent.phases[j]
-                        in_blocks = ph[1] + ph[2]
-                        used = mem_used[widx]
-                        pend = pending_free[widx]
-                        lim = now + 1e-12
-                        i = 0
-                        n = len(pend)
-                        while i < n and pend[i][0] <= lim:
-                            used -= pend[i][1]
-                            i += 1
-                        if i:
-                            del pend[:i]
-                        used += in_blocks
-                        mem_used[widx] = used
-                        if used > peaks[widx]:
-                            peaks[widx] = used
-                            if check_memory and used > caps[widx]:
-                                raise memory_exceeded(widx, used, caps[widx], now)
-                        agent.pidx = j
-                        agent.blocks = in_blocks
-                        agent.duration = in_blocks * agent.c
-                        if port_free[0]:
-                            port_free[0] = False
-                            agent.start = now
-                            grants.append(agent)
-                        else:
-                            port_queue[0].append(agent)
-                    elif agent.wait_kind == _FINAL:
-                        request_cout(agent, now)
-                    else:  # _BGREQ — background wake-up: claim the port
-                        request_bg(agent, now)
+                        deliver = True
+                    else:
+                        request(agent, stage_port[stage], now)
                 else:  # _HOP
                     # The grant hop fired (a tie forced it): the completion
                     # is sequenced here, as the kernel would.  Varying rates
@@ -612,6 +488,39 @@ class FastEngine:
                         agent.duration = agent.blocks * c_rate(agent.widx, now)
                     push(heap, (now + agent.duration, seq | _DONE, agent))
                     continue
+                if deliver:
+                    # Deliver phase j: claim its A/B buffers (after expiring
+                    # the frees now due), then request the send port.
+                    deliver = False
+                    ph = agent.phases[j]
+                    in_blocks = ph[1] + ph[2]  # a_blocks + b_blocks
+                    used = mem_used[widx]
+                    pend = pending_free[widx]
+                    lim = now + 1e-12
+                    i = 0
+                    n = len(pend)
+                    while i < n and pend[i][0] <= lim:
+                        used -= pend[i][1]
+                        i += 1
+                    if i:
+                        del pend[:i]
+                    used += in_blocks
+                    mem_used[widx] = used
+                    if used > peaks[widx]:
+                        peaks[widx] = used
+                        # A capacity violation is necessarily a new peak, so
+                        # the online check (same message as the DES) lives here.
+                        if check_memory and used > caps[widx]:
+                            raise memory_exceeded(widx, used, caps[widx], now)
+                    agent.pidx = j
+                    agent.blocks = in_blocks
+                    agent.duration = in_blocks * agent.c
+                    if port_free[0]:
+                        port_free[0] = False
+                        agent.start = now
+                        grants.append(agent)
+                    else:
+                        port_queue[0].append(agent)
                 if wait_agent is not None:
                     # End of burst: schedule the deferred gate timeout.
                     # Its sequence number precedes any grant of the same
@@ -643,9 +552,8 @@ class FastEngine:
                         for g in grants:
                             if g.stage != _BG:
                                 g.duration = g.blocks * c_rate(g.widx, now)
-                    granted = grants[0]
                     if len(grants) == 1:
-                        grants.clear()
+                        granted = grants.pop()
                         if heap:
                             head = heap[0][0]
                             if head <= now:
@@ -661,24 +569,14 @@ class FastEngine:
                         pending_time = now + granted.duration
                         pending_kind = _DONE
                     else:
-                        seq += 4
-                        if heap and heap[0][0] <= now:
-                            push(heap, (now, seq, granted))
-                            for granted in grants[1:]:
-                                seq += 4
+                        hop = heap and heap[0][0] <= now
+                        for granted in grants:
+                            seq += 4
+                            if hop:
                                 push(heap, (now, seq, granted))
-                        else:
-                            push(
-                                heap,
-                                (now + granted.duration, seq | _DONE, granted),
-                            )
-                            for granted in grants[1:]:
-                                seq += 4
-                                push(
-                                    heap,
-                                    (now + granted.duration, seq | _DONE,
-                                     granted),
-                                )
+                            else:
+                                push(heap, (now + granted.duration, seq | _DONE,
+                                            granted))
                         grants.clear()
 
         finally:

@@ -62,7 +62,7 @@ from typing import Iterator, Optional, Sequence
 
 from repro.blocks.shape import ProblemShape
 from repro.engine.chunks import Chunk
-from repro.engine.common import AgentSpec, memory_exceeded
+from repro.engine.common import AgentSpec, check_scenario_platform, memory_exceeded
 from repro.platform.model import Platform
 from repro.scenarios.model import Scenario
 
@@ -596,11 +596,7 @@ def run_model(
     exceeds a worker's ``m_i`` — conservative by construction, matching
     capacity-planning use.
     """
-    if scenario is not None and scenario.platform != platform:
-        raise ValueError(
-            f"scenario {scenario.name!r} wraps platform "
-            f"{scenario.platform.name!r}, not {platform.name!r}"
-        )
+    check_scenario_platform(scenario, platform)
     return _estimate(
         scheduler.agents(platform, shape), platform, shape,
         two_port, check_memory, scenario,

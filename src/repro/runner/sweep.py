@@ -117,6 +117,9 @@ class RetryPolicy:
     max_failures: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in ("backoff", "backoff_cap", "jitter", "seed", "timeout"):
+            if type(getattr(self, name)) is bool:
+                raise ValueError(f"{name} must be a number, not a bool")
         if not (type(self.retries) is int and self.retries >= 0):
             raise ValueError(f"retries must be an int >= 0, got {self.retries!r}")
         if not (0 <= self.backoff < math.inf and 0 <= self.backoff_cap < math.inf):

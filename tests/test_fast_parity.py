@@ -149,6 +149,67 @@ class TestEdgeCaseParity:
             messages[engine] = str(exc.value)
         assert messages["des"] == messages["fast"]
 
+    def test_memory_error_parity_after_t0(self):
+        """Oversized tile plans overrun a worker's buffers mid-run too:
+        at a phase claim, or at a C-in claim that follows a C-out.  The
+        engines stop at the same claim with the same message."""
+        from repro.engine import ChunkQueue, tile_chunks
+
+        class Plan:
+            name = "Oversized"
+
+            def __init__(self, mu, gap, shared, reverse):
+                self.mu, self.gap, self.shared = mu, gap, shared
+                self.reverse = reverse
+
+            def agents(self, platform, shape):
+                # Reversed, ragged edge tiles come first, so a larger C
+                # tile's claim can overrun after an earlier C-out.
+                chunks = tile_chunks(shape, self.mu)[::-1 if self.reverse else 1]
+                if self.shared:
+                    queue = ChunkQueue(chunks)
+                    return [AgentSpec(w, queue, self.gap) for w in range(platform.p)]
+                return [
+                    AgentSpec(w, chunks[w::platform.p], self.gap)
+                    for w in range(platform.p)
+                ]
+
+        def outcome(plan, platform, shape, engine, two_port):
+            try:
+                trace = run_scheduler(
+                    plan, platform, shape, engine=engine, two_port=two_port
+                )
+            except RuntimeError as exc:
+                assert "memory exceeded" in str(exc)
+                return str(exc)
+            return (trace.comms, trace.computes, trace.memory_peak)
+
+        rng = random.Random(606)
+        late = early = 0
+        for _ in range(300):
+            p = rng.randint(1, 4)
+            ms = [rng.randint(6, 40) for _ in range(p)]
+            cs = [rng.choice([0.5, 1.0, rng.uniform(0.1, 2.0)]) for _ in range(p)]
+            ws = [rng.choice([0.5, 1.0, rng.uniform(0.05, 2.0)]) for _ in range(p)]
+            platform = Platform.heterogeneous(cs, ws, ms)
+            shape = ProblemShape(
+                r=rng.randint(1, 8), s=rng.randint(1, 8), t=rng.randint(1, 5), q=2
+            )
+            plan = Plan(
+                rng.randint(1, 4), rng.choice([1, 2]), rng.random() < 0.5,
+                rng.random() < 0.5,
+            )
+            two_port = rng.random() < 0.5
+            des = outcome(plan, platform, shape, "des", two_port)
+            fast = outcome(plan, platform, shape, "fast", two_port)
+            assert des == fast, (platform, shape, vars(plan), two_port)
+            if isinstance(des, str):
+                if des.endswith(" at t=0"):
+                    early += 1
+                else:
+                    late += 1
+        assert late >= 40 and early >= 5, (late, early)
+
     def test_memory_check_disabled_parity(self):
         """check_memory=False executes over-capacity layouts identically."""
         shape = ProblemShape(r=4, s=4, t=2, q=2)
@@ -341,7 +402,7 @@ class TestScenarioParity:
         platform = Platform.homogeneous(2, c=0.5, w=0.25, m=21)
         other = Platform.homogeneous(3, c=0.5, w=0.25, m=21)
         scenario = Scenario.stationary(other)
-        for engine in ("fast", "des"):
+        for engine in ("fast", "des", "model"):
             with pytest.raises(ValueError, match="wraps platform"):
                 run_scheduler(
                     HoLM(), platform, ProblemShape(r=2, s=2, t=2, q=2),

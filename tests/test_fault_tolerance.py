@@ -123,6 +123,11 @@ class TestRetryPolicy:
             {"retries": True},
             {"max_failures": float("nan")},
             {"max_failures": 1.5},
+            {"timeout": True},
+            {"backoff": True},
+            {"backoff_cap": True},
+            {"jitter": True},
+            {"seed": True},
         ],
     )
     def test_validation(self, kwargs):
